@@ -96,45 +96,6 @@ func (t *Table) AttachObserver(o UpdateObserver) {
 	t.mu.Unlock()
 }
 
-// scatterCounter is the optional instrumentation surface of scatter-
-// gather engines (satisfied by *shard.Engine): per-shard executed-query
-// counts and the pruned-pair total.
-type scatterCounter interface {
-	ScatterCounts() []int64
-	PrunedCount() int64
-}
-
-// ScatterStats reports a sharded table's scatter-path instrumentation —
-// how many queries each shard executed and how many (query, shard) pairs
-// pruning skipped — or ok=false when the engine does not expose it.
-func (t *Table) ScatterStats() (scattered []int64, pruned int64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	sc, isCounter := engine.Underlying(t.eng).(scatterCounter)
-	if !isCounter {
-		return nil, 0, false
-	}
-	return sc.ScatterCounts(), sc.PrunedCount(), true
-}
-
-// streamCounter is the streaming-merge instrumentation surface of
-// scatter-gather engines (satisfied by *shard.Engine): how many per-shard
-// partial results were folded into answers as they arrived instead of
-// being materialized first.
-type streamCounter interface{ StreamedCount() int64 }
-
-// StreamStats reports how many shard partials the table's engine folded
-// in streaming fashion, or ok=false when the engine does not expose it.
-func (t *Table) StreamStats() (streamed int64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	sc, isCounter := engine.Underlying(t.eng).(streamCounter)
-	if !isCounter {
-		return 0, false
-	}
-	return sc.StreamedCount(), true
-}
-
 // SwapEngine replaces the table's serving engine under the exclusive
 // lock: prep receives the engine being replaced and returns its
 // successor (typically a freshly rebuilt synopsis, plus any delta

@@ -190,14 +190,7 @@ func (t *Table) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.
 	defer t.mu.RUnlock()
 	rec, cache := t.recorder, t.cache
 	if rec == nil && cache == nil {
-		out, err := engine.QueryBatchCtx(ctx, t.eng, qs)
-		if err != nil {
-			out = make([]core.BatchResult, len(qs))
-			for i := range out {
-				out[i].Err = err
-			}
-		}
-		return out
+		return engine.QueryBatchCtx(ctx, t.eng, qs)
 	}
 	gen := t.gen.Load()
 	out := make([]core.BatchResult, len(qs))
@@ -218,18 +211,11 @@ func (t *Table) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.
 		for j, i := range misses {
 			sub[j] = qs[i]
 		}
-		res, err := engine.QueryBatchCtx(ctx, t.eng, sub)
-		if err != nil {
-			for _, i := range misses {
-				out[i].Err = err
-			}
-		} else {
-			for j, br := range res {
-				i := misses[j]
-				out[i] = br
-				if br.Err == nil && cache != nil && !br.Result.Degraded {
-					cache.Store(t.name, gen, qs[i].Kind, qs[i].Rect, br.Result)
-				}
+		for j, br := range engine.QueryBatchCtx(ctx, t.eng, sub) {
+			i := misses[j]
+			out[i] = br
+			if br.Err == nil && cache != nil && !br.Result.Degraded {
+				cache.Store(t.name, gen, qs[i].Kind, qs[i].Rect, br.Result)
 			}
 		}
 	}
@@ -518,18 +504,20 @@ func (t *Table) CheckpointShards(flush func(info engine.ShardInfo, innerEngine s
 	return flush(info, innerName, t.schema, payloads, shardRows, int(t.rows.Load()))
 }
 
-// ShardStats reports a sharded table's partitioning and per-shard
-// cardinalities, or ok=false for unsharded tables.
-func (t *Table) ShardStats() (info engine.ShardInfo, shardRows []int, ok bool) {
+// ShardStats reports a sharded table's partitioning, per-shard
+// cardinalities and scatter-path instrumentation — how many queries each
+// shard executed, how many (query, shard) pairs pruning skipped, how many
+// partials were folded — or ok=false for unsharded tables.
+func (t *Table) ShardStats() (info engine.ShardInfo, shardRows []int, scatter engine.ScatterStats, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	sh, isSharded := engine.Underlying(t.eng).(engine.Sharded)
 	if !isSharded {
-		return engine.ShardInfo{}, nil, false
+		return engine.ShardInfo{}, nil, engine.ScatterStats{}, false
 	}
-	// ShardRows (not Shard(i).N()) — the accessor takes the per-shard
-	// locks, so stats never race with shared-lock updates in flight
-	return sh.ShardInfo(), sh.ShardRows(), true
+	// ShardRows (not Shard(i).N()) — the accessor is synchronised against
+	// shared-lock updates in flight
+	return sh.ShardInfo(), sh.ShardRows(), sh.ScatterStats(), true
 }
 
 // ErrExists tags a Register call that lost to an earlier registration of

@@ -31,9 +31,9 @@ func TestShardStatsOnShardedAndUnshardedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, rows, ok := tbl.ShardStats()
-	if !ok || info.Shards != 3 || len(rows) != 3 {
-		t.Fatalf("ShardStats = %+v, %v, %v", info, rows, ok)
+	info, rows, scatter, ok := tbl.ShardStats()
+	if !ok || info.Shards != 3 || len(rows) != 3 || len(scatter.Scattered) != 3 {
+		t.Fatalf("ShardStats = %+v, %v, %+v, %v", info, rows, scatter, ok)
 	}
 	total := 0
 	for _, r := range rows {
@@ -47,7 +47,7 @@ func TestShardStatsOnShardedAndUnshardedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := plain.ShardStats(); ok {
+	if _, _, _, ok := plain.ShardStats(); ok {
 		t.Error("unsharded table claims shard stats")
 	}
 	if err := plain.CheckpointShards(nil); err == nil || !strings.Contains(err.Error(), "not sharded") {

@@ -2,7 +2,12 @@
 // system in this repository — the PASS synopsis (internal/core) and the
 // comparators US, ST (internal/baselines), AQP++ (internal/aqpp),
 // VerdictDB (internal/verdictdb) and DeepDB (internal/deepdb) — plus the
-// optional capability interfaces that expose mutation and persistence
+// optional capability interfaces that expose mutation (Updatable,
+// ConcurrentUpdatable), persistence (Serializable), grouping (Grouper),
+// sketches (Sketcher), cardinality (Sized), deadline-aware execution
+// (ContextQuerier — one capability for single and batched queries, reached
+// through the QueryCtx/QueryBatchCtx adapters) and sharding (Sharded —
+// topology, routing, executor statistics and the strict-scatter switch)
 // where an engine supports them.
 //
 // The package is the middle layer of the repository's architecture:
@@ -34,16 +39,6 @@ import (
 // everything else should surface it, never skip it silently.
 var ErrNotSerializable = core.ErrNotSerializable
 
-// Queryer is the minimal single-query surface of an AQP engine.
-type Queryer interface {
-	// Name identifies the engine in benchmark tables and catalog listings.
-	Name() string
-	// Query answers one aggregate over a rectangular predicate.
-	Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error)
-	// MemoryBytes is the synopsis storage footprint.
-	MemoryBytes() int
-}
-
 // Engine is the interface every AQP system implements: single queries
 // plus whole-workload batched execution. Engines with an internally
 // parallel synopsis (PASS) fan batches across the worker pool; the
@@ -51,7 +46,12 @@ type Queryer interface {
 // cases batched answers must be identical to issuing the same queries
 // sequentially through Query.
 type Engine interface {
-	Queryer
+	// Name identifies the engine in benchmark tables and catalog listings.
+	Name() string
+	// Query answers one aggregate over a rectangular predicate.
+	Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error)
+	// MemoryBytes is the synopsis storage footprint.
+	MemoryBytes() int
 	// QueryBatch answers a workload of queries, returning results in
 	// input order.
 	QueryBatch(qs []core.BatchQuery) []core.BatchResult
@@ -103,46 +103,44 @@ type Grouper interface {
 // that can observe a context's deadline/cancellation mid-query — today the
 // scatter-gather shard engine, which drops shards that exceed the deadline
 // and merges the rest into a degraded partial answer. Engines without the
-// capability run to completion; the QueryCtx adapter still honours an
-// already-expired context before starting.
+// capability run to completion once admitted.
 type ContextQuerier interface {
 	// QueryCtx answers one aggregate, observing ctx. Implementations may
 	// return a partial (Result.Degraded) answer when ctx expires mid-query,
-	// or ctx.Err() when nothing useful was computed.
+	// or an error wrapping ctx.Err() when nothing useful was computed.
 	QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error)
-}
-
-// ContextBatcher is the batched companion of ContextQuerier.
-type ContextBatcher interface {
+	// QueryBatchCtx is the batched companion, results in input order.
 	QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult
 }
 
-// QueryCtx runs one query with deadline awareness when the engine has the
-// ContextQuerier capability, and falls back to a plain Query otherwise.
-// The fallback still refuses to start work on an already-done context, so
-// every engine gets fail-fast admission even if it cannot be interrupted
-// mid-flight.
+// QueryCtx runs one query on e under ctx. An already-done context is
+// refused before any work starts, so every engine gets fail-fast
+// admission; past that, a ContextQuerier observes ctx mid-flight and any
+// other engine runs a plain Query to completion.
 func QueryCtx(ctx context.Context, e Engine, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	if cq, ok := Underlying(e).(ContextQuerier); ok {
-		return cq.QueryCtx(ctx, kind, q)
-	}
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
+	}
+	if cq, ok := Underlying(e).(ContextQuerier); ok {
+		return cq.QueryCtx(ctx, kind, q)
 	}
 	return e.Query(kind, q)
 }
 
-// QueryBatchCtx is the batched companion of QueryCtx: deadline-aware
-// engines observe ctx per sub-query; others get the fail-fast admission
-// check and then run the batch to completion.
-func QueryBatchCtx(ctx context.Context, e Engine, qs []core.BatchQuery) ([]core.BatchResult, error) {
-	if cb, ok := Underlying(e).(ContextBatcher); ok {
-		return cb.QueryBatchCtx(ctx, qs), nil
-	}
+// QueryBatchCtx is the batched companion of QueryCtx; an already-done
+// context fails every query with ctx.Err().
+func QueryBatchCtx(ctx context.Context, e Engine, qs []core.BatchQuery) []core.BatchResult {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		out := make([]core.BatchResult, len(qs))
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
 	}
-	return e.QueryBatch(qs), nil
+	if cq, ok := Underlying(e).(ContextQuerier); ok {
+		return cq.QueryBatchCtx(ctx, qs)
+	}
+	return e.QueryBatch(qs)
 }
 
 // ShardInfo describes how a sharded engine partitions its data: the
@@ -184,6 +182,24 @@ type Sharded interface {
 	// Route returns the shard that owns an update with the given
 	// predicate point.
 	Route(point []float64) (int, error)
+	// ScatterStats snapshots the scatter executor's instrumentation.
+	ScatterStats() ScatterStats
+	// SetStrict selects what happens to a query when a shard it needs
+	// errors or misses the deadline: dropped from the merge, the answer
+	// marked Degraded (false, the default), or the query failed (true).
+	SetStrict(strict bool)
+}
+
+// ScatterStats is a sharded engine's executor instrumentation since
+// construction.
+type ScatterStats struct {
+	// Scattered[i] counts the queries shard i executed.
+	Scattered []int64
+	// Pruned counts the (query, shard) pairs skipped because the shard's
+	// bounding rectangle was disjoint from the predicate.
+	Pruned int64
+	// Streamed counts the per-shard partials folded into answers.
+	Streamed int64
 }
 
 // Sketcher is the optional mergeable-sketch capability: engines that
@@ -219,7 +235,7 @@ type Sized interface {
 //	func (e *Engine) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 //	    return engine.SequentialBatch(e, qs)
 //	}
-func SequentialBatch(e Queryer, qs []core.BatchQuery) []core.BatchResult {
+func SequentialBatch(e Engine, qs []core.BatchQuery) []core.BatchResult {
 	out := make([]core.BatchResult, len(qs))
 	for i, q := range qs {
 		o := &out[i]

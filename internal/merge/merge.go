@@ -15,11 +15,12 @@
 // table shares one CI multiplier λ, so the λ factor distributes over the
 // root-sum-of-squares of the per-shard half-widths.
 //
-// The package's primitive is the streaming Merger: it folds partials one
-// at a time in O(1) state per aggregate kind, so the scatter layer can
-// merge each shard's answer as it lands instead of materializing a slice
-// of all partials first. Results and Groups are thin wrappers over it, and
-// a sync.Pool recycles accumulators on the batched-query hot path.
+// The package's one primitive is the Merger: it folds partials one at a
+// time in O(1) state per aggregate kind. The scatter layer collects the
+// shards' partials and folds them in shard order, which keeps the answer
+// bitwise independent of completion order; Groups folds per group key; a
+// sync.Pool (Get/Put) recycles accumulators on the query hot path. Degrade
+// widens a merged answer for shards that never delivered a partial.
 package merge
 
 import (
@@ -31,17 +32,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Merger is a streaming accumulator for one query's partial results. Add
-// folds one shard's partial in O(1) time and state; Result finalizes the
-// merged answer. The fold keeps the same lossless rules as a materialized
-// merge — additive estimates/variances/hard bounds for SUM/COUNT,
-// cardinality-weighted combination for AVG, MatchCertain-guarded bound
-// tightening for MIN/MAX — and the finalized answer is independent of
-// arrival order up to floating-point associativity.
+// Merger is the accumulator for one query's partial results. Add folds
+// one shard's partial in O(1) time and state; Result finalizes the merged
+// answer. The fold is lossless — additive estimates/variances/hard bounds
+// for SUM/COUNT, cardinality-weighted combination for AVG,
+// MatchCertain-guarded bound tightening for MIN/MAX — and the finalized
+// answer is independent of fold order up to floating-point associativity.
+// Partials reporting NoMatch contribute only diagnostics; if every
+// partial reports NoMatch (or none was folded) the result is NoMatch.
 //
-// A Merger is not safe for concurrent use; the scatter layer serializes
-// Add calls. Reset re-arms an accumulator for a new query, which is how
-// pooled Mergers are recycled.
+// A Merger is not safe for concurrent use. Obtain one with Get and return
+// it with Put; Reset re-arms it for a new query.
 type Merger struct {
 	kind dataset.AggKind
 	live int
@@ -68,15 +69,6 @@ type Merger struct {
 	// extremum state (MIN/MAX)
 	certEst, certBound, extEst float64
 	anyCertain                 bool
-}
-
-// NewMerger returns a fresh accumulator for one query of the given kind.
-// Hot paths should prefer Get/Put, which recycle accumulators through a
-// pool.
-func NewMerger(kind dataset.AggKind) *Merger {
-	m := &Merger{}
-	m.Reset(kind)
-	return m
 }
 
 // Reset re-arms the accumulator for a new query of the given kind,
@@ -224,7 +216,7 @@ func (m *Merger) Result() core.Result {
 	return out
 }
 
-// pool recycles Mergers on the batched-query hot path. Acquisitions and
+// pool recycles Mergers on the query hot path. Acquisitions and
 // actual allocations are counted directly in the process-wide obs
 // registry (the difference is the number of accumulator allocations the
 // pool avoided) — there is no separate package-local copy of the stats.
@@ -262,21 +254,6 @@ func Put(m *Merger) {
 // truth.
 func PoolStats() (acquires, allocated int64) {
 	return poolGets.Value(), poolAllocs.Value()
-}
-
-// Results combines partial results for one query, one entry per shard
-// that was scattered to. Shards reporting NoMatch contribute only
-// diagnostics; if every shard reports NoMatch (or parts is empty) the
-// merged result is NoMatch. The merge is deterministic and independent of
-// shard order up to floating-point associativity.
-func Results(kind dataset.AggKind, parts []core.Result) core.Result {
-	m := Get(kind)
-	for _, p := range parts {
-		m.Add(p)
-	}
-	out := m.Result()
-	Put(m)
-	return out
 }
 
 // Degrade widens a merged result to account for shards that were dropped
@@ -326,7 +303,7 @@ func Degrade(kind dataset.AggKind, out *core.Result, droppedRows []int) {
 
 // Groups combines per-shard GROUP BY outputs: parts[i] is shard i's
 // GroupResult slice, all aligned on the same group-key list. Each group
-// key merges independently with the Results rules; a group NoMatch on one
+// key merges independently with the Merger rules; a group NoMatch on one
 // shard simply contributes nothing there. One pooled accumulator is
 // recycled across all groups.
 func Groups(kind dataset.AggKind, parts [][]core.GroupResult) []core.GroupResult {

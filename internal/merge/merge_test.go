@@ -9,6 +9,17 @@ import (
 	"repro/internal/merge"
 )
 
+// fold merges parts the way the scatter layer does: one pooled
+// accumulator, Add in slice order, Result.
+func fold(kind dataset.AggKind, parts []core.Result) core.Result {
+	m := merge.Get(kind)
+	defer merge.Put(m)
+	for _, p := range parts {
+		m.Add(p)
+	}
+	return m.Result()
+}
+
 func TestAdditiveSumCombinesEstimatesVarianceAndBounds(t *testing.T) {
 	parts := []core.Result{
 		{Estimate: 10, CIHalf: 3, HardLo: 5, HardHi: 15, HardValid: true, Exact: false,
@@ -16,7 +27,7 @@ func TestAdditiveSumCombinesEstimatesVarianceAndBounds(t *testing.T) {
 		{Estimate: 20, CIHalf: 4, HardLo: 18, HardHi: 25, HardValid: true, Exact: false,
 			TuplesRead: 9, MatchEst: 6},
 	}
-	got := merge.Results(dataset.Sum, parts)
+	got := fold(dataset.Sum, parts)
 	if got.Estimate != 30 {
 		t.Errorf("Estimate = %v, want 30", got.Estimate)
 	}
@@ -36,7 +47,7 @@ func TestAdditiveSumCombinesEstimatesVarianceAndBounds(t *testing.T) {
 
 func TestAdditiveExactOnlyWhenAllExact(t *testing.T) {
 	exact := core.Result{Estimate: 1, HardLo: 1, HardHi: 1, HardValid: true, Exact: true}
-	got := merge.Results(dataset.Count, []core.Result{exact, exact})
+	got := fold(dataset.Count, []core.Result{exact, exact})
 	if !got.Exact || got.Estimate != 2 {
 		t.Errorf("two exact partials should merge exact: %+v", got)
 	}
@@ -47,7 +58,7 @@ func TestWeightedAvgUsesCardinalityWeights(t *testing.T) {
 		{Estimate: 10, CIHalf: 1, MatchEst: 30, HardLo: 5, HardHi: 12, HardValid: true},
 		{Estimate: 20, CIHalf: 2, MatchEst: 10, HardLo: 15, HardHi: 40, HardValid: true},
 	}
-	got := merge.Results(dataset.Avg, parts)
+	got := fold(dataset.Avg, parts)
 	want := 0.75*10 + 0.25*20
 	if math.Abs(got.Estimate-want) > 1e-12 {
 		t.Errorf("Estimate = %v, want %v", got.Estimate, want)
@@ -69,7 +80,7 @@ func TestMinOnlyCertainShardsTightenTheUpperBound(t *testing.T) {
 		// must not drag the certain upper bound below the evidence
 		{Estimate: 1, HardLo: 0, HardHi: 2, HardValid: true},
 	}
-	got := merge.Results(dataset.Min, parts)
+	got := fold(dataset.Min, parts)
 	if got.Estimate != 5 {
 		t.Errorf("Estimate = %v, want the observed minimum 5", got.Estimate)
 	}
@@ -86,7 +97,7 @@ func TestMaxSymmetricToMin(t *testing.T) {
 		{Estimate: 5, HardLo: 5, HardHi: 9, HardValid: true, MatchCertain: true},
 		{Estimate: 50, HardLo: 40, HardHi: 60, HardValid: true}, // uncertain envelope
 	}
-	got := merge.Results(dataset.Max, parts)
+	got := fold(dataset.Max, parts)
 	if got.Estimate != 5 {
 		t.Errorf("Estimate = %v, want 5 (only certain evidence)", got.Estimate)
 	}
@@ -102,7 +113,7 @@ func TestWeightedAvgFallsBackToEqualWeightsWithoutEvidence(t *testing.T) {
 		{Estimate: 10, CIHalf: 2},
 		{Estimate: 30, CIHalf: 2},
 	}
-	got := merge.Results(dataset.Avg, parts)
+	got := fold(dataset.Avg, parts)
 	if got.NoMatch {
 		t.Fatal("live partials without MatchEst merged to NoMatch")
 	}
@@ -121,10 +132,10 @@ func TestMinWithoutCertaintyOrEnvelopesTakesEstimateExtremum(t *testing.T) {
 		{Estimate: 7},
 		{Estimate: 3},
 	}
-	if got := merge.Results(dataset.Min, parts); got.Estimate != 3 || got.HardValid {
+	if got := fold(dataset.Min, parts); got.Estimate != 3 || got.HardValid {
 		t.Errorf("MIN merge = %+v, want estimate 3 without hard bounds", got)
 	}
-	if got := merge.Results(dataset.Max, parts); got.Estimate != 7 || got.HardValid {
+	if got := fold(dataset.Max, parts); got.Estimate != 7 || got.HardValid {
 		t.Errorf("MAX merge = %+v, want estimate 7 without hard bounds", got)
 	}
 }
@@ -134,7 +145,7 @@ func TestMinAllUncertainFallsBackToEnvelopeMidpoint(t *testing.T) {
 		{Estimate: 1, HardLo: 0, HardHi: 2, HardValid: true},
 		{Estimate: 7, HardLo: 6, HardHi: 8, HardValid: true},
 	}
-	got := merge.Results(dataset.Min, parts)
+	got := fold(dataset.Min, parts)
 	if got.HardLo != 0 || got.HardHi != 8 {
 		t.Errorf("hard bounds = [%v, %v], want the union envelope [0, 8]", got.HardLo, got.HardHi)
 	}
@@ -151,18 +162,18 @@ func TestNoMatchPartialsContributeOnlyDiagnostics(t *testing.T) {
 		{NoMatch: true, TuplesRead: 5},
 		{Estimate: 3, HardLo: 3, HardHi: 3, HardValid: true, Exact: true, MatchEst: 1, MatchCertain: true},
 	}
-	got := merge.Results(dataset.Sum, parts)
+	got := fold(dataset.Sum, parts)
 	if got.Estimate != 3 || !got.Exact || got.NoMatch {
 		t.Errorf("merge with one NoMatch partial: %+v", got)
 	}
 	if got.TuplesRead != 5 {
 		t.Errorf("TuplesRead = %d, want 5 (diagnostics aggregate over all shards)", got.TuplesRead)
 	}
-	all := merge.Results(dataset.Avg, []core.Result{{NoMatch: true}, {NoMatch: true}})
+	all := fold(dataset.Avg, []core.Result{{NoMatch: true}, {NoMatch: true}})
 	if !all.NoMatch {
 		t.Error("all partials NoMatch must merge to NoMatch")
 	}
-	if empty := merge.Results(dataset.Sum, nil); !empty.NoMatch {
+	if empty := fold(dataset.Sum, nil); !empty.NoMatch {
 		t.Error("empty partial list must merge to NoMatch")
 	}
 }

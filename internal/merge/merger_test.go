@@ -1,4 +1,4 @@
-package merge
+package merge_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/merge"
 )
 
 // randParts builds a randomized slice of plausible partial results,
@@ -46,56 +47,17 @@ func closeTo(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-// TestMergerMatchesResults folds randomized partials one at a time and
-// checks the streamed answer equals the one-shot Results merge — the
-// streamed-vs-materialized twin at the merge layer.
-func TestMergerMatchesResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	kinds := []dataset.AggKind{dataset.Sum, dataset.Count, dataset.Avg, dataset.Min, dataset.Max}
-	for trial := 0; trial < 200; trial++ {
-		kind := kinds[trial%len(kinds)]
-		parts := randParts(rng, 1+rng.Intn(8))
-		want := Results(kind, parts)
-		m := NewMerger(kind)
-		for _, p := range parts {
-			m.Add(p)
-		}
-		got := m.Result()
-		if got.NoMatch != want.NoMatch || got.Exact != want.Exact ||
-			got.HardValid != want.HardValid || got.MatchCertain != want.MatchCertain {
-			t.Fatalf("kind %v trial %d: flags differ\n got %+v\nwant %+v", kind, trial, got, want)
-		}
-		for _, pair := range [][2]float64{
-			{got.Estimate, want.Estimate},
-			{got.CIHalf, want.CIHalf},
-			{got.HardLo, want.HardLo},
-			{got.HardHi, want.HardHi},
-			{got.MatchEst, want.MatchEst},
-		} {
-			if !closeTo(pair[0], pair[1], 1e-12) {
-				t.Fatalf("kind %v trial %d: value differs (%v vs %v)\n got %+v\nwant %+v",
-					kind, trial, pair[0], pair[1], got, want)
-			}
-		}
-		if got.TuplesRead != want.TuplesRead || got.SkippedTuples != want.SkippedTuples ||
-			got.VisitedNodes != want.VisitedNodes || got.CoveredParts != want.CoveredParts ||
-			got.PartialParts != want.PartialParts {
-			t.Fatalf("kind %v trial %d: diagnostics differ\n got %+v\nwant %+v", kind, trial, got, want)
-		}
-	}
-}
-
 // TestMergerOrderIndependence shuffles fold order; answers must agree to
 // floating-point associativity tolerances.
 func TestMergerOrderIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, kind := range []dataset.AggKind{dataset.Sum, dataset.Avg, dataset.Min, dataset.Max} {
 		parts := randParts(rng, 6)
-		base := Results(kind, parts)
+		base := fold(kind, parts)
 		for trial := 0; trial < 20; trial++ {
 			shuffled := append([]core.Result(nil), parts...)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			got := Results(kind, shuffled)
+			got := fold(kind, shuffled)
 			if !closeTo(got.Estimate, base.Estimate, 1e-9) || !closeTo(got.CIHalf, base.CIHalf, 1e-9) {
 				t.Fatalf("kind %v: order-dependent merge: %+v vs %+v", kind, got, base)
 			}
@@ -103,36 +65,43 @@ func TestMergerOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestMergerDegradedTwin checks the streamed merge composes with Degrade
-// exactly as the materialized merge does when shards are dropped.
-func TestMergerDegradedTwin(t *testing.T) {
+// TestDegradeWidensByDroppedRows pins Degrade's compensation on top of a
+// merged answer: COUNT shifts by half the dropped cardinality and absorbs
+// all of it into the CI and the upper bound; the value aggregates keep
+// their estimate and lose exactness and hard bounds.
+func TestDegradeWidensByDroppedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, kind := range []dataset.AggKind{dataset.Count, dataset.Sum, dataset.Avg, dataset.Min} {
-		parts := randParts(rng, 5)
-		dropped := []int{100, 0, 250}
-
-		want := Results(kind, parts)
-		Degrade(kind, &want, dropped)
-
-		m := NewMerger(kind)
-		for _, p := range parts {
-			m.Add(p)
-		}
-		got := m.Result()
-		Degrade(kind, &got, dropped)
-
-		if !got.Degraded || !want.Degraded {
+		base := fold(kind, randParts(rng, 5))
+		got := base
+		merge.Degrade(kind, &got, []int{100, 0, 250})
+		if !got.Degraded {
 			t.Fatalf("kind %v: not degraded", kind)
 		}
-		if !closeTo(got.Estimate, want.Estimate, 1e-9) || !closeTo(got.CIHalf, want.CIHalf, 1e-9) ||
-			!closeTo(got.HardHi, want.HardHi, 1e-9) || got.NoMatch != want.NoMatch {
-			t.Fatalf("kind %v: degraded twin mismatch\n got %+v\nwant %+v", kind, got, want)
+		if kind == dataset.Count {
+			if got.Estimate != base.Estimate+175 || got.CIHalf != base.CIHalf+175 ||
+				got.HardHi != base.HardHi+350 || got.HardLo != base.HardLo || got.Exact || got.NoMatch {
+				t.Fatalf("degraded COUNT %+v from %+v", got, base)
+			}
+			continue
 		}
+		if got.Estimate != base.Estimate || got.CIHalf != base.CIHalf || got.NoMatch != base.NoMatch {
+			t.Fatalf("kind %v: degrade moved the estimate: %+v from %+v", kind, got, base)
+		}
+		if !base.NoMatch && (got.Exact || got.HardValid || got.HardLo != 0 || got.HardHi != 0) {
+			t.Fatalf("kind %v: degraded answer kept exactness or hard bounds: %+v", kind, got)
+		}
+	}
+	noop := core.Result{Estimate: 1, Exact: true}
+	merge.Degrade(dataset.Count, &noop, nil)
+	if noop.Degraded || !noop.Exact {
+		t.Fatalf("nothing dropped must leave the result alone: %+v", noop)
 	}
 }
 
 func TestMergerResetReuse(t *testing.T) {
-	m := NewMerger(dataset.Sum)
+	m := merge.Get(dataset.Sum)
+	defer merge.Put(m)
 	m.Add(core.Result{Estimate: 5, HardValid: true, Exact: true, MatchEst: 1})
 	_ = m.Result()
 	m.Reset(dataset.Min)
@@ -146,14 +115,14 @@ func TestMergerResetReuse(t *testing.T) {
 }
 
 func TestPoolStatsCountReuse(t *testing.T) {
-	g0, a0 := PoolStats()
+	g0, a0 := merge.PoolStats()
 	for i := 0; i < 50; i++ {
-		m := Get(dataset.Sum)
+		m := merge.Get(dataset.Sum)
 		m.Add(core.Result{Estimate: 1, HardValid: true, Exact: true})
 		_ = m.Result()
-		Put(m)
+		merge.Put(m)
 	}
-	g1, a1 := PoolStats()
+	g1, a1 := merge.PoolStats()
 	if g1-g0 != 50 {
 		t.Fatalf("acquires = %d, want 50", g1-g0)
 	}

@@ -6,15 +6,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/engine/factory"
 	"repro/internal/merge"
 	"repro/internal/obs"
 )
 
 // BenchmarkShardedQueryBatch measures the scatter-gather batch path with
-// allocation reporting: the streaming merge folds shard partials into
-// pooled accumulators, so steady-state allocs/op should stay flat as the
-// workload grows (run with -benchmem; CI tracks the allocs/op figure).
+// allocation reporting: shard partials fold through one pooled
+// accumulator, so steady-state allocs/op should stay flat as the workload
+// grows (run with -benchmem; CI tracks the allocs/op figure).
 func BenchmarkShardedQueryBatch(b *testing.B) {
 	d := dataset.GenIntelWireless(20000, 13)
 	eng, err := factory.Build("sharded:pass:4", d, factory.Spec{Partitions: 32, SampleSize: d.N() / 10, Seed: 5})
@@ -40,24 +41,18 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 	b.ReportMetric(float64(acquires-allocated), "pool-reuses")
 }
 
-// ctxQuerier is the deadline/trace-aware query surface of the sharded
-// engine, reached through the engine.Engine the factory returns.
-type ctxQuerier interface {
-	QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error)
-}
-
 // benchCtxEngine builds the standard 4-shard fixture and returns its
 // context-aware surface.
-func benchCtxEngine(b *testing.B) ctxQuerier {
+func benchCtxEngine(b *testing.B) engine.ContextQuerier {
 	b.Helper()
 	d := dataset.GenIntelWireless(20000, 13)
 	eng, err := factory.Build("sharded:pass:4", d, factory.Spec{Partitions: 32, SampleSize: d.N() / 10, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cq, ok := eng.(ctxQuerier)
+	cq, ok := eng.(engine.ContextQuerier)
 	if !ok {
-		b.Fatalf("%T does not implement QueryCtx", eng)
+		b.Fatalf("%T does not implement engine.ContextQuerier", eng)
 	}
 	return cq
 }
@@ -100,7 +95,9 @@ func BenchmarkShardedQueryCtxTracingOff(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQuery measures the single-query streamed scatter.
+// BenchmarkShardedQuery measures the undeadlined single-query entry point:
+// Query is QueryCtx under context.Background(), so this is the same
+// goroutine-per-shard scatter and shard-order fold the served path runs.
 func BenchmarkShardedQuery(b *testing.B) {
 	d := dataset.GenIntelWireless(20000, 13)
 	eng, err := factory.Build("sharded:pass:4", d, factory.Spec{Partitions: 32, SampleSize: d.N() / 10, Seed: 5})

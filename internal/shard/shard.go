@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -19,13 +18,13 @@ import (
 
 // Engine is a sharded engine.Engine: N inner engines, one per data shard,
 // queried by scatter-gather. Queries prune shards whose bounding
-// rectangle is disjoint from the predicate, fan the remainder across the
-// worker pool, and combine the partial results with internal/merge;
+// rectangle is disjoint from the predicate, run the remainder on a
+// goroutine each, and combine the partial results with internal/merge;
 // updates route to the single owning shard under that shard's write lock,
 // so they serialise only against queries touching the same shard.
 //
-// Engine implements the Updatable, ConcurrentUpdatable, Grouper, Sized
-// and Sharded capabilities (update capabilities surface errors at call
+// Engine implements the ContextQuerier, Updatable, ConcurrentUpdatable,
+// Grouper, Sketcher, Sized and Sharded capabilities (update capabilities surface errors at call
 // time when the inner engines lack them). It deliberately does not
 // implement the single-stream Serializable: a sharded table persists as
 // one snapshot+WAL pair per shard plus a manifest (internal/store).
@@ -40,17 +39,20 @@ type Engine struct {
 	boundsMu sync.RWMutex
 	info     engine.ShardInfo
 	name     string
+	// rows[i] is shard i's base cardinality (0 where the inner engine does
+	// not expose it), refreshed by update under the shard's write lock, so
+	// the degrade path reads it without waiting on any shard's lock — least
+	// of all the lock of the slow shard it is abandoning.
+	rows []atomic.Int64
 	// scattered[i] counts queries executed on shard i — the executor's
 	// instrumentation: tests assert pruned shards stay at zero, and the
 	// serving layer surfaces the counters as shard stats.
 	scattered []atomic.Int64
 	pruned    atomic.Int64
-	// streamed counts per-shard partials folded into a streaming merge as
-	// they arrived, instead of being materialized into a slice first.
+	// streamed counts the per-shard partials folded into answers.
 	streamed atomic.Int64
-	// strict makes deadline-bounded queries fail outright instead of
-	// degrading to a partial merge when a shard errors or misses the
-	// deadline.
+	// strict makes queries fail outright instead of degrading to a partial
+	// merge when a shard errors or misses the deadline.
 	strict atomic.Bool
 }
 
@@ -103,13 +105,27 @@ func New(inners []engine.Engine, info engine.ShardInfo) (*Engine, error) {
 			return nil, fmt.Errorf("shard: range cuts must be strictly ascending")
 		}
 	}
-	return &Engine{
+	e := &Engine{
 		inner:     inners,
 		locks:     make([]sync.RWMutex, len(inners)),
 		info:      info,
 		name:      fmt.Sprintf("SHARDED[%s x%d]", inners[0].Name(), len(inners)),
+		rows:      make([]atomic.Int64, len(inners)),
 		scattered: make([]atomic.Int64, len(inners)),
-	}, nil
+	}
+	for i := range inners {
+		e.refreshRows(i)
+	}
+	return e, nil
+}
+
+// refreshRows re-reads shard i's cardinality from its inner engine. The
+// caller excludes concurrent updates of the shard (construction, or the
+// shard's write lock).
+func (e *Engine) refreshRows(i int) {
+	if sz, ok := engine.Underlying(e.inner[i]).(engine.Sized); ok {
+		e.rows[i].Store(int64(sz.N()))
+	}
 }
 
 // Name identifies the engine in catalog listings, e.g. "SHARDED[PASS x4]".
@@ -147,44 +163,35 @@ func (e *Engine) Route(point []float64) (int, error) {
 	return routeRange(e.info.Cuts, v), nil
 }
 
-// ScatterCounts reports how many queries each shard has executed since
-// construction — the executor instrumentation behind shard stats and the
-// pruning tests.
-func (e *Engine) ScatterCounts() []int64 {
-	out := make([]int64, len(e.scattered))
-	for i := range e.scattered {
-		out[i] = e.scattered[i].Load()
+// ScatterStats snapshots the executor instrumentation since construction
+// (engine.Sharded) — behind shard stats and the pruning tests.
+func (e *Engine) ScatterStats() engine.ScatterStats {
+	st := engine.ScatterStats{
+		Scattered: make([]int64, len(e.scattered)),
+		Pruned:    e.pruned.Load(),
+		Streamed:  e.streamed.Load(),
 	}
-	return out
+	for i := range e.scattered {
+		st.Scattered[i] = e.scattered[i].Load()
+	}
+	return st
 }
-
-// PrunedCount reports how many (query, shard) pairs the executor skipped
-// because the shard's key range was disjoint from the predicate.
-func (e *Engine) PrunedCount() int64 { return e.pruned.Load() }
-
-// StreamedCount reports how many per-shard partial results were folded
-// into a streaming merge accumulator as they arrived.
-func (e *Engine) StreamedCount() int64 { return e.streamed.Load() }
 
 // ShardRows reports each shard's base cardinality (0 where the inner
-// engine does not expose it).
+// engine does not expose it) without taking any shard's lock.
 func (e *Engine) ShardRows() []int {
-	out := make([]int, len(e.inner))
-	for i, in := range e.inner {
-		e.locks[i].RLock()
-		if sz, ok := engine.Underlying(in).(engine.Sized); ok {
-			out[i] = sz.N()
-		}
-		e.locks[i].RUnlock()
+	out := make([]int, len(e.rows))
+	for i := range e.rows {
+		out[i] = int(e.rows[i].Load())
 	}
 	return out
 }
 
-// N sums the shard cardinalities (engine.Sized).
+// N sums the shard cardinalities (engine.Sized), lock-free like ShardRows.
 func (e *Engine) N() int {
 	total := 0
-	for _, r := range e.ShardRows() {
-		total += r
+	for i := range e.rows {
+		total += int(e.rows[i].Load())
 	}
 	return total
 }
@@ -316,102 +323,98 @@ func (e *Engine) queryShard(i int, kind dataset.AggKind, q dataset.Rect) (core.R
 	return e.inner[i].Query(kind, q)
 }
 
-// Query answers one aggregate by scatter-gather: prune, fan the relevant
-// shards across the worker pool, and stream each shard's partial into the
-// merge accumulator as it lands. To keep the answer bitwise identical
-// regardless of which shard finishes first, arrivals fold in
-// relevant-shard order: an out-of-order arrival parks in a reorder buffer
-// and folds as soon as every earlier shard has folded.
-func (e *Engine) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	rel := e.relevant(q)
-	if len(rel) == 0 {
-		return emptyResult(kind, q, e.N())
+// SetStrict switches the drop rule (see settle) between graceful
+// degradation (default: shards that error or miss the deadline are
+// dropped from the merge and the result is marked Degraded) and strict
+// mode (any dropped shard fails the query) (engine.Sharded).
+func (e *Engine) SetStrict(strict bool) { e.strict.Store(strict) }
+
+// scatter is the one executor under both query front-ends: it runs
+// task(j) for every j in [0, n) on a goroutine of its own and collects
+// until every task has delivered or ctx is done. A context without a
+// deadline has a nil Done channel, which never fires, so an undeadlined
+// call simply waits for every shard. errs[j] is nil when out[j] arrived,
+// task j's own error when it failed, and ctx.Err() when it was still
+// running at the deadline; such stragglers are abandoned — they finish in
+// the background and deliver into the buffered channel nobody reads. An
+// already-expired ctx launches nothing.
+func scatter[T any](ctx context.Context, n int, task func(j int) (T, error)) (out []T, errs []error) {
+	type answer struct {
+		j   int
+		v   T
+		err error
 	}
-	m := merge.Get(kind)
-	defer merge.Put(m)
-	if len(rel) == 1 {
-		part, err := e.queryShard(rel[0], kind, q)
-		if err != nil {
-			return core.Result{}, err
+	out, errs = make([]T, n), make([]error, n)
+	answered := make([]bool, n)
+	if ctx.Err() == nil {
+		ch := make(chan answer, n) // one send per task, so none ever blocks
+		for j := 0; j < n; j++ {
+			go func(j int) {
+				v, err := task(j)
+				ch <- answer{j, v, err}
+			}(j)
 		}
-		m.Add(part)
-		e.streamed.Add(1)
-	} else {
-		// buffered so every worker can deliver even after an error
-		ch := make(chan shardAnswer, len(rel))
-		go parallel.For(len(rel), func(j int) {
-			var a shardAnswer
-			a.idx = j
-			a.res, a.err = e.queryShard(rel[j], kind, q)
-			ch <- a
-		})
-		buf := make([]core.Result, len(rel))
-		got := make([]bool, len(rel))
-		next := 0
-		var firstErr error
-		for received := 0; received < len(rel); received++ {
-			a := <-ch
-			if a.err != nil {
-				if firstErr == nil {
-					firstErr = a.err
-				}
-				continue
-			}
-			buf[a.idx], got[a.idx] = a.res, true
-			for next < len(rel) && got[next] {
-				m.Add(buf[next])
-				e.streamed.Add(1)
-				next++
+	collect:
+		for pending := n; pending > 0; pending-- {
+			select {
+			case a := <-ch:
+				out[a.j], errs[a.j], answered[a.j] = a.v, a.err, true
+			case <-ctx.Done():
+				break collect
 			}
 		}
-		if firstErr != nil {
-			return core.Result{}, firstErr
+	}
+	for j := range errs {
+		if !answered[j] {
+			errs[j] = ctx.Err()
+		}
+	}
+	return out, errs
+}
+
+// settle finalizes one query's merge and is the drop rule, stated once
+// for both front-ends: a relevant shard whose partial is missing for the
+// query — it errored, or had not answered when ctx expired — is dropped.
+// The merge over the shards that did answer is widened by merge.Degrade
+// with the dropped shards' cardinalities so the reported uncertainty still
+// covers the unseen data; in strict mode, or when no shard answered, the
+// query fails with the first dropped shard's error instead. m holds the
+// answered partials, folded in relevant-shard order.
+func (e *Engine) settle(kind dataset.AggKind, m *merge.Merger, relevant int, droppedRows []int, cause error) (core.Result, error) {
+	answered := relevant - len(droppedRows)
+	e.streamed.Add(int64(answered))
+	if len(droppedRows) > 0 {
+		if e.strict.Load() {
+			return core.Result{}, fmt.Errorf("shard: strict scatter: %d/%d shard(s) dropped: %w", len(droppedRows), relevant, cause)
+		}
+		if answered == 0 {
+			return core.Result{}, fmt.Errorf("shard: no shard answered: %w", cause)
 		}
 	}
 	out := m.Result()
-	out.ShardsTotal, out.ShardsAnswered = len(rel), len(rel)
+	out.ShardsTotal, out.ShardsAnswered = relevant, answered
+	merge.Degrade(kind, &out, droppedRows)
 	return out, nil
 }
 
-// SetStrict switches deadline-bounded execution between graceful
-// degradation (default: shards that error or miss the deadline are
-// dropped from the merge and the result is marked Degraded) and strict
-// mode (any dropped shard fails the query).
-func (e *Engine) SetStrict(strict bool) { e.strict.Store(strict) }
-
-// Strict reports the strict-scatter setting.
-func (e *Engine) Strict() bool { return e.strict.Load() }
-
-// shardAnswer is one shard's contribution to a deadline-bounded scatter.
-type shardAnswer struct {
-	idx int // index into the relevant-shard list
-	res core.Result
-	err error
+// Query answers one aggregate with no deadline.
+func (e *Engine) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
+	return e.QueryCtx(context.Background(), kind, q)
 }
 
-// QueryCtx answers one aggregate under a deadline (engine.ContextQuerier).
-// Without a deadline or an attached trace span it is exactly Query. With
-// either, each relevant shard runs in its own goroutine; shards still
-// running when ctx expires are abandoned (they finish in the background
-// and their results are discarded) and the merge proceeds over the shards
-// that answered, widened by merge.Degrade so the reported uncertainty
-// still covers the dropped data. In strict mode a dropped shard fails the
-// query instead. The reorder buffer folds partials in relevant-shard
-// order, so the traced answer is bitwise identical to the untraced one.
+// QueryCtx answers one aggregate by scatter-gather
+// (engine.ContextQuerier): prune, run every relevant shard on its own
+// goroutine until ctx is done, then fold the partials in relevant-shard
+// order — so the answer is bitwise independent of which shard finished
+// first, traced or not, degraded or complete — and settle. With a trace
+// attached it records a "scatter" span with one child per relevant shard.
 func (e *Engine) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	sp := obs.SpanFrom(ctx)
-	if ctx.Done() == nil && sp == nil {
-		return e.Query(kind, q)
-	}
-	if err := ctx.Err(); err != nil {
-		return core.Result{}, err
-	}
-	scatter := sp.Child("scatter")
-	defer scatter.End()
+	sp := obs.SpanFrom(ctx).Child("scatter")
+	defer sp.End()
 	rel := e.relevant(q)
-	scatter.Set("shards_total", int64(len(e.inner)))
-	scatter.Set("shards_relevant", int64(len(rel)))
-	scatter.Set("shards_pruned", int64(len(e.inner)-len(rel)))
+	sp.Set("shards_total", int64(len(e.inner)))
+	sp.Set("shards_relevant", int64(len(rel)))
+	sp.Set("shards_pruned", int64(len(e.inner)-len(rel)))
 	if len(rel) == 0 {
 		return emptyResult(kind, q, e.N())
 	}
@@ -419,108 +422,47 @@ func (e *Engine) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.R
 	// only its own span; stragglers ending spans after the parent exported
 	// are safe (Span methods are mutex-guarded).
 	var shardSpans []*obs.Span
-	if scatter != nil {
+	if sp != nil {
 		shardSpans = make([]*obs.Span, len(rel))
 		for j, si := range rel {
-			shardSpans[j] = scatter.Child(fmt.Sprintf("shard[%d]", si))
+			shardSpans[j] = sp.Child(fmt.Sprintf("shard[%d]", si))
 		}
 	}
-	// buffered so abandoned stragglers can always deliver and exit
-	ch := make(chan shardAnswer, len(rel))
-	for j, si := range rel {
-		go func(j, si int) {
-			var a shardAnswer
-			a.idx = j
-			a.res, a.err = e.queryShard(si, kind, q)
-			if shardSpans != nil {
-				recordShardSpan(shardSpans[j], a.res, a.err)
-			}
-			ch <- a
-		}(j, si)
-	}
-	// Stream arrivals into the merge accumulator in relevant-shard order
-	// (reorder buffer, as in Query) so degraded and complete answers alike
-	// are bitwise independent of shard completion order.
+	parts, errs := scatter(ctx, len(rel), func(j int) (core.Result, error) {
+		res, err := e.queryShard(rel[j], kind, q)
+		if shardSpans != nil {
+			recordShardSpan(shardSpans[j], res, err)
+		}
+		return res, err
+	})
 	m := merge.Get(kind)
 	defer merge.Put(m)
-	parts := make([]core.Result, len(rel))
-	ok := make([]bool, len(rel))
-	next := 0
-	fold := func() {
-		for next < len(rel) && ok[next] {
-			m.Add(parts[next])
-			e.streamed.Add(1)
-			next++
-		}
-	}
-	var firstErr error
-	answered := 0
-	pending := len(rel)
-collect:
-	for pending > 0 {
-		select {
-		case a := <-ch:
-			pending--
-			if a.err != nil {
-				if firstErr == nil {
-					firstErr = a.err
-				}
-				continue
-			}
-			parts[a.idx] = a.res
-			ok[a.idx] = true
-			answered++
-			fold()
-		case <-ctx.Done():
-			break collect
-		}
-	}
 	var droppedRows []int
-	if answered < len(rel) {
-		rows := e.ShardRows()
-		for j, si := range rel {
-			if !ok[j] {
-				droppedRows = append(droppedRows, rows[si])
-				if shardSpans != nil {
-					shardSpans[j].Set("dropped", true)
-				}
-			}
+	var cause error
+	for j, si := range rel {
+		if errs[j] == nil {
+			m.Add(parts[j])
+			continue
 		}
-		cause := firstErr
+		droppedRows = append(droppedRows, int(e.rows[si].Load()))
 		if cause == nil {
-			cause = ctx.Err()
+			cause = errs[j]
 		}
-		if e.strict.Load() {
-			return core.Result{}, fmt.Errorf("shard: strict scatter: %d/%d shard(s) dropped: %w", len(droppedRows), len(rel), cause)
-		}
-		if answered == 0 {
-			return core.Result{}, fmt.Errorf("shard: no shard answered before the deadline: %w", cause)
-		}
-		// shards that answered out of order behind a dropped one still
-		// need folding; order among the survivors is preserved
-		for j := next; j < len(rel); j++ {
-			if ok[j] {
-				m.Add(parts[j])
-				e.streamed.Add(1)
-			}
+		if shardSpans != nil {
+			shardSpans[j].Set("dropped", true)
 		}
 	}
-	out := m.Result()
-	out.ShardsTotal, out.ShardsAnswered = len(rel), answered
-	scatter.Set("shards_answered", int64(answered))
-	scatter.Set("shards_dropped", int64(len(rel)-answered))
-	scatter.Set("partials_folded", int64(answered))
-	merge.Degrade(kind, &out, droppedRows)
-	return out, nil
+	answered := int64(len(rel) - len(droppedRows))
+	sp.Set("shards_answered", answered)
+	sp.Set("shards_dropped", int64(len(droppedRows)))
+	sp.Set("partials_folded", answered)
+	return e.settle(kind, m, len(rel), droppedRows, cause)
 }
 
 // recordShardSpan attaches one shard partial's diagnostics to its span
 // and ends it. Runs on the shard goroutine; safe against a concurrent
 // export of the parent tree.
 func recordShardSpan(sp *obs.Span, r core.Result, err error) {
-	if sp == nil {
-		return
-	}
 	if err != nil {
 		sp.Set("error", err.Error())
 	} else {
@@ -600,22 +542,30 @@ func (e *Engine) routeBatch(qs []core.BatchQuery) batchRouting {
 	return r
 }
 
-// QueryBatch answers a workload shard-first: each relevant shard executes
-// its whole sub-batch in one pass (cache locality — the shard's synopsis
-// stays hot while it answers every query routed to it), shards run
-// concurrently on the worker pool, and per-query partials stream through
-// a pooled merge accumulator in input order. Per-query Elapsed is the
-// slowest shard's execution time, the critical path of the scatter.
+// QueryBatch answers a workload with no deadline.
 func (e *Engine) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
+	return e.QueryBatchCtx(context.Background(), qs)
+}
+
+// QueryBatchCtx answers a workload shard-first (engine.ContextQuerier):
+// each relevant shard executes its whole sub-batch in one pass (cache
+// locality — the shard's synopsis stays hot while it answers every query
+// routed to it), clipped to the shard's bounding rectangle, on the same
+// scatter as QueryCtx; each query's partials then fold through one pooled
+// accumulator in relevant-shard order and settle under the same drop rule,
+// so only the queries that touched a dropped shard degrade (or, strict,
+// fail). Per-query Elapsed is the slowest answering shard's execution
+// time, the critical path of the scatter. With a trace attached it records
+// a "scatter_batch" span.
+func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult {
 	out := make([]core.BatchResult, len(qs))
 	if len(qs) == 0 {
 		return out
 	}
+	sp := obs.SpanFrom(ctx).Child("scatter_batch")
+	defer sp.End()
 	r := e.routeBatch(qs)
-	// scatter: every shard with work runs its sub-batch concurrently,
-	// each query clipped to the shard's bounding rectangle
-	partial := make([][]core.BatchResult, len(e.inner))
-	parallel.For(len(r.active), func(k int) {
+	parts, errs := scatter(ctx, len(r.active), func(k int) ([]core.BatchResult, error) {
 		si := r.active[k]
 		qis := r.sub(si)
 		sub := make([]core.BatchQuery, len(qis))
@@ -624,15 +574,19 @@ func (e *Engine) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 		}
 		e.scattered[si].Add(int64(len(sub)))
 		e.locks[si].RLock()
-		partial[si] = e.inner[si].QueryBatch(sub)
-		e.locks[si].RUnlock()
+		defer e.locks[si].RUnlock()
+		return e.inner[si].QueryBatch(sub), nil
 	})
-	// gather: fold each query's partials in input order through one
-	// pooled accumulator
+	partial := make([][]core.BatchResult, len(e.inner))
+	missed := make([]error, len(e.inner))
+	for k, si := range r.active {
+		partial[si], missed[si] = parts[k], errs[k]
+	}
 	m := merge.Get(dataset.Count)
 	defer merge.Put(m)
 	cursor := make([]int, len(e.inner))
 	totalRows := -1 // computed once, only if some query was fully pruned
+	folded := 0
 	for qi := range qs {
 		rel := r.touched(qi)
 		if len(rel) == 0 {
@@ -643,155 +597,33 @@ func (e *Engine) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 			continue
 		}
 		m.Reset(qs[qi].Kind)
-		var elapsed time.Duration
-		for _, si := range rel {
-			br := partial[si][cursor[si]]
-			cursor[si]++
-			if br.Err != nil && out[qi].Err == nil {
-				out[qi].Err = br.Err
-			}
-			if br.Elapsed > elapsed {
-				elapsed = br.Elapsed
-			}
-			m.Add(br.Result)
-		}
-		e.streamed.Add(int64(len(rel)))
-		out[qi].Elapsed = elapsed
-		if out[qi].Err == nil {
-			out[qi].Result = m.Result()
-			out[qi].Result.ShardsTotal = len(rel)
-			out[qi].Result.ShardsAnswered = len(rel)
-		}
-	}
-	return out
-}
-
-// QueryBatchCtx answers a workload under a deadline
-// (engine.ContextBatcher): the shard-first scatter of QueryBatch, but each
-// shard's sub-batch runs in its own goroutine and shards still running at
-// the deadline are abandoned. Every query touched by a dropped shard
-// merges the remaining partials and is marked Degraded (strict mode fails
-// those queries instead); queries fully answered stay exact.
-func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult {
-	if ctx.Done() == nil {
-		// No deadline: execution is plain QueryBatch; if a trace is
-		// attached, wrap it in a span carrying the batch-wide deltas of the
-		// pruning/streaming counters (approximate under concurrent traffic,
-		// exact for a single traced statement).
-		sc := obs.SpanFrom(ctx).Child("scatter_batch")
-		if sc == nil {
-			return e.QueryBatch(qs)
-		}
-		prunedBefore, streamedBefore := e.pruned.Load(), e.streamed.Load()
-		out := e.QueryBatch(qs)
-		sc.Set("queries", int64(len(qs)))
-		sc.Set("shards_total", int64(len(e.inner)))
-		sc.Set("shards_pruned", e.pruned.Load()-prunedBefore)
-		sc.Set("partials_folded", e.streamed.Load()-streamedBefore)
-		sc.End()
-		return out
-	}
-	out := make([]core.BatchResult, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	if err := ctx.Err(); err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	r := e.routeBatch(qs)
-	// scatter: one goroutine per shard with work; buffered channel so
-	// abandoned stragglers deliver and exit
-	type shardBatch struct {
-		si  int
-		res []core.BatchResult
-	}
-	ch := make(chan shardBatch, len(r.active))
-	for _, si := range r.active {
-		go func(si int) {
-			qis := r.sub(si)
-			sub := make([]core.BatchQuery, len(qis))
-			for j, qi := range qis {
-				sub[j] = core.BatchQuery{Kind: qs[qi].Kind, Rect: e.shardRect(si, qs[qi].Rect)}
-			}
-			e.scattered[si].Add(int64(len(sub)))
-			e.locks[si].RLock()
-			res := e.inner[si].QueryBatch(sub)
-			e.locks[si].RUnlock()
-			ch <- shardBatch{si: si, res: res}
-		}(si)
-	}
-	partial := make([][]core.BatchResult, len(e.inner))
-	answered := make([]bool, len(e.inner))
-	pending := len(r.active)
-collect:
-	for pending > 0 {
-		select {
-		case sb := <-ch:
-			pending--
-			partial[sb.si] = sb.res
-			answered[sb.si] = true
-		case <-ctx.Done():
-			break collect
-		}
-	}
-	strict := e.strict.Load()
-	var rows []int // shard cardinalities, fetched once if any shard dropped
-	if pending > 0 {
-		rows = e.ShardRows()
-	}
-	// gather: fold each query's partials in input order through one
-	// pooled accumulator
-	m := merge.Get(dataset.Count)
-	defer merge.Put(m)
-	cursor := make([]int, len(e.inner))
-	totalRows := -1
-	for qi := range qs {
-		rel := r.touched(qi)
-		if len(rel) == 0 {
-			if totalRows < 0 {
-				totalRows = e.N()
-			}
-			out[qi].Result, out[qi].Err = emptyResult(qs[qi].Kind, qs[qi].Rect, totalRows)
-			continue
-		}
-		m.Reset(qs[qi].Kind)
-		live := 0
 		var droppedRows []int
-		var elapsed time.Duration
+		var cause error
 		for _, si := range rel {
-			pos := cursor[si]
+			br := core.BatchResult{Err: missed[si]}
+			if br.Err == nil {
+				br = partial[si][cursor[si]]
+			}
 			cursor[si]++
-			if !answered[si] {
-				droppedRows = append(droppedRows, rows[si])
+			if br.Err != nil {
+				droppedRows = append(droppedRows, int(e.rows[si].Load()))
+				if cause == nil {
+					cause = br.Err
+				}
 				continue
 			}
-			br := partial[si][pos]
-			if br.Err != nil && out[qi].Err == nil {
-				out[qi].Err = br.Err
-			}
-			if br.Elapsed > elapsed {
-				elapsed = br.Elapsed
-			}
 			m.Add(br.Result)
-			live++
+			if br.Elapsed > out[qi].Elapsed {
+				out[qi].Elapsed = br.Elapsed
+			}
 		}
-		e.streamed.Add(int64(live))
-		out[qi].Elapsed = elapsed
-		if out[qi].Err != nil {
-			continue
-		}
-		if len(droppedRows) > 0 && (strict || live == 0) {
-			out[qi].Err = fmt.Errorf("shard: %d/%d shard(s) dropped: %w", len(droppedRows), len(rel), ctx.Err())
-			continue
-		}
-		out[qi].Result = m.Result()
-		out[qi].Result.ShardsTotal = len(rel)
-		out[qi].Result.ShardsAnswered = live
-		merge.Degrade(qs[qi].Kind, &out[qi].Result, droppedRows)
+		folded += len(rel) - len(droppedRows)
+		out[qi].Result, out[qi].Err = e.settle(qs[qi].Kind, m, len(rel), droppedRows, cause)
 	}
+	sp.Set("queries", int64(len(qs)))
+	sp.Set("shards_total", int64(len(e.inner)))
+	sp.Set("shards_pruned", int64(len(qs)*len(e.inner)-len(r.touchFlat)))
+	sp.Set("partials_folded", int64(folded))
 	return out
 }
 
@@ -833,40 +665,23 @@ func (e *Engine) GroupBy(kind dataset.AggKind, q dataset.Rect, dim int, groups [
 }
 
 // SketchQuery answers one mergeable-sketch aggregate (engine.Sketcher)
-// by gathering every shard's sketch set into a pooled streaming
-// accumulator. Sketch aggregates carry no predicate, so no shard is
-// pruned; the fold walks shards in index order under each shard's read
-// lock, which keeps the merged KLL/Misra-Gries state deterministic from
-// run to run (sketch merges are commutative at the answer level, but
-// only a fixed fold order is byte-reproducible).
+// from the merged per-shard sketch state. Sketch aggregates carry no
+// predicate, so no shard is pruned.
 func (e *Engine) SketchQuery(q sketch.Query) (sketch.Result, error) {
-	m := merge.GetSketch()
-	defer merge.PutSketch(m)
-	for si := range e.inner {
-		sk, ok := engine.Underlying(e.inner[si]).(engine.Sketcher)
-		if !ok {
-			return sketch.Result{}, fmt.Errorf("shard: inner engine %s of shard %d does not support sketch aggregates: %w",
-				e.inner[si].Name(), si, sketch.ErrUnavailable)
-		}
-		e.scattered[si].Add(1)
-		e.locks[si].RLock()
-		absorbed := m.Absorb(sk.SketchSet())
-		e.locks[si].RUnlock()
-		e.streamed.Add(1)
-		if !absorbed {
-			return sketch.Result{}, fmt.Errorf("shard: shard %d: %w", si, sketch.ErrUnavailable)
-		}
+	set := e.SketchSet()
+	if set == nil {
+		return sketch.Result{}, fmt.Errorf("shard: %s: a shard carries no sketch state: %w", e.name, sketch.ErrUnavailable)
 	}
-	merged := m.Result()
-	if merged == nil {
-		return sketch.Result{}, sketch.ErrUnavailable
-	}
-	return merged.Answer(q)
+	return set.Answer(q)
 }
 
 // SketchSet merges every shard's sketch state into a fresh set
-// (engine.Sketcher), for composite engines gathering above this one. Nil
-// when any shard predates sketch maintenance.
+// (engine.Sketcher) through a pooled accumulator. The fold walks shards
+// in index order under each shard's read lock, which keeps the merged
+// KLL/Misra-Gries state deterministic from run to run (sketch merges are
+// commutative at the answer level, but only a fixed fold order is
+// byte-reproducible). Nil when any shard's inner engine lacks the
+// capability or predates sketch maintenance.
 func (e *Engine) SketchSet() *sketch.Set {
 	m := merge.GetSketch()
 	defer merge.PutSketch(m)
@@ -875,12 +690,14 @@ func (e *Engine) SketchSet() *sketch.Set {
 		if !ok {
 			return nil
 		}
+		e.scattered[si].Add(1)
 		e.locks[si].RLock()
 		absorbed := m.Absorb(sk.SketchSet())
 		e.locks[si].RUnlock()
 		if !absorbed {
 			return nil
 		}
+		e.streamed.Add(1)
 	}
 	return m.Result()
 }
@@ -911,6 +728,7 @@ func (e *Engine) update(point []float64, apply func(engine.Updatable) error) err
 	if err := apply(u); err != nil {
 		return err
 	}
+	e.refreshRows(i)
 	e.growBounds(i, point)
 	return nil
 }

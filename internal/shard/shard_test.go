@@ -146,8 +146,8 @@ func TestScatterNeverTouchesDisjointShards(t *testing.T) {
 	hi := info.Cuts[0] - 1e-9
 	lo := info.Bounds[0].Lo[0]
 	q := dataset.Rect1(lo, hi)
-	before := shrd.ScatterCounts()
-	prunedBefore := shrd.PrunedCount()
+	st := shrd.ScatterStats()
+	before, prunedBefore := st.Scattered, st.Pruned
 
 	if _, err := shrd.Query(dataset.Sum, q); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,8 @@ func TestScatterNeverTouchesDisjointShards(t *testing.T) {
 		{Kind: dataset.Avg, Rect: q},
 	})
 
-	after := shrd.ScatterCounts()
+	st = shrd.ScatterStats()
+	after := st.Scattered
 	if after[0] != before[0]+4 {
 		t.Errorf("shard 0 executed %d queries, want 4", after[0]-before[0])
 	}
@@ -169,7 +170,7 @@ func TestScatterNeverTouchesDisjointShards(t *testing.T) {
 			t.Errorf("disjoint shard %d was scattered to %d time(s)", i, after[i]-before[i])
 		}
 	}
-	if got := shrd.PrunedCount() - prunedBefore; got != int64(4*(info.Shards-1)) {
+	if got := st.Pruned - prunedBefore; got != int64(4*(info.Shards-1)) {
 		t.Errorf("pruned %d (query, shard) pairs, want %d", got, 4*(info.Shards-1))
 	}
 }
@@ -248,11 +249,11 @@ func TestInsertRoutesToOwningShardAndGrowsBounds(t *testing.T) {
 	// than being pruned (what the inner engine answers for keys outside
 	// its build range is the inner engine's business — pruning must never
 	// pre-empt it)
-	countsBefore := shrd.ScatterCounts()
+	countsBefore := shrd.ScatterStats().Scattered
 	if _, err := shrd.Query(dataset.Count, dataset.Rect1(beyond, beyond)); err != nil {
 		t.Fatal(err)
 	}
-	countsAfter := shrd.ScatterCounts()
+	countsAfter := shrd.ScatterStats().Scattered
 	if countsAfter[owner] != countsBefore[owner]+1 {
 		t.Errorf("query at the inserted key did not scatter to the owning shard (bounds must grow with inserts)")
 	}

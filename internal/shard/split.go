@@ -10,6 +10,15 @@
 // a coarser stratum, so the merged estimates, confidence intervals and
 // deterministic hard bounds carry the same guarantees as a single
 // synopsis over the whole table.
+//
+// There is one query path. QueryCtx and QueryBatchCtx are two front-ends
+// over one executor (scatter: a goroutine per relevant shard, collect
+// until the context is done) and one drop rule (settle: a shard whose
+// partial is missing, by deadline or by error, is dropped — the answer
+// degrades, or fails when strict or when nothing answered); partials fold
+// in shard order after collection, so answers are bitwise independent of
+// completion order. Query and QueryBatch are the same calls under
+// context.Background().
 package shard
 
 import (

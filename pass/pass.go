@@ -57,8 +57,6 @@ package pass
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -290,12 +288,6 @@ var ErrNoMatch = fmt.Errorf("pass: predicate matches no tuples")
 type Synopsis struct {
 	inner  *core.Synopsis
 	schema sqlfe.Schema
-	// plans caches compiled statement skeletons for the single-synopsis
-	// SQL path (lazily created on first SQL call); schemaGen invalidates
-	// it when SetSchema replaces the resolution schema.
-	plansOnce sync.Once
-	plans     *sqlfe.PlanCache
-	schemaGen atomic.Uint64
 }
 
 // Build constructs a synopsis over a one-predicate-column table.

@@ -63,9 +63,9 @@ type Session struct {
 	// every hit (see catalog.Table.PlanGen), so drops, re-registrations
 	// and engine swaps can never serve a stale plan.
 	plans *sqlfe.PlanCache
-	// strictScatter makes deadline-bounded queries on sharded tables fail
-	// outright instead of returning Degraded partial merges. Applied to
-	// engines as they are registered (SetStrictScatter).
+	// strictScatter makes queries on sharded tables fail outright instead
+	// of returning Degraded partial merges. Applied to engines as they are
+	// registered (SetStrictScatter).
 	strictScatter bool
 	// slowLog, when attached (SetSlowQueryLog), receives one JSON line per
 	// statement slower than slowThreshold. Statements are logged by their
@@ -91,7 +91,7 @@ func (s *Session) PlanCacheStats() sqlfe.PlanCacheStats {
 	return s.plans.Stats()
 }
 
-// MergePoolStats reports the streaming-merge accumulator pool's activity
+// MergePoolStats reports the merge accumulator pool's activity
 // (process-wide): total acquisitions and how many of them had to allocate
 // a fresh accumulator — the difference is allocations avoided by reuse.
 func (s *Session) MergePoolStats() (acquires, allocated int64) {
@@ -138,16 +138,12 @@ func (s *Session) observeQuery(tmplText, table string, d time.Duration, err erro
 	s.slowLog.Emit("slow_query", fields)
 }
 
-// strictable is the strict-mode surface of the scatter executor
-// (*shard.Engine), matched structurally to keep pass free of a direct
-// dependency on the executor's concrete type.
-type strictable interface{ SetStrict(bool) }
-
 // SetStrictScatter switches sharded tables between graceful degradation
 // (default: a shard that errors or misses the query deadline is dropped
 // from the merge and the answer is marked Degraded) and strict mode (such
-// queries fail). Call it before registering tables or attaching a store;
-// it applies to engines as they enter the catalog.
+// queries fail) — with or without a deadline. Call it before registering
+// tables or attaching a store; it applies to engines as they enter the
+// catalog.
 func (s *Session) SetStrictScatter(strict bool) {
 	s.strictScatter = strict
 }
@@ -155,8 +151,8 @@ func (s *Session) SetStrictScatter(strict bool) {
 // applyScatterMode pushes the session's strict-scatter setting onto an
 // engine that supports it.
 func (s *Session) applyScatterMode(eng engine.Engine) {
-	if sc, ok := engine.Underlying(eng).(strictable); ok {
-		sc.SetStrict(s.strictScatter)
+	if sh, ok := engine.Underlying(eng).(engine.Sharded); ok {
+		sh.SetStrict(s.strictScatter)
 	}
 }
 
@@ -244,8 +240,8 @@ type TableInfo struct {
 	// instrumentation (sharded tables only).
 	ShardScatter []int64 `json:"shard_scatter,omitempty"`
 	ShardPruned  int64   `json:"shard_pruned,omitempty"`
-	// ShardStreamed counts per-shard partial results folded into answers
-	// as they arrived (streaming merge), rather than materialized first.
+	// ShardStreamed counts the per-shard partial results folded into
+	// answers.
 	ShardStreamed int64 `json:"shard_streamed,omitempty"`
 	// Adaptive carries workload statistics, cache effectiveness and
 	// re-optimization history when the session's adaptive layer is on.
@@ -276,17 +272,13 @@ func (s *Session) Tables() []TableInfo {
 			PredColumns: schema.PredColumns,
 			AggColumn:   schema.AggColumn,
 		}
-		if info, shardRows, ok := t.ShardStats(); ok {
+		if info, shardRows, scatter, ok := t.ShardStats(); ok {
 			out[i].Shards = info.Shards
 			out[i].ShardPolicy = info.Policy
 			out[i].ShardRows = shardRows
-			if scattered, pruned, ok := t.ScatterStats(); ok {
-				out[i].ShardScatter = scattered
-				out[i].ShardPruned = pruned
-			}
-			if streamed, ok := t.StreamStats(); ok {
-				out[i].ShardStreamed = streamed
-			}
+			out[i].ShardScatter = scatter.Scattered
+			out[i].ShardPruned = scatter.Pruned
+			out[i].ShardStreamed = scatter.Streamed
 		}
 		out[i].Adaptive = s.adaptiveInfo(t.Name())
 		out[i].Audit = s.auditInfo(t.Name())

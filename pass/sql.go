@@ -136,36 +136,27 @@ func (s *Synopsis) SQL(query string) (SQLResult, error) {
 	return SQLResult{Groups: groupAnswers(res, plan.GroupDict, s.inner.N())}, nil
 }
 
-// compileSQL plans one statement against the synopsis schema through the
-// per-synopsis plan cache: statements are normalized to parameterized
-// templates, so repeated query shapes (same structure, different
-// literals) reuse one compiled skeleton. The FROM table name is ignored,
-// as it always was on this single-synopsis path.
+// compileSQL plans one statement against the synopsis schema: normalize
+// to a parameterized template, compile it, bind the statement's own
+// literals. The FROM table name is ignored on this single-synopsis path,
+// and nothing is cached: its callers are one-shots (cmd/passquery);
+// repeated statements belong on a Session, which caches compiled
+// templates.
 func (s *Synopsis) compileSQL(query string) (*sqlfe.Plan, error) {
 	tmpl, err := sqlfe.Normalize(query)
 	if err != nil {
 		return nil, err
 	}
-	s.plansOnce.Do(func() { s.plans = sqlfe.NewPlanCache(synopsisPlanCacheSize) })
-	gen := s.schemaGen.Load()
-	prep, ok := s.plans.Lookup(tmpl.Text, s, gen)
-	if !ok {
-		if prep, err = sqlfe.CompileTemplate(tmpl, s.schema); err != nil {
-			return nil, err
-		}
-		s.plans.Store(tmpl.Text, s, gen, prep)
+	prep, err := sqlfe.CompileTemplate(tmpl, s.schema)
+	if err != nil {
+		return nil, err
 	}
 	return prep.Bind(tmpl.Params())
 }
 
-// synopsisPlanCacheSize bounds the per-synopsis plan cache of the legacy
-// SQL path; sessions size theirs with SetPlanCacheSize instead.
-const synopsisPlanCacheSize = 64
-
 // SetSchema attaches column names (and optional dictionaries) to a
 // synopsis, enabling SQL queries — needed after LoadSynopsis, which does
-// not persist names. Plans compiled against the previous schema are
-// invalidated.
+// not persist names.
 func (s *Synopsis) SetSchema(predCols []string, aggCol string, dicts map[string]*Dict) {
 	s.schema = sqlfe.Schema{
 		PredColumns: append([]string(nil), predCols...),
@@ -177,5 +168,4 @@ func (s *Synopsis) SetSchema(predCols []string, aggCol string, dicts map[string]
 			s.schema.Dicts[k] = v.inner
 		}
 	}
-	s.schemaGen.Add(1)
 }
