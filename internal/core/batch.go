@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -23,9 +24,11 @@ type BatchResult struct {
 }
 
 // QueryBatch answers a workload of queries, fanning them across a bounded
-// worker pool (one worker per CPU, see package parallel). Results are
-// returned in input order and are identical to issuing the same queries
-// sequentially through Query.
+// worker pool (one worker per CPU, see package parallel). Each worker
+// takes one query scratch for its whole share of the batch and claims
+// queries from a shared counter, so a batch allocates its result slice and
+// nothing per query. Results are returned in input order and are identical
+// to issuing the same queries sequentially through Query.
 //
 // Concurrency: a built Synopsis is immutable under Query, so QueryBatch —
 // and any number of concurrent Query/QueryBatch calls from different
@@ -33,11 +36,24 @@ type BatchResult struct {
 // Delete, which mutate the synopsis and require exclusive access.
 func (s *Synopsis) QueryBatch(qs []BatchQuery) []BatchResult {
 	out := make([]BatchResult, len(qs))
-	parallel.For(len(qs), func(i int) {
-		o := &out[i]
-		start := time.Now()
-		o.Result, o.Err = s.Query(qs[i].Kind, qs[i].Rect)
-		o.Elapsed = time.Since(start)
+	workers := parallel.Workers()
+	if workers > len(qs) {
+		workers = len(qs)
+	}
+	var next atomic.Int64
+	parallel.For(workers, func(int) {
+		sc := scratchPool.Get().(*queryScratch)
+		defer scratchPool.Put(sc)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(qs) {
+				return
+			}
+			o := &out[i]
+			start := time.Now()
+			o.Result, o.Err = s.query(qs[i].Kind, qs[i].Rect, sc)
+			o.Elapsed = time.Since(start)
+		}
 	})
 	return out
 }

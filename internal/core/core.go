@@ -154,8 +154,10 @@ type tree interface {
 	NumLeaves() int
 	LeafAgg(leaf int) ptree.Agg
 	Root() ptree.Agg
-	Frontier(q dataset.Rect, zeroVarAsCovered bool) ptree.Frontier
-	Walk(q dataset.Rect, zeroVarAsCovered bool, cover func(ptree.Agg), partial func(leaf int, a ptree.Agg)) int
+	// Walk leaves the MCF's node ids in f; they index Aggs and LeafIDs.
+	Walk(q dataset.Rect, zeroVarAsCovered bool, f *ptree.FrontierIDs)
+	Aggs() []ptree.Agg
+	LeafIDs() []int32
 	MemoryBytes() int
 }
 
@@ -169,8 +171,12 @@ type Synopsis struct {
 	// tree indexes a column subset; nil when the tree indexes a prefix or
 	// all columns.
 	idxCols []int
-	// store holds the stratified leaf samples in a columnar layout with
-	// per-leaf prefix aggregates (see leafStore).
+	// indexed[c] reports whether idxCols lists predicate column c, so a
+	// query tests it per constrained column without building a set; nil
+	// exactly when idxCols is.
+	indexed []bool
+	// store holds the stratified leaf samples in flat arrays with per-leaf
+	// prefix aggregates (see leafStore).
 	store  *leafStore
 	totalK int
 	n      int
@@ -274,6 +280,7 @@ func BuildKD(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 	// (workload shift); samples always retain the full predicate vector
 	indexed := d
 	var idxCols []int
+	var inIdxCols []bool
 	switch {
 	case len(opts.IndexCols) > 0:
 		cols := opts.IndexCols
@@ -296,6 +303,10 @@ func BuildKD(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 		}
 		if !prefix || len(cols) < d.Dims() {
 			idxCols = append([]int(nil), cols...)
+			inIdxCols = make([]bool, d.Dims())
+			for _, c := range cols {
+				inIdxCols[c] = true
+			}
 		}
 	case opts.IndexDims > 0 && opts.IndexDims < d.Dims():
 		proj := dataset.New(d.Name, opts.IndexDims)
@@ -308,7 +319,7 @@ func BuildKD(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 		return nil, err
 	}
 	s := &Synopsis{
-		opts: opts, tr: tr, kd: tr, idxCols: idxCols,
+		opts: opts, tr: tr, kd: tr, idxCols: idxCols, indexed: inIdxCols,
 		n: d.N(), dims: d.Dims(),
 		rng: stats.NewRNG(opts.Seed + 0x9e37),
 		sk:  sketchFromAgg(d.Agg),
@@ -381,7 +392,7 @@ func (s *Synopsis) drawSamplesKD(d *dataset.Dataset, tr *kdtree.Tree) {
 	s.totalK = st.totalLen()
 }
 
-// kdSortDim picks the sample dimension a k-d leaf's columnar segment is
+// kdSortDim picks the sample dimension a k-d leaf's store segment is
 // sorted along: the widest-spread indexed dimension of the leaf's
 // rectangle — the axis the k-d splits discriminate on — mapped back to
 // sample coordinates when the tree indexes a column subset.
@@ -419,7 +430,7 @@ func (s *Synopsis) N() int { return s.n }
 func (s *Synopsis) Dims() int { return s.dims }
 
 // LeafSamples returns the stratified sample of one leaf (a copy; the
-// synopsis stores samples columnarly, see leafStore).
+// synopsis stores samples in flat arrays, see leafStore).
 func (s *Synopsis) LeafSamples(leaf int) []SampleTuple { return s.store.leafTuples(leaf) }
 
 // MemoryBytes estimates total synopsis storage: tree aggregates plus

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/ptree"
@@ -93,45 +94,93 @@ func (r Result) CIRatio(truth float64) float64 {
 	return r.CIHalf / math.Abs(truth)
 }
 
+// scanChunk is how many sample rows one pass of the scan kernel filters.
+// It bounds the selection vector, which therefore lives in the query
+// scratch instead of being sized per leaf, and keeps a pass's working set
+// (the chunk's rows plus 1 KiB of indices) inside L1.
+const scanChunk = 256
+
+// stratum is one partial leaf's contribution to an AVG query.
+type stratum struct {
+	est  float64
+	nHat float64
+	vi   float64 // V_i(q)
+}
+
+// queryScratch is every buffer a query needs beyond its arguments and its
+// Result, so a query that has one allocates nothing: QueryBatch workers
+// hold one for their whole share of a batch, Query borrows one from
+// scratchPool. A scratch carries no state from one query to the next —
+// every field is reset or overwritten before it is read.
+type queryScratch struct {
+	ids    ptree.FrontierIDs // MCF result and walk stack
+	cd     []int             // the dimensions the query constrains
+	sel    []int32           // selection vector of the scan kernel, len scanChunk
+	all    []int32           // 0 … scanChunk-1: the selection when nothing is filtered
+	strata []stratum         // AVG: partial strata awaiting the total weight
+	proj   []float64         // query rectangle projected onto idxCols: Lo then Hi
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := &queryScratch{sel: make([]int32, scanChunk), all: make([]int32, scanChunk)}
+	for j := range sc.all {
+		sc.all[j] = int32(j)
+	}
+	return sc
+}}
+
 // Query answers an aggregate with a rectangular predicate. The rectangle
 // may constrain fewer dimensions than the synopsis (the rest are
 // unconstrained) or more (workload shift on k-d synopses).
 func (s *Synopsis) Query(kind dataset.AggKind, q dataset.Rect) (Result, error) {
+	sc := scratchPool.Get().(*queryScratch)
+	r, err := s.query(kind, q, sc)
+	scratchPool.Put(sc)
+	return r, err
+}
+
+// query is Query on a caller-provided scratch. Every aggregate runs the
+// same three steps: the MCF walk leaves the frontier's node ids in sc.ids,
+// the covered ids fold into one exact aggregate, and each partial leaf is
+// resolved against its sample (scanLeaf) and folded in walk order. Both
+// folds run in the depth-first order of the walk and each leaf's matching
+// samples are summed in ascending store order, so an answer is a function
+// of the synopsis and the query alone — not of the scratch, the worker or
+// the batch it ran in.
+func (s *Synopsis) query(kind dataset.AggKind, q dataset.Rect, sc *queryScratch) (Result, error) {
 	if q.Dims() == 0 {
 		return Result{}, fmt.Errorf("core: query rectangle has no dimensions")
 	}
 	if q.Dims() > s.dims {
 		return Result{}, fmt.Errorf("core: query constrains %d dimensions but samples carry %d (build with the full predicate vector and IndexDims for workload shift)", q.Dims(), s.dims)
 	}
-	zeroVar := kind == dataset.Avg && !s.opts.DisableZeroVariance
-	cd := constrainedDims(q)
+	sc.cd = constrainedDims(sc.cd[:0], q)
 	switch kind {
 	case dataset.Sum, dataset.Count:
-		return s.sumCount(kind, q, cd, zeroVar), nil
+		return s.sumCount(kind, q, sc), nil
 	case dataset.Avg:
-		return s.avg(q, cd, zeroVar), nil
+		return s.avg(q, sc), nil
 	case dataset.Min, dataset.Max:
-		return s.minMax(kind, q, cd, zeroVar), nil
+		return s.minMax(kind, q, sc), nil
 	}
 	return Result{}, fmt.Errorf("core: unsupported aggregate %v", kind)
 }
 
-// walkFrontier dispatches the streaming MCF walk, projecting the query
-// onto the indexed column subset when the tree indexes one (multi-template
-// sets, Section 4.5). If the query constrains a column the tree does not
-// index, coverage cannot be certified and every intersecting leaf is
-// partial. Frontier entries are streamed to the callbacks in depth-first
-// order rather than materialized; the return value is the number of tree
-// nodes visited.
-func (s *Synopsis) walkFrontier(q dataset.Rect, zeroVar bool, cover func(ptree.Agg), partial func(leaf int, a ptree.Agg)) int {
-	if s.idxCols == nil || s.kd == nil {
-		return s.tr.Walk(q, zeroVar, cover, partial)
+// walk runs the MCF into sc.ids, projecting the query onto the indexed
+// column subset when the tree indexes one (multi-template sets, Section
+// 4.5). If the query constrains a column the tree does not index, coverage
+// cannot be certified and every intersecting leaf is partial.
+func (s *Synopsis) walk(q dataset.Rect, zeroVar bool, sc *queryScratch) {
+	if s.idxCols == nil {
+		s.tr.Walk(q, zeroVar, &sc.ids)
+		return
 	}
-	lo := make([]float64, len(s.idxCols))
-	hi := make([]float64, len(s.idxCols))
-	indexed := make(map[int]bool, len(s.idxCols))
+	n := len(s.idxCols)
+	if cap(sc.proj) < 2*n {
+		sc.proj = make([]float64, 2*n)
+	}
+	lo, hi := sc.proj[:n], sc.proj[n:2*n]
 	for i, c := range s.idxCols {
-		indexed[c] = true
 		if c < q.Dims() {
 			lo[i], hi[i] = q.Lo[c], q.Hi[c]
 		} else {
@@ -139,21 +188,20 @@ func (s *Synopsis) walkFrontier(q dataset.Rect, zeroVar bool, cover func(ptree.A
 		}
 	}
 	force := false
-	for c := 0; c < q.Dims(); c++ {
-		if !indexed[c] && (!math.IsInf(q.Lo[c], -1) || !math.IsInf(q.Hi[c], 1)) {
+	for _, c := range sc.cd {
+		if !s.indexed[c] {
 			force = true
 			break
 		}
 	}
-	return s.kd.WalkProjected(dataset.Rect{Lo: lo, Hi: hi}, force, zeroVar, cover, partial)
+	s.kd.WalkProjected(dataset.Rect{Lo: lo, Hi: hi}, force, zeroVar, &sc.ids)
 }
 
-// constrainedDims lists the dimensions q actually bounds. Row filtering
-// touches only these dimensions instead of comparing every coordinate
-// against ±Inf — the leaf-level half of predicate pushdown. A nil result
-// means the predicate is vacuous.
-func constrainedDims(q dataset.Rect) []int {
-	var cd []int
+// constrainedDims appends to cd the dimensions q actually bounds. Row
+// filtering touches only these dimensions instead of comparing every
+// coordinate against ±Inf — the leaf-level half of predicate pushdown. An
+// empty result means the predicate is vacuous.
+func constrainedDims(cd []int, q dataset.Rect) []int {
 	for c := range q.Lo {
 		if !math.IsInf(q.Lo[c], -1) || !math.IsInf(q.Hi[c], 1) {
 			cd = append(cd, c)
@@ -165,7 +213,7 @@ func constrainedDims(q dataset.Rect) []int {
 // onlyDim reports whether every constrained dimension is dim — the
 // generalized sole-constraint test: once the sort-dimension binary search
 // has narrowed the range, no other dimension needs checking and the prefix
-// fast path applies.
+// fast path applies. With dim = -1 it reports a vacuous predicate.
 func onlyDim(cd []int, dim int) bool {
 	for _, c := range cd {
 		if c != dim {
@@ -184,186 +232,147 @@ type leafScan struct {
 	kPred int     // matching samples
 	sum   float64 // Σ matching values
 	sumSq float64 // Σ matching values²
-}
-
-// scanLeaf resolves a partial leaf for SUM/COUNT/AVG estimation. The leaf's
-// samples are sorted along its primary split dimension, so a predicate on
-// that dimension reduces to a binary-searched contiguous range; when no
-// other dimension is constrained, count/sum/sumSq come from two prefix
-// lookups (O(log k) total). Otherwise only the remaining constrained
-// dimensions (cd) are checked with a branch-light loop over the flat
-// columnar arrays — unconstrained columns are never touched.
-func (s *Synopsis) scanLeaf(leaf int, q dataset.Rect, cd []int) leafScan {
-	st := s.store
-	o, e := st.offsets[leaf], st.offsets[leaf+1]
-	sc := leafScan{k: e - o}
-	if sc.k == 0 {
-		return sc
-	}
-	if sd := st.sortDim[leaf]; sd < q.Dims() {
-		a, b := st.searchRange(leaf, q.Lo[sd], q.Hi[sd])
-		if a >= b {
-			return sc
-		}
-		if onlyDim(cd, sd) {
-			sc.kPred, sc.sum, sc.sumSq = st.rangeAgg(leaf, a, b)
-			return sc
-		}
-		sc.scanRows(st, q, cd, sd, a, b)
-	} else {
-		if len(cd) == 0 {
-			// vacuous predicate: the whole leaf matches, answered from the
-			// prefix aggregates without touching a row
-			sc.kPred, sc.sum, sc.sumSq = st.rangeAgg(leaf, o, e)
-			return sc
-		}
-		sc.scanRows(st, q, cd, -1, o, e)
-	}
-	return sc
-}
-
-// matchRow reports whether global sample j satisfies q on the constrained
-// dimensions cd, skipping dimension skip, which the caller already
-// certified via binary search (-1 checks every constrained dimension).
-func matchRow(st *leafStore, q dataset.Rect, cd []int, skip, j int) bool {
-	row := st.coords[j*st.dims : j*st.dims+st.dims]
-	for _, c := range cd {
-		if c == skip {
-			continue
-		}
-		if row[c] < q.Lo[c] || row[c] > q.Hi[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanRows accumulates matching samples in the global range [a, b).
-func (sc *leafScan) scanRows(st *leafStore, q dataset.Rect, cd []int, skip, a, b int) {
-	for j := a; j < b; j++ {
-		if !matchRow(st, q, cd, skip, j) {
-			continue
-		}
-		v := st.values[j]
-		sc.kPred++
-		sc.sum += v
-		sc.sumSq += v * v
-	}
-}
-
-// leafMinMax is the MIN/MAX counterpart of leafScan.
-type leafMinMax struct {
-	k, kPred int
+	// extrema of the matching values (+Inf/-Inf when none); filled only
+	// when scanLeaf is asked for them, in place of sum and sumSq
 	min, max float64
 }
 
-// scanLeafMinMax resolves a partial leaf for MIN/MAX estimation: extrema
-// require visiting the matching values, but the sort-dimension binary
-// search still narrows the scan to the candidate range, and only the
-// remaining constrained dimensions are compared per row.
-func (s *Synopsis) scanLeafMinMax(leaf int, q dataset.Rect, cd []int) leafMinMax {
+// scanLeaf resolves a partial leaf against the query. The leaf's samples
+// are sorted along its primary split dimension, so a predicate on that
+// dimension reduces to a binary-searched contiguous range; when no other
+// dimension is constrained, count/sum/sumSq come from two prefix lookups
+// (O(log k) total, no row touched). Otherwise the range runs through the
+// scan kernel a chunk at a time: the remaining constrained dimensions
+// filter the chunk into the scratch's selection vector (selectRows —
+// unconstrained columns are never read), then one loop folds the selected
+// values in ascending store order. With extrema set the fold keeps MIN/MAX
+// of the matching values instead of their sums; extrema need the values
+// themselves, so that path never takes the prefix shortcut.
+func (s *Synopsis) scanLeaf(leaf int, q dataset.Rect, sc *queryScratch, extrema bool) leafScan {
 	st := s.store
 	o, e := st.offsets[leaf], st.offsets[leaf+1]
-	m := leafMinMax{k: e - o, min: math.Inf(1), max: math.Inf(-1)}
-	if m.k == 0 {
-		return m
+	lo, hi := math.Inf(1), math.Inf(-1)
+	empty := leafScan{k: e - o, min: lo, max: hi}
+	if e == o {
+		return empty
 	}
 	a, b, skip := o, e, -1
 	if sd := st.sortDim[leaf]; sd < q.Dims() {
-		a, b = st.searchRange(leaf, q.Lo[sd], q.Hi[sd])
-		skip = sd
+		if a, b = st.searchRange(leaf, q.Lo[sd], q.Hi[sd]); a >= b {
+			return empty
+		}
+		skip = sd // certified by the binary search
 	}
-	for j := a; j < b; j++ {
-		if !matchRow(st, q, cd, skip, j) {
+	if !extrema && onlyDim(sc.cd, skip) {
+		n, sum, sumSq := st.rangeAgg(leaf, a, b)
+		return leafScan{k: e - o, kPred: n, sum: sum, sumSq: sumSq, min: lo, max: hi}
+	}
+	kPred, sum, sumSq := 0, 0.0, 0.0
+	for ; a < b; a += scanChunk {
+		m := b - a
+		if m > scanChunk {
+			m = scanChunk
+		}
+		sel := st.selectRows(sc, q, skip, a, m)
+		vals := st.values[a : a+m]
+		kPred += len(sel)
+		if extrema {
+			for _, j := range sel {
+				v := vals[j]
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
 			continue
 		}
-		v := st.values[j]
-		m.kPred++
-		if v < m.min {
-			m.min = v
-		}
-		if v > m.max {
-			m.max = v
+		for _, j := range sel {
+			v := vals[j]
+			sum += v
+			sumSq += v * v
 		}
 	}
-	return m
+	return leafScan{k: e - o, kPred: kPred, sum: sum, sumSq: sumSq, min: lo, max: hi}
 }
 
-// walkDiag accumulates the frontier-shape diagnostics of a streaming MCF
-// walk: entry counts and the dataset cardinality under partial leaves.
-type walkDiag struct {
-	read, partialN   int
-	nCover, nPartial int
-}
-
-func (s *Synopsis) diag(d walkDiag, visited int) Result {
+// frontierDiag starts a query's Result with the frontier-shape diagnostics
+// of the walk in sc.ids; read and partialN are the sample tuples scanned
+// and the dataset cardinality under the partial leaves.
+func (s *Synopsis) frontierDiag(sc *queryScratch, read, partialN int) Result {
 	return Result{
-		TuplesRead:    d.read,
-		SkippedTuples: s.n - d.partialN,
-		VisitedNodes:  visited,
-		CoveredParts:  d.nCover,
-		PartialParts:  d.nPartial,
+		TuplesRead:    read,
+		SkippedTuples: s.n - partialN,
+		VisitedNodes:  sc.ids.Visited,
+		CoveredParts:  len(sc.ids.Cover),
+		PartialParts:  len(sc.ids.Partial),
 	}
+}
+
+// coverAgg merges the aggregates of the covered nodes, in walk order.
+func coverAgg(aggs []ptree.Agg, ids []int32) ptree.Agg {
+	var cover ptree.Agg
+	for _, id := range ids {
+		cover.Merge(aggs[id])
+	}
+	return cover
 }
 
 // sumCount answers SUM and COUNT queries: exact partial aggregates over
 // covered partitions plus per-stratum sample estimates over partial leaves
-// (Section 3.3), with strata weights w_i = 1. The MCF streams entries to
-// the fold below — per-query state is O(1) regardless of frontier size.
-func (s *Synopsis) sumCount(kind dataset.AggKind, q dataset.Rect, cd []int, zeroVar bool) Result {
+// (Section 3.3), with strata weights w_i = 1.
+func (s *Synopsis) sumCount(kind dataset.AggKind, q dataset.Rect, sc *queryScratch) Result {
+	s.walk(q, false, sc)
+	aggs, leafOf := s.tr.Aggs(), s.tr.LeafIDs()
+	cover := coverAgg(aggs, sc.ids.Cover)
 	var (
-		d              walkDiag
-		cover          ptree.Agg
+		read, partialN int
 		estP, varTotal float64
 		hardLoP        float64
 		hardHiP        float64
 		matchEstP      float64
 		certain        bool
 	)
-	visited := s.walkFrontier(q, zeroVar,
-		func(a ptree.Agg) {
-			d.nCover++
-			cover.Merge(a)
-		},
-		func(leaf int, pa ptree.Agg) {
-			d.nPartial++
-			d.partialN += pa.N
-			sc := s.scanLeaf(leaf, q, cd)
-			d.read += sc.k
-			ni := float64(pa.N)
-			if sc.k > 0 {
-				matchEstP += ni * float64(sc.kPred) / float64(sc.k)
-				if sc.kPred > 0 {
-					certain = true
-				}
-				var phiMean, phiSq float64
-				if kind == dataset.Sum {
-					phiMean = ni * sc.sum / float64(sc.k)
-					phiSq = ni * ni * sc.sumSq / float64(sc.k)
-				} else {
-					phiMean = ni * float64(sc.kPred) / float64(sc.k)
-					phiSq = ni * ni * float64(sc.kPred) / float64(sc.k)
-				}
-				estP += phiMean
-				phiVar := phiSq - phiMean*phiMean
-				if phiVar < 0 {
-					phiVar = 0
-				}
-				varTotal += phiVar / float64(sc.k) * stats.FPC(pa.N, sc.k)
+	for _, id := range sc.ids.Partial {
+		pa := aggs[id]
+		partialN += pa.N
+		ls := s.scanLeaf(int(leafOf[id]), q, sc, false)
+		read += ls.k
+		ni := float64(pa.N)
+		if ls.k > 0 {
+			matchEstP += ni * float64(ls.kPred) / float64(ls.k)
+			if ls.kPred > 0 {
+				certain = true
 			}
-			lo, hi := partialSumBounds(kind, pa)
-			hardLoP += lo
-			hardHiP += hi
-		})
+			var phiMean, phiSq float64
+			if kind == dataset.Sum {
+				phiMean = ni * ls.sum / float64(ls.k)
+				phiSq = ni * ni * ls.sumSq / float64(ls.k)
+			} else {
+				phiMean = ni * float64(ls.kPred) / float64(ls.k)
+				phiSq = ni * ni * float64(ls.kPred) / float64(ls.k)
+			}
+			estP += phiMean
+			phiVar := phiSq - phiMean*phiMean
+			if phiVar < 0 {
+				phiVar = 0
+			}
+			varTotal += phiVar / float64(ls.k) * stats.FPC(pa.N, ls.k)
+		}
+		lo, hi := partialSumBounds(kind, pa)
+		hardLoP += lo
+		hardHiP += hi
+	}
 	agg := cover.Sum
 	if kind == dataset.Count {
 		agg = float64(cover.N)
 	}
-	r := s.diag(d, visited)
+	r := s.frontierDiag(sc, read, partialN)
 	r.Estimate = agg + estP
 	r.CIHalf = s.opts.Lambda * math.Sqrt(varTotal)
 	r.HardLo, r.HardHi, r.HardValid = agg+hardLoP, agg+hardHiP, true
-	r.Exact = d.nPartial == 0
+	r.Exact = len(sc.ids.Partial) == 0
 	r.MatchEst = float64(cover.N) + matchEstP
 	r.MatchCertain = cover.N > 0 || certain
 	return r
@@ -399,58 +408,51 @@ func partialSumBounds(kind dataset.AggKind, a ptree.Agg) (lo, hi float64) {
 // Sections 2.2/3.3: covered strata contribute their exact averages with
 // exact weights; partial strata contribute sample means with weights
 // estimated from the sample predicate fraction. Covered partitions fold
-// into a single O(1) stratum during the walk; only partial strata with
-// evidence are buffered (the combination weights need the total n̂_q).
-func (s *Synopsis) avg(q dataset.Rect, cd []int, zeroVar bool) Result {
-	type stratum struct {
-		est  float64
-		nHat float64
-		vi   float64 // V_i(q), zero for covered strata
-	}
+// into a single stratum; only partial strata with evidence are buffered,
+// in the scratch (the combination weights need the total n̂_q).
+func (s *Synopsis) avg(q dataset.Rect, sc *queryScratch) Result {
+	s.walk(q, !s.opts.DisableZeroVariance, sc)
+	aggs, leafOf := s.tr.Aggs(), s.tr.LeafIDs()
+	cover := coverAgg(aggs, sc.ids.Cover)
 	var (
-		d        walkDiag
-		cover    ptree.Agg
-		partials []stratum
+		read, partialN int
 		// hard-bound envelope over partial partitions (Section 2.3)
 		partialLo = math.Inf(1)
 		partialHi = math.Inf(-1)
 	)
-	visited := s.walkFrontier(q, zeroVar,
-		func(a ptree.Agg) {
-			d.nCover++
-			cover.Merge(a)
-		},
-		func(leaf int, pa ptree.Agg) {
-			d.nPartial++
-			d.partialN += pa.N
-			sc := s.scanLeaf(leaf, q, cd)
-			d.read += sc.k
-			if pa.N > 0 {
-				if pa.Min < partialLo {
-					partialLo = pa.Min
-				}
-				if pa.Max > partialHi {
-					partialHi = pa.Max
-				}
+	partials := sc.strata[:0]
+	for _, id := range sc.ids.Partial {
+		pa := aggs[id]
+		partialN += pa.N
+		ls := s.scanLeaf(int(leafOf[id]), q, sc, false)
+		read += ls.k
+		if pa.N > 0 {
+			if pa.Min < partialLo {
+				partialLo = pa.Min
 			}
-			if sc.k == 0 || sc.kPred == 0 {
-				return // stratum contributes nothing we can estimate
+			if pa.Max > partialHi {
+				partialHi = pa.Max
 			}
-			ni := float64(pa.N)
-			nHat := ni * float64(sc.kPred) / float64(sc.k)
-			est := sc.sum / float64(sc.kPred)
-			// φ(t) = pred·(K/K_pred)·a; var over the whole leaf sample
-			ratio := float64(sc.k) / float64(sc.kPred)
-			phiMean := est
-			phiSq := ratio * ratio * sc.sumSq / float64(sc.k)
-			phiVar := phiSq - phiMean*phiMean
-			if phiVar < 0 {
-				phiVar = 0
-			}
-			vi := phiVar / float64(sc.k) * stats.FPC(pa.N, sc.k)
-			partials = append(partials, stratum{est: est, nHat: nHat, vi: vi})
-		})
-	r := s.diag(d, visited)
+		}
+		if ls.k == 0 || ls.kPred == 0 {
+			continue // stratum contributes nothing we can estimate
+		}
+		ni := float64(pa.N)
+		nHat := ni * float64(ls.kPred) / float64(ls.k)
+		est := ls.sum / float64(ls.kPred)
+		// φ(t) = pred·(K/K_pred)·a; var over the whole leaf sample
+		ratio := float64(ls.k) / float64(ls.kPred)
+		phiMean := est
+		phiSq := ratio * ratio * ls.sumSq / float64(ls.k)
+		phiVar := phiSq - phiMean*phiMean
+		if phiVar < 0 {
+			phiVar = 0
+		}
+		vi := phiVar / float64(ls.k) * stats.FPC(pa.N, ls.k)
+		partials = append(partials, stratum{est: est, nHat: nHat, vi: vi})
+	}
+	sc.strata = partials
+	r := s.frontierDiag(sc, read, partialN)
 	nq := float64(cover.N)
 	for _, st := range partials {
 		nq += st.nHat
@@ -493,14 +495,15 @@ func (s *Synopsis) avg(q dataset.Rect, cd []int, zeroVar bool) Result {
 
 // minMax answers MIN and MAX queries: exact extrema over covered
 // partitions, sampled extrema over partial leaves, with hard bounds from
-// the partial partitions' stored extrema. Extrema folds are commutative,
-// so the streamed walk keeps O(1) state.
-func (s *Synopsis) minMax(kind dataset.AggKind, q dataset.Rect, cd []int, zeroVar bool) Result {
+// the partial partitions' stored extrema.
+func (s *Synopsis) minMax(kind dataset.AggKind, q dataset.Rect, sc *queryScratch) Result {
+	s.walk(q, false, sc)
+	aggs, leafOf := s.tr.Aggs(), s.tr.LeafIDs()
+	cover := coverAgg(aggs, sc.ids.Cover)
 	var (
-		d          walkDiag
-		cover      ptree.Agg
-		sampled    = math.Inf(1) // extremum over matching samples
-		sampledAny bool
+		read, partialN int
+		sampled        = math.Inf(1) // extremum over matching samples
+		sampledAny     bool
 		// partialLo/partialHi: the range any matching tuple in a partial
 		// leaf could take
 		partialLo  = math.Inf(1)
@@ -511,33 +514,28 @@ func (s *Synopsis) minMax(kind dataset.AggKind, q dataset.Rect, cd []int, zeroVa
 	if kind == dataset.Max {
 		sampled = math.Inf(-1)
 	}
-	visited := s.walkFrontier(q, zeroVar,
-		func(a ptree.Agg) {
-			d.nCover++
-			cover.Merge(a)
-		},
-		func(leaf int, pa ptree.Agg) {
-			d.nPartial++
-			d.partialN += pa.N
-			sc := s.scanLeafMinMax(leaf, q, cd)
-			d.read += sc.k
-			if pa.N > 0 {
-				anyPartial = true
-				partialLo = math.Min(partialLo, pa.Min)
-				partialHi = math.Max(partialHi, pa.Max)
+	for _, id := range sc.ids.Partial {
+		pa := aggs[id]
+		partialN += pa.N
+		ls := s.scanLeaf(int(leafOf[id]), q, sc, true)
+		read += ls.k
+		if pa.N > 0 {
+			anyPartial = true
+			partialLo = math.Min(partialLo, pa.Min)
+			partialHi = math.Max(partialHi, pa.Max)
+		}
+		if ls.k > 0 {
+			matchEstP += float64(pa.N) * float64(ls.kPred) / float64(ls.k)
+		}
+		if ls.kPred > 0 {
+			sampledAny = true
+			if kind == dataset.Min {
+				sampled = math.Min(sampled, ls.min)
+			} else {
+				sampled = math.Max(sampled, ls.max)
 			}
-			if sc.k > 0 {
-				matchEstP += float64(pa.N) * float64(sc.kPred) / float64(sc.k)
-			}
-			if sc.kPred > 0 {
-				sampledAny = true
-				if kind == dataset.Min {
-					sampled = math.Min(sampled, sc.min)
-				} else {
-					sampled = math.Max(sampled, sc.max)
-				}
-			}
-		})
+		}
+	}
 	best := sampled
 	observed := sampledAny
 	if cover.N > 0 {
@@ -554,7 +552,7 @@ func (s *Synopsis) minMax(kind dataset.AggKind, q dataset.Rect, cd []int, zeroVa
 			best = math.Max(best, c)
 		}
 	}
-	r := s.diag(d, visited)
+	r := s.frontierDiag(sc, read, partialN)
 	r.MatchEst = float64(cover.N) + matchEstP
 	r.MatchCertain = observed
 	if !observed && !anyPartial {
@@ -584,6 +582,6 @@ func (s *Synopsis) minMax(kind dataset.AggKind, q dataset.Rect, cd []int, zeroVa
 		}
 		r.HardLo, r.HardHi, r.HardValid = best, hi, true
 	}
-	r.Exact = d.nPartial == 0
+	r.Exact = len(sc.ids.Partial) == 0
 	return r
 }

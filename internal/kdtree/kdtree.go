@@ -28,24 +28,37 @@ import (
 	"repro/internal/stats"
 )
 
-// node is one k-d tree node. Leaves own the indices of their tuples.
+// node holds the per-node fields no query reads. Leaves own the indices
+// of their tuples.
 type node struct {
-	children []int
-	rect     dataset.Rect
-	items    []int // tuple indices; nil for internal nodes
-	agg      ptree.Agg
-	leaf     int // dense leaf id, -1 for internal
-	depth    int
-	parent   int
+	items []int // tuple indices; nil for internal nodes
+	depth int
 }
 
-// Tree is a multi-dimensional PASS partition tree.
+// Tree is a multi-dimensional PASS partition tree. What the MCF walk reads
+// lives in flat node-indexed arrays, so a walk touches no per-node pointer.
 type Tree struct {
-	nodes  []node
-	root   int
-	leaves []int
-	dims   int
-	data   *dataset.Dataset
+	nodes []node
+	// bounds is node-major: node i's bounding rectangle is Lo =
+	// bounds[2·dims·i : 2·dims·i+dims], Hi = the dims values after it
+	bounds []float64
+	aggs   []ptree.Agg
+	leafOf []int32 // dense leaf id, -1 for internal nodes
+	// split creates a node's children back to back, so they are the ids
+	// firstKid[i] … firstKid[i]+numKids[i]-1 (numKids 0 for a leaf)
+	firstKid []int32
+	numKids  []int32
+	root     int
+	leaves   []int
+	dims     int
+	data     *dataset.Dataset
+}
+
+// rect returns a view of node id's bounding rectangle.
+func (t *Tree) rect(id int) dataset.Rect {
+	d := t.dims
+	b := t.bounds[2*d*id : 2*d*(id+1)]
+	return dataset.Rect{Lo: b[:d:d], Hi: b[d:]}
 }
 
 // Policy selects the expansion order during construction.
@@ -94,7 +107,7 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
 	for i := range all {
 		all[i] = i
 	}
-	t.root = t.newNode(all, 0, -1)
+	t.root = t.newNode(all, 0)
 	rng := stats.NewRNG(opt.Seed + 1)
 
 	pq := &candHeap{}
@@ -179,13 +192,17 @@ func (h *candHeap) Pop() interface{} {
 	return x
 }
 
-func (t *Tree) newNode(items []int, depth, parent int) int {
+func (t *Tree) newNode(items []int, depth int) int {
 	var a ptree.Agg
-	lo := make([]float64, t.dims)
-	hi := make([]float64, t.dims)
+	id := len(t.nodes)
 	for c := 0; c < t.dims; c++ {
-		lo[c], hi[c] = math.Inf(1), math.Inf(-1)
+		t.bounds = append(t.bounds, math.Inf(1))
 	}
+	for c := 0; c < t.dims; c++ {
+		t.bounds = append(t.bounds, math.Inf(-1))
+	}
+	r := t.rect(id)
+	lo, hi := r.Lo, r.Hi
 	for _, i := range items {
 		a.Add(t.data.Agg[i])
 		for c := 0; c < t.dims; c++ {
@@ -198,15 +215,11 @@ func (t *Tree) newNode(items []int, depth, parent int) int {
 			}
 		}
 	}
-	id := len(t.nodes)
-	t.nodes = append(t.nodes, node{
-		rect:   dataset.Rect{Lo: lo, Hi: hi},
-		items:  items,
-		agg:    a,
-		leaf:   -1,
-		depth:  depth,
-		parent: parent,
-	})
+	t.nodes = append(t.nodes, node{items: items, depth: depth})
+	t.aggs = append(t.aggs, a)
+	t.leafOf = append(t.leafOf, -1)
+	t.firstKid = append(t.firstKid, 0)
+	t.numKids = append(t.numKids, 0)
 	return id
 }
 
@@ -247,12 +260,11 @@ func (t *Tree) split(id int) []int {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	var children []int
+	children := make([]int, 0, len(keys))
 	for _, k := range keys {
-		ch := t.newNode(cells[k], t.nodes[id].depth+1, id)
-		children = append(children, ch)
+		children = append(children, t.newNode(cells[k], t.nodes[id].depth+1))
 	}
-	t.nodes[id].children = children
+	t.firstKid[id], t.numKids[id] = int32(children[0]), int32(len(children))
 	t.nodes[id].items = nil
 	return children
 }
@@ -386,8 +398,8 @@ func (t *Tree) maxChunkSumSq(items []int, w int) float64 {
 
 func (t *Tree) countLeaves() int {
 	n := 0
-	for i := range t.nodes {
-		if t.nodes[i].children == nil {
+	for _, k := range t.numKids {
+		if k == 0 {
 			n++
 		}
 	}
@@ -409,9 +421,9 @@ func (t *Tree) minSplittableDepth(pq *candHeap) int {
 
 func (t *Tree) assignLeafIDs() {
 	t.leaves = t.leaves[:0]
-	for i := range t.nodes {
-		if t.nodes[i].children == nil {
-			t.nodes[i].leaf = len(t.leaves)
+	for i, k := range t.numKids {
+		if k == 0 {
+			t.leafOf[i] = int32(len(t.leaves))
 			t.leaves = append(t.leaves, i)
 		}
 	}
@@ -427,16 +439,23 @@ func (t *Tree) NumNodes() int { return len(t.nodes) }
 func (t *Tree) Dims() int { return t.dims }
 
 // Root returns the aggregates of the whole dataset.
-func (t *Tree) Root() ptree.Agg { return t.nodes[t.root].agg }
+func (t *Tree) Root() ptree.Agg { return t.aggs[t.root] }
 
 // LeafAgg returns the aggregates of leaf id.
-func (t *Tree) LeafAgg(leaf int) ptree.Agg { return t.nodes[t.leaves[leaf]].agg }
+func (t *Tree) LeafAgg(leaf int) ptree.Agg { return t.aggs[t.leaves[leaf]] }
+
+// Aggs returns every node's aggregates, indexed by node id — what the ids
+// of a ptree.FrontierIDs resolve against. Read-only for callers.
+func (t *Tree) Aggs() []ptree.Agg { return t.aggs }
+
+// LeafIDs maps node id to dense leaf id (-1 for internal nodes); read-only.
+func (t *Tree) LeafIDs() []int32 { return t.leafOf }
 
 // LeafItems returns the dataset tuple indices of leaf id (a view).
 func (t *Tree) LeafItems(leaf int) []int { return t.nodes[t.leaves[leaf]].items }
 
 // LeafRect returns the bounding rectangle of leaf id.
-func (t *Tree) LeafRect(leaf int) dataset.Rect { return t.nodes[t.leaves[leaf]].rect }
+func (t *Tree) LeafRect(leaf int) dataset.Rect { return t.rect(t.leaves[leaf]) }
 
 // MaxLeafDepth returns the depth of the deepest leaf.
 func (t *Tree) MaxLeafDepth() int {
@@ -467,135 +486,110 @@ func (t *Tree) MemoryBytes() int {
 	return len(t.nodes) * (5 + 2*t.dims + 3) * 8
 }
 
-// Frontier runs the MCF over a rectangular query. The query may constrain
-// fewer dimensions than the tree (missing dimensions are unconstrained) or
-// more (workload shift, Section 5.4.1): when the query constrains
-// dimensions the tree does not index, no node can be certified as fully
-// covered, so every intersecting leaf is returned as partial — the tree
-// still provides data skipping for disjoint subtrees.
-func (t *Tree) Frontier(q dataset.Rect, zeroVarAsCovered bool) ptree.Frontier {
-	return t.FrontierProjected(q, q.Dims() > t.dims, zeroVarAsCovered)
+// Walk runs the MCF over a rectangular query and leaves the frontier's
+// node ids in f. The query may constrain fewer dimensions than the tree
+// (missing dimensions are unconstrained) or more (workload shift, Section
+// 5.4.1): when the query constrains dimensions the tree does not index, no
+// node can be certified as fully covered, so every intersecting leaf is
+// returned as partial — the tree still provides data skipping for disjoint
+// subtrees.
+func (t *Tree) Walk(q dataset.Rect, zeroVarAsCovered bool, f *ptree.FrontierIDs) {
+	t.WalkProjected(q, q.Dims() > t.dims, zeroVarAsCovered, f)
 }
 
-// FrontierProjected runs the MCF with an explicit forcePartial flag: when
+// WalkProjected runs the MCF with an explicit forcePartial flag: when
 // true, no node is certified as fully covered even if the (projected)
 // rectangle contains it — used when the original query constrains columns
 // this tree does not index (arbitrary-template workload shift, Section
 // 4.5), so coverage in the indexed columns does not imply coverage overall.
-func (t *Tree) FrontierProjected(q dataset.Rect, forcePartial, zeroVarAsCovered bool) ptree.Frontier {
-	var f ptree.Frontier
-	t.mcf(t.root, q, forcePartial, zeroVarAsCovered, &f)
+// The ids of fully covered nodes (0-variance nodes included when
+// zeroVarAsCovered is set) and of partially overlapped leaves are appended
+// to f in depth-first order. The walk is iterative over an explicit stack,
+// so its goroutine's stack never grows with the tree.
+func (t *Tree) WalkProjected(q dataset.Rect, forcePartial, zeroVarAsCovered bool, f *ptree.FrontierIDs) {
+	d := t.dims
+	shared := d
+	if q.Dims() < shared {
+		shared = q.Dims()
+	}
+	qlo, qhi := q.Lo[:shared], q.Hi[:shared]
+	cover, partial := f.Cover[:0], f.Partial[:0]
+	visited := 0
+	stack := append(f.Stack[:0], int32(t.root))
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		visited++
+		b := t.bounds[2*d*int(id):][:2*d] // the node's Lo, then its Hi
+		// classify on the shared dimensions
+		disjoint, covered := false, true
+		for c, lo := range qlo {
+			hi := qhi[c]
+			if b[d+c] < lo || b[c] > hi {
+				disjoint = true
+				break
+			}
+			if b[c] < lo || b[d+c] > hi {
+				covered = false
+			}
+		}
+		if disjoint {
+			continue
+		}
+		if !forcePartial && (covered || (zeroVarAsCovered && t.aggs[id].ZeroVariance())) {
+			cover = append(cover, id)
+			continue
+		}
+		first, n := t.firstKid[id], t.numKids[id]
+		if n == 0 {
+			partial = append(partial, id)
+			continue
+		}
+		// pushed last-to-first, so children pop in order: depth-first
+		for k := first + n - 1; k >= first; k-- {
+			stack = append(stack, k)
+		}
+	}
+	f.Cover, f.Partial, f.Visited, f.Stack = cover, partial, visited, stack
+}
+
+// Frontier materializes the result of Walk: one entry per id, carrying the
+// node's aggregates and bounding rectangle.
+func (t *Tree) Frontier(q dataset.Rect, zeroVarAsCovered bool) ptree.Frontier {
+	var ids ptree.FrontierIDs
+	t.Walk(q, zeroVarAsCovered, &ids)
+	f := ptree.Frontier{Visited: ids.Visited}
+	for _, id := range ids.Cover {
+		f.Cover = append(f.Cover, ptree.CoverEntry{Node: int(id), Agg: t.aggs[id], Rect: t.rect(int(id))})
+	}
+	for _, id := range ids.Partial {
+		f.Partial = append(f.Partial, ptree.PartialEntry{Leaf: int(t.leafOf[id]), Agg: t.aggs[id], Rect: t.rect(int(id))})
+	}
 	return f
-}
-
-func (t *Tree) mcf(id int, q dataset.Rect, extra, zeroVar bool, f *ptree.Frontier) {
-	f.Visited++
-	n := &t.nodes[id]
-	shared := t.dims
-	if q.Dims() < shared {
-		shared = q.Dims()
-	}
-	// classify on the shared dimensions
-	disjoint, covered := false, true
-	for c := 0; c < shared; c++ {
-		if n.rect.Hi[c] < q.Lo[c] || n.rect.Lo[c] > q.Hi[c] {
-			disjoint = true
-			break
-		}
-		if n.rect.Lo[c] < q.Lo[c] || n.rect.Hi[c] > q.Hi[c] {
-			covered = false
-		}
-	}
-	if disjoint {
-		return
-	}
-	if covered && !extra {
-		f.Cover = append(f.Cover, ptree.CoverEntry{Node: id, Agg: n.agg, Rect: n.rect})
-		return
-	}
-	if zeroVar && !extra && n.agg.ZeroVariance() {
-		f.Cover = append(f.Cover, ptree.CoverEntry{Node: id, Agg: n.agg, Rect: n.rect})
-		return
-	}
-	if n.children == nil {
-		f.Partial = append(f.Partial, ptree.PartialEntry{Leaf: n.leaf, Agg: n.agg, Rect: n.rect})
-		return
-	}
-	for _, ch := range n.children {
-		t.mcf(ch, q, extra, zeroVar, f)
-	}
-}
-
-// Walk is the streaming counterpart of Frontier: the same classification
-// rules, with entries delivered to callbacks instead of slices.
-func (t *Tree) Walk(q dataset.Rect, zeroVarAsCovered bool, cover func(ptree.Agg), partial func(leaf int, a ptree.Agg)) int {
-	return t.WalkProjected(q, q.Dims() > t.dims, zeroVarAsCovered, cover, partial)
-}
-
-// WalkProjected runs the MCF of FrontierProjected but streams each
-// classification to a callback instead of materializing entry slices:
-// cover fires once per fully covered node and partial once per partially
-// overlapped leaf, in the same depth-first order FrontierProjected appends
-// them. It returns the number of nodes visited.
-func (t *Tree) WalkProjected(q dataset.Rect, forcePartial, zeroVarAsCovered bool, cover func(ptree.Agg), partial func(leaf int, a ptree.Agg)) int {
-	return t.walk(t.root, q, forcePartial, zeroVarAsCovered, cover, partial)
-}
-
-func (t *Tree) walk(id int, q dataset.Rect, extra, zeroVar bool, cover func(ptree.Agg), partial func(int, ptree.Agg)) int {
-	visited := 1
-	n := &t.nodes[id]
-	shared := t.dims
-	if q.Dims() < shared {
-		shared = q.Dims()
-	}
-	disjoint, covered := false, true
-	for c := 0; c < shared; c++ {
-		if n.rect.Hi[c] < q.Lo[c] || n.rect.Lo[c] > q.Hi[c] {
-			disjoint = true
-			break
-		}
-		if n.rect.Lo[c] < q.Lo[c] || n.rect.Hi[c] > q.Hi[c] {
-			covered = false
-		}
-	}
-	if disjoint {
-		return visited
-	}
-	if !extra && (covered || (zeroVar && n.agg.ZeroVariance())) {
-		cover(n.agg)
-		return visited
-	}
-	if n.children == nil {
-		partial(n.leaf, n.agg)
-		return visited
-	}
-	for _, ch := range n.children {
-		visited += t.walk(ch, q, extra, zeroVar, cover, partial)
-	}
-	return visited
 }
 
 // CheckInvariants verifies that children partition their parent's items and
 // aggregates merge consistently.
 func (t *Tree) CheckInvariants() error {
 	for id := range t.nodes {
-		n := &t.nodes[id]
-		if n.children == nil {
-			if n.items == nil && n.agg.N > 0 {
+		n, agg := &t.nodes[id], t.aggs[id]
+		if t.numKids[id] == 0 {
+			if n.items == nil && agg.N > 0 {
 				return fmt.Errorf("kdtree: leaf %d lost its items", id)
 			}
-			if len(n.items) != n.agg.N {
-				return fmt.Errorf("kdtree: leaf %d item count %d != agg N %d", id, len(n.items), n.agg.N)
+			if len(n.items) != agg.N {
+				return fmt.Errorf("kdtree: leaf %d item count %d != agg N %d", id, len(n.items), agg.N)
 			}
 			continue
 		}
 		var merged ptree.Agg
 		total := 0
-		for _, ch := range n.children {
-			merged.Merge(t.nodes[ch].agg)
-			total += t.nodes[ch].agg.N
+		first := int(t.firstKid[id])
+		for ch := first; ch < first+int(t.numKids[id]); ch++ {
+			merged.Merge(t.aggs[ch])
+			total += t.aggs[ch].N
 		}
-		if total != n.agg.N || merged.Min != n.agg.Min || merged.Max != n.agg.Max {
+		if total != agg.N || merged.Min != agg.Min || merged.Max != agg.Max {
 			return fmt.Errorf("kdtree: node %d aggregates inconsistent with children", id)
 		}
 	}

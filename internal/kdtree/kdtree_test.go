@@ -112,12 +112,12 @@ func TestFrontierAccountsAllMatching(t *testing.T) {
 }
 
 func coverItems(t *Tree, id int) []int {
-	n := &t.nodes[id]
-	if n.children == nil {
-		return n.items
+	if t.numKids[id] == 0 {
+		return t.nodes[id].items
 	}
 	var out []int
-	for _, ch := range n.children {
+	first := int(t.firstKid[id])
+	for ch := first; ch < first+int(t.numKids[id]); ch++ {
 		out = append(out, coverItems(t, ch)...)
 	}
 	return out

@@ -127,22 +127,64 @@ func (f Frontier) CoverAgg() Agg {
 	return a
 }
 
-// node is one partition-tree node. Leaves carry a dense leaf id.
+// FrontierIDs is the Minimal Coverage Frontier at node-id level: the ids
+// of the fully covered nodes and of the partially overlapped leaves, each
+// in depth-first order, as one iterative walk appends them. Walk resets
+// it, so a caller that keeps one across queries (the query scratch of
+// package core) walks without allocating once the slices have grown; the
+// zero value is ready to use. Ids index the owning tree's Aggs and LeafIDs.
+type FrontierIDs struct {
+	Cover, Partial []int32
+	// Visited counts tree nodes touched, for latency accounting.
+	Visited int
+	// Stack is the walk's explicit stack (empty between walks).
+	Stack []int32
+}
+
+// node holds the per-node fields no query reads: the index range in the
+// sorted dataset and the parent link of the update path.
 type node struct {
-	children []int // child node ids; nil for leaves
-	lo, hi   float64
-	iLo, iHi int // index range in the sorted dataset
-	agg      Agg
-	leaf     int // dense leaf id, -1 for internal nodes
+	iLo, iHi int
 	parent   int
 }
 
-// Tree is a 1D PASS partition tree.
+// Tree is a 1D PASS partition tree. What the MCF walk reads lives in flat
+// node-indexed arrays, so a walk touches no per-node pointer.
 type Tree struct {
 	nodes  []node
+	bounds []float64 // node i spans the values [bounds[2i], bounds[2i+1]]
+	aggs   []Agg
+	leafOf []int32 // dense leaf id, -1 for internal nodes
+	// node i's children are kids[kidOff[i]:kidOff[i+1]] (none for a leaf)
+	kids   []int32
+	kidOff []int32
 	root   int
 	leaves []int // leaf id -> node id
 }
+
+func newTree() *Tree { return &Tree{kidOff: []int32{0}} }
+
+// addNode appends one node with the given children and returns its id.
+func (t *Tree) addNode(lo, hi float64, iLo, iHi int, agg Agg, children []int) int {
+	id := len(t.nodes)
+	leaf := int32(-1)
+	if len(children) == 0 {
+		leaf = int32(len(t.leaves))
+		t.leaves = append(t.leaves, id)
+	}
+	for _, c := range children {
+		t.kids = append(t.kids, int32(c))
+		t.nodes[c].parent = id
+	}
+	t.nodes = append(t.nodes, node{iLo: iLo, iHi: iHi, parent: -1})
+	t.bounds = append(t.bounds, lo, hi)
+	t.aggs = append(t.aggs, agg)
+	t.leafOf = append(t.leafOf, leaf)
+	t.kidOff = append(t.kidOff, int32(len(t.kids)))
+	return id
+}
+
+func (t *Tree) children(id int) []int32 { return t.kids[t.kidOff[id]:t.kidOff[id+1]] }
 
 // Build constructs the tree over d (which must be sorted by predicate
 // column 0) using the given leaf partitioning. Empty partitions are
@@ -168,7 +210,7 @@ func BuildFanout(d *dataset.Dataset, p partition.Partitioning, fanout int) (*Tre
 	if d.Dims() < 1 {
 		return nil, fmt.Errorf("ptree: dataset has no predicate column")
 	}
-	t := &Tree{}
+	t := newTree()
 	col := d.Pred[0]
 	// leaf layer: partition aggregates are independent, so they are
 	// computed by the worker pool before the nodes are assembled in order
@@ -191,16 +233,7 @@ func BuildFanout(d *dataset.Dataset, p partition.Partitioning, fanout int) (*Tre
 	})
 	var layer []int
 	for i, sp := range spans {
-		id := len(t.nodes)
-		t.nodes = append(t.nodes, node{
-			lo: col[sp.lo], hi: col[sp.hi-1],
-			iLo: sp.lo, iHi: sp.hi,
-			agg:    aggs[i],
-			leaf:   len(t.leaves),
-			parent: -1,
-		})
-		t.leaves = append(t.leaves, id)
-		layer = append(layer, id)
+		layer = append(layer, t.addNode(col[sp.lo], col[sp.hi-1], sp.lo, sp.hi, aggs[i], nil))
 	}
 	if len(layer) == 0 {
 		return nil, fmt.Errorf("ptree: empty dataset")
@@ -226,22 +259,11 @@ func (t *Tree) buildUp(layer []int, fanout int) {
 			group := layer[i:end]
 			var a Agg
 			for _, c := range group {
-				a.Merge(t.nodes[c].agg)
+				a.Merge(t.aggs[c])
 			}
-			id := len(t.nodes)
 			first, last := group[0], group[len(group)-1]
-			t.nodes = append(t.nodes, node{
-				children: append([]int(nil), group...),
-				lo:       t.nodes[first].lo, hi: t.nodes[last].hi,
-				iLo: t.nodes[first].iLo, iHi: t.nodes[last].iHi,
-				agg:    a,
-				leaf:   -1,
-				parent: -1,
-			})
-			for _, c := range group {
-				t.nodes[c].parent = id
-			}
-			next = append(next, id)
+			next = append(next, t.addNode(t.bounds[2*first], t.bounds[2*last+1],
+				t.nodes[first].iLo, t.nodes[last].iHi, a, group))
 		}
 		layer = next
 	}
@@ -258,18 +280,26 @@ func (t *Tree) NumNodes() int { return len(t.nodes) }
 func (t *Tree) Height() int {
 	h := 0
 	id := t.root
-	for len(t.nodes[id].children) > 0 {
-		id = t.nodes[id].children[0]
+	for t.leafOf[id] < 0 {
+		id = int(t.children(id)[0])
 		h++
 	}
 	return h
 }
 
 // Root returns the aggregates of the whole dataset.
-func (t *Tree) Root() Agg { return t.nodes[t.root].agg }
+func (t *Tree) Root() Agg { return t.aggs[t.root] }
 
 // LeafAgg returns the aggregates of leaf id.
-func (t *Tree) LeafAgg(leaf int) Agg { return t.nodes[t.leaves[leaf]].agg }
+func (t *Tree) LeafAgg(leaf int) Agg { return t.aggs[t.leaves[leaf]] }
+
+// Aggs returns every node's aggregates, indexed by node id — what the ids
+// of a FrontierIDs resolve against. The slice is the tree's own: read-only
+// for callers, and updated in place by ApplyInsert/ApplyDelete.
+func (t *Tree) Aggs() []Agg { return t.aggs }
+
+// LeafIDs maps node id to dense leaf id (-1 for internal nodes); read-only.
+func (t *Tree) LeafIDs() []int32 { return t.leafOf }
 
 // LeafIndexRange returns the sorted-data index range [lo, hi) of leaf id.
 func (t *Tree) LeafIndexRange(leaf int) (lo, hi int) {
@@ -279,8 +309,8 @@ func (t *Tree) LeafIndexRange(leaf int) (lo, hi int) {
 
 // LeafValueRange returns the predicate-value range [lo, hi] of leaf id.
 func (t *Tree) LeafValueRange(leaf int) (lo, hi float64) {
-	n := t.nodes[t.leaves[leaf]]
-	return n.lo, n.hi
+	id := t.leaves[leaf]
+	return t.bounds[2*id], t.bounds[2*id+1]
 }
 
 // MemoryBytes estimates the resident size of the tree's aggregates: the
@@ -291,90 +321,82 @@ func (t *Tree) MemoryBytes() int {
 	return len(t.nodes) * 10 * 8
 }
 
-// Frontier runs the Minimal Coverage Frontier search (Algorithm 1) for the
-// interval query [q.Lo[0], q.Hi[0]]. When zeroVarAsCovered is true, the
-// 0-variance rule is applied: partially covered nodes whose values are all
-// identical are classified as covered (valid for AVG queries; also valid
-// for SUM when the constant is 0).
-func (t *Tree) Frontier(q dataset.Rect, zeroVarAsCovered bool) Frontier {
-	var f Frontier
+// Walk runs the Minimal Coverage Frontier search (Algorithm 1) for the
+// interval query [q.Lo[0], q.Hi[0]] and leaves its result in f: the ids of
+// the fully covered nodes and of the partially overlapped leaves, in
+// depth-first order. When zeroVarAsCovered is true, the 0-variance rule is
+// applied: partially covered nodes whose values are all identical are
+// classified as covered (valid for AVG queries; also valid for SUM when
+// the constant is 0). The walk is iterative over an explicit stack, so its
+// goroutine's stack never grows with the tree.
+func (t *Tree) Walk(q dataset.Rect, zeroVarAsCovered bool, f *FrontierIDs) {
 	qlo, qhi := q.Lo[0], q.Hi[0]
-	t.mcf(t.root, qlo, qhi, zeroVarAsCovered, &f)
+	f.Cover, f.Partial = f.Cover[:0], f.Partial[:0]
+	visited := 0
+	stack := append(f.Stack[:0], int32(t.root))
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		visited++
+		lo, hi := t.bounds[2*id], t.bounds[2*id+1]
+		if hi < qlo || lo > qhi {
+			continue // R_none
+		}
+		// fully covered nodes contribute their exact partial aggregate; by
+		// the 0-variance rule (Section 3.4) a node whose values are all
+		// identical behaves as covered for AVG — leaves (skipping their
+		// sample scan) and internal nodes alike
+		if (qlo <= lo && hi <= qhi) || (zeroVarAsCovered && t.aggs[id].ZeroVariance()) {
+			f.Cover = append(f.Cover, id)
+			continue
+		}
+		if t.leafOf[id] >= 0 { // leaf with partial overlap
+			f.Partial = append(f.Partial, id)
+			continue
+		}
+		// pushed last-to-first, so children pop in order: depth-first
+		kids := t.children(int(id))
+		for k := len(kids) - 1; k >= 0; k-- {
+			stack = append(stack, kids[k])
+		}
+	}
+	f.Visited, f.Stack = visited, stack
+}
+
+// Frontier materializes the result of Walk: one entry per id, carrying the
+// node's aggregates and value range.
+func (t *Tree) Frontier(q dataset.Rect, zeroVarAsCovered bool) Frontier {
+	var ids FrontierIDs
+	t.Walk(q, zeroVarAsCovered, &ids)
+	f := Frontier{Visited: ids.Visited}
+	for _, id := range ids.Cover {
+		f.Cover = append(f.Cover, CoverEntry{Node: int(id), Agg: t.aggs[id], Rect: t.span(id)})
+	}
+	for _, id := range ids.Partial {
+		f.Partial = append(f.Partial, PartialEntry{Leaf: int(t.leafOf[id]), Agg: t.aggs[id], Rect: t.span(id)})
+	}
 	return f
 }
 
-func (t *Tree) mcf(id int, qlo, qhi float64, zeroVar bool, f *Frontier) {
-	f.Visited++
-	n := &t.nodes[id]
-	if n.hi < qlo || n.lo > qhi {
-		return // R_none
-	}
-	if qlo <= n.lo && n.hi <= qhi {
-		f.Cover = append(f.Cover, CoverEntry{Node: id, Agg: n.agg, Rect: dataset.Rect1(n.lo, n.hi)})
-		return // fully covered: exact partial aggregate
-	}
-	if zeroVar && n.agg.ZeroVariance() {
-		// 0-variance rule (Section 3.4): all values in the node are
-		// identical, so for AVG it behaves as covered — applies to leaves
-		// (skipping their sample scan) and internal nodes alike
-		f.Cover = append(f.Cover, CoverEntry{Node: id, Agg: n.agg, Rect: dataset.Rect1(n.lo, n.hi)})
-		return
-	}
-	if len(n.children) == 0 { // leaf with partial overlap
-		f.Partial = append(f.Partial, PartialEntry{Leaf: n.leaf, Agg: n.agg, Rect: dataset.Rect1(n.lo, n.hi)})
-		return
-	}
-	for _, c := range n.children {
-		t.mcf(c, qlo, qhi, zeroVar, f)
-	}
-}
-
-// Walk runs the MCF search of Frontier but streams each classification to
-// a callback instead of materializing entry slices: cover is invoked once
-// per fully covered node (including 0-variance nodes when zeroVarAsCovered
-// is set) and partial once per partially overlapped leaf, both in the same
-// depth-first order Frontier appends them. It returns the number of nodes
-// visited.
-func (t *Tree) Walk(q dataset.Rect, zeroVarAsCovered bool, cover func(Agg), partial func(leaf int, a Agg)) int {
-	return t.walk(t.root, q.Lo[0], q.Hi[0], zeroVarAsCovered, cover, partial)
-}
-
-func (t *Tree) walk(id int, qlo, qhi float64, zeroVar bool, cover func(Agg), partial func(int, Agg)) int {
-	visited := 1
-	n := &t.nodes[id]
-	if n.hi < qlo || n.lo > qhi {
-		return visited // R_none
-	}
-	if (qlo <= n.lo && n.hi <= qhi) || (zeroVar && n.agg.ZeroVariance()) {
-		cover(n.agg)
-		return visited
-	}
-	if len(n.children) == 0 { // leaf with partial overlap
-		partial(n.leaf, n.agg)
-		return visited
-	}
-	for _, c := range n.children {
-		visited += t.walk(c, qlo, qhi, zeroVar, cover, partial)
-	}
-	return visited
-}
+// span returns node id's value range as a fresh 1-D rectangle.
+func (t *Tree) span(id int32) dataset.Rect { return dataset.Rect1(t.bounds[2*id], t.bounds[2*id+1]) }
 
 // LocateLeaf returns the leaf whose value range contains v, or the nearest
 // leaf when v falls outside all ranges (for dynamic inserts).
 func (t *Tree) LocateLeaf(v float64) int {
-	id := t.root
-	for len(t.nodes[id].children) > 0 {
-		children := t.nodes[id].children
+	id := int32(t.root)
+	for t.leafOf[id] < 0 {
+		children := t.children(int(id))
 		next := children[len(children)-1]
 		for _, c := range children {
-			if v <= t.nodes[c].hi {
+			if v <= t.bounds[2*c+1] {
 				next = c
 				break
 			}
 		}
 		id = next
 	}
-	return t.nodes[id].leaf
+	return int(t.leafOf[id])
 }
 
 // ApplyInsert records a new tuple with the given aggregate value landing in
@@ -385,7 +407,7 @@ func (t *Tree) ApplyInsert(leaf int, value float64) {
 	// widen the leaf's value range is not needed: predicate ranges are
 	// maintained by the caller re-locating; aggregates update here
 	for id >= 0 {
-		t.nodes[id].agg.Add(value)
+		t.aggs[id].Add(value)
 		id = t.nodes[id].parent
 	}
 }
@@ -395,11 +417,11 @@ func (t *Tree) ApplyInsert(leaf int, value float64) {
 // them conservative (hard bounds remain supersets of the truth).
 func (t *Tree) ApplyDelete(leaf int, value float64) error {
 	id := t.leaves[leaf]
-	if t.nodes[id].agg.N == 0 {
+	if t.aggs[id].N == 0 {
 		return fmt.Errorf("ptree: delete from empty leaf %d", leaf)
 	}
 	for id >= 0 {
-		a := &t.nodes[id].agg
+		a := &t.aggs[id]
 		a.N--
 		a.Sum -= value
 		a.SumSq -= value * value
@@ -417,17 +439,18 @@ func (t *Tree) ApplyDelete(leaf int, value float64) error {
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
 	for id, n := range t.nodes {
-		if len(n.children) == 0 {
+		children := t.children(id)
+		if len(children) == 0 {
 			continue
 		}
-		first := t.nodes[n.children[0]]
-		last := t.nodes[n.children[len(n.children)-1]]
+		first := t.nodes[children[0]]
+		last := t.nodes[children[len(children)-1]]
 		if first.iLo != n.iLo || last.iHi != n.iHi {
 			return fmt.Errorf("ptree: node %d children do not span parent", id)
 		}
 		var merged Agg
 		prevHi := first.iLo
-		for _, cid := range n.children {
+		for _, cid := range children {
 			c := t.nodes[cid]
 			if c.iLo != prevHi {
 				return fmt.Errorf("ptree: node %d children not contiguous", id)
@@ -436,11 +459,12 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("ptree: node %d has an empty child", id)
 			}
 			prevHi = c.iHi
-			merged.Merge(c.agg)
+			merged.Merge(t.aggs[cid])
 		}
-		if merged.N != n.agg.N ||
-			math.Abs(merged.Sum-n.agg.Sum) > 1e-6*(1+math.Abs(n.agg.Sum)) ||
-			merged.Min != n.agg.Min || merged.Max != n.agg.Max {
+		agg := t.aggs[id]
+		if merged.N != agg.N ||
+			math.Abs(merged.Sum-agg.Sum) > 1e-6*(1+math.Abs(agg.Sum)) ||
+			merged.Min != agg.Min || merged.Max != agg.Max {
 			return fmt.Errorf("ptree: node %d aggregates inconsistent with children", id)
 		}
 	}

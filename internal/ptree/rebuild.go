@@ -21,7 +21,7 @@ func FromLeaves(leaves []LeafSpec) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("ptree: FromLeaves with no leaves")
 	}
-	t := &Tree{}
+	t := newTree()
 	var layer []int
 	for i, ls := range leaves {
 		if ls.Agg.N <= 0 || ls.IHi <= ls.ILo {
@@ -30,16 +30,7 @@ func FromLeaves(leaves []LeafSpec) (*Tree, error) {
 		if i > 0 && ls.ILo != leaves[i-1].IHi {
 			return nil, fmt.Errorf("ptree: leaf %d does not abut its predecessor", i)
 		}
-		id := len(t.nodes)
-		t.nodes = append(t.nodes, node{
-			lo: ls.Lo, hi: ls.Hi,
-			iLo: ls.ILo, iHi: ls.IHi,
-			agg:    ls.Agg,
-			leaf:   len(t.leaves),
-			parent: -1,
-		})
-		t.leaves = append(t.leaves, id)
-		layer = append(layer, id)
+		layer = append(layer, t.addNode(ls.Lo, ls.Hi, ls.ILo, ls.IHi, ls.Agg, nil))
 	}
 	t.buildUp(layer, 2)
 	return t, nil
@@ -51,7 +42,7 @@ func (t *Tree) LeafSpecs() []LeafSpec {
 	out := make([]LeafSpec, len(t.leaves))
 	for i, id := range t.leaves {
 		n := t.nodes[id]
-		out[i] = LeafSpec{Lo: n.lo, Hi: n.hi, ILo: n.iLo, IHi: n.iHi, Agg: n.agg}
+		out[i] = LeafSpec{Lo: t.bounds[2*id], Hi: t.bounds[2*id+1], ILo: n.iLo, IHi: n.iHi, Agg: t.aggs[id]}
 	}
 	return out
 }

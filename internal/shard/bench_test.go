@@ -13,9 +13,11 @@ import (
 )
 
 // BenchmarkShardedQueryBatch measures the scatter-gather batch path with
-// allocation reporting: shard partials fold through one pooled
-// accumulator, so steady-state allocs/op should stay flat as the workload
-// grows (run with -benchmem; CI tracks the allocs/op figure).
+// allocation reporting: routing, clipping and the shard workers allocate
+// per batch and per shard, never per statement, and partials fold through
+// one pooled accumulator, so steady-state allocs/op stays flat as the
+// workload grows (run with -benchmem; CI holds the allocs/op figure under
+// a ceiling).
 func BenchmarkShardedQueryBatch(b *testing.B) {
 	d := dataset.GenIntelWireless(20000, 13)
 	eng, err := factory.Build("sharded:pass:4", d, factory.Spec{Partitions: 32, SampleSize: d.N() / 10, Seed: 5})
@@ -60,8 +62,8 @@ func benchCtxEngine(b *testing.B) engine.ContextQuerier {
 // BenchmarkShardedQueryCtxNoTrace measures the instrumented query path
 // with tracing enabled but no trace attached: the cost of the
 // obs.SpanFrom fast path (one atomic load plus one context lookup) on
-// top of the plain scatter. CI gates this against
-// BenchmarkShardedQueryCtxTracingOff — the pair must stay within 2%.
+// top of the plain scatter; compare with
+// BenchmarkShardedQueryCtxTracingOff.
 func BenchmarkShardedQueryCtxNoTrace(b *testing.B) {
 	eng := benchCtxEngine(b)
 	prev := obs.SetTracingEnabled(true)

@@ -290,3 +290,42 @@ func TestDegradedMatchesHandFold(t *testing.T) {
 		t.Errorf("degraded scatter %+v != hand fold %+v", got, want)
 	}
 }
+
+// TestShardedBatchAllocations pins the allocation count of a 64-statement
+// 3-D batch on four shards — routing arenas, one clip buffer and one
+// result slice per shard sub-batch, the scatter's goroutines, and nothing
+// per statement (it was 2 slices per statement and shard for the clipped
+// rectangle plus ~11 per core query). The count is deterministic for a
+// GOMAXPROCS; AllocsPerRun measures at 1.
+func TestShardedBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	d := dataset.GenNYCTaxi(20000, 3, 61)
+	eng, err := factory.Build("sharded:pass:4", d, factory.Spec{Partitions: 64, SampleSize: 2000, Seed: 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []dataset.AggKind{dataset.Sum, dataset.Count, dataset.Avg, dataset.Min, dataset.Max}
+	qs := make([]core.BatchQuery, 64)
+	for i := range qs {
+		lo := float64(i % 12)
+		qs[i] = core.BatchQuery{Kind: kinds[i%len(kinds)], Rect: dataset.Rect{
+			Lo: []float64{lo, 2, 30},
+			Hi: []float64{lo + 9.5, 25.5, 220},
+		}}
+	}
+	scanned := 0
+	for _, br := range eng.QueryBatch(qs) {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		scanned += br.Result.TuplesRead
+	}
+	if scanned == 0 {
+		t.Fatal("no statement reached a leaf scan")
+	}
+	if n := testing.AllocsPerRun(50, func() { eng.QueryBatch(qs) }); n > 60 {
+		t.Errorf("%v allocs per 64-statement sharded batch, want at most 60", n)
+	}
+}

@@ -207,11 +207,14 @@ func (e *Engine) MemoryBytes() int {
 	return total
 }
 
-// relevant lists the shards whose bounding rectangle intersects q —
+// route lists the shards whose bounding rectangle intersects q —
 // comparing only the dimensions both constrain — and counts the rest as
-// pruned. An unconstrained dimension never disqualifies a shard.
-func (e *Engine) relevant(q dataset.Rect) []int {
-	out := make([]int, 0, len(e.inner))
+// pruned; an unconstrained dimension never disqualifies a shard. Under the
+// same read of the bounds it clips q to each listed shard (appendClipped):
+// clipped[j] is the rectangle shard rel[j] scans, all of them views into
+// one buffer.
+func (e *Engine) route(q dataset.Rect) (rel []int, clipped []dataset.Rect) {
+	rel = make([]int, 0, len(e.inner))
 	e.boundsMu.RLock()
 	defer e.boundsMu.RUnlock()
 	for i, b := range e.info.Bounds {
@@ -219,9 +222,14 @@ func (e *Engine) relevant(q dataset.Rect) []int {
 			e.pruned.Add(1)
 			continue
 		}
-		out = append(out, i)
+		rel = append(rel, i)
 	}
-	return out
+	clipped = make([]dataset.Rect, len(rel))
+	buf := make([]float64, 0, 2*q.Dims()*len(rel))
+	for j, i := range rel {
+		buf, clipped[j] = appendClipped(buf, q, e.info.Bounds[i])
+	}
+	return rel, clipped
 }
 
 // disjoint reports whether q excludes every point of bounds.
@@ -256,47 +264,24 @@ func emptyResult(kind dataset.AggKind, q dataset.Rect, n int) (core.Result, erro
 	return core.Result{}, fmt.Errorf("shard: unsupported aggregate %v", kind)
 }
 
-// shardRect is the predicate pushdown at the routing layer: it narrows
-// the rectangle shard si actually scans to the intersection of the query
-// with the shard's bounding rectangle, and relaxes to unconstrained any
-// dimension on which the query covers the shard's whole extent — the
-// inner synopsis then takes its covered-node and prefix-sum fast paths
-// instead of filtering rows on a predicate every tuple of the shard
-// satisfies wholesale. Both rewrites preserve the matched tuple set
-// because every tuple of the shard lies inside its bounding rectangle
-// (growBounds maintains the invariant across inserts; deletes only leave
-// the bounds conservatively wide), and a shard is only scanned at all
-// when the intersection is non-empty (relevant pruned it otherwise).
-// Returns q itself when no dimension changes, so the common single-shard
-// and hash-sharded cases allocate nothing.
-func (e *Engine) shardRect(si int, q dataset.Rect) dataset.Rect {
-	e.boundsMu.RLock()
-	defer e.boundsMu.RUnlock()
-	b := e.info.Bounds[si]
+// appendClipped is the predicate pushdown at the routing layer: it appends
+// to buf (see appendRect) and returns the rectangle a shard with bounding
+// rectangle b actually scans for q — the intersection of the two, with any
+// dimension on which the query covers the shard's whole extent relaxed to
+// unconstrained, so the inner synopsis takes its covered-node and
+// prefix-sum fast paths instead of filtering rows on a predicate every
+// tuple of the shard satisfies wholesale. Both rewrites preserve the
+// matched tuple set because every tuple of the shard lies inside its
+// bounding rectangle (growBounds maintains the invariant across inserts;
+// deletes only leave the bounds conservatively wide), and a shard is only
+// scanned at all when the intersection is non-empty (routing pruned it
+// otherwise). b is read under boundsMu or is a copy taken under it.
+func appendClipped(buf []float64, q, b dataset.Rect) ([]float64, dataset.Rect) {
+	buf, out := appendRect(buf, q)
 	n := q.Dims()
 	if bn := b.Dims(); bn < n {
 		n = bn
 	}
-	changed := false
-	for c := 0; c < n; c++ {
-		if q.Lo[c] <= b.Lo[c] && q.Hi[c] >= b.Hi[c] {
-			if !math.IsInf(q.Lo[c], -1) || !math.IsInf(q.Hi[c], 1) {
-				changed = true
-				break
-			}
-			continue
-		}
-		if q.Lo[c] < b.Lo[c] || q.Hi[c] > b.Hi[c] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return q
-	}
-	out := dataset.Rect{Lo: make([]float64, q.Dims()), Hi: make([]float64, q.Dims())}
-	copy(out.Lo, q.Lo)
-	copy(out.Hi, q.Hi)
 	for c := 0; c < n; c++ {
 		if q.Lo[c] <= b.Lo[c] && q.Hi[c] >= b.Hi[c] {
 			out.Lo[c], out.Hi[c] = math.Inf(-1), math.Inf(1)
@@ -309,15 +294,24 @@ func (e *Engine) shardRect(si int, q dataset.Rect) dataset.Rect {
 			out.Hi[c] = b.Hi[c]
 		}
 	}
-	return out
+	return buf, out
+}
+
+// appendRect copies r to the end of buf — its lower bounds, then its upper
+// bounds — and returns the grown buffer and the copy, a view into it. A
+// buffer with room for every rectangle it will hold is allocated once;
+// one that has to grow leaves earlier views valid on the old array.
+func appendRect(buf []float64, r dataset.Rect) ([]float64, dataset.Rect) {
+	n := r.Dims()
+	buf = append(append(buf, r.Lo...), r.Hi...)
+	tail := buf[len(buf)-2*n:]
+	return buf, dataset.Rect{Lo: tail[:n:n], Hi: tail[n:]}
 }
 
 // queryShard executes one query on one shard under that shard's read
-// lock, scanning only the intersection of the query with the shard's
-// bounding rectangle.
+// lock; q is already clipped to the shard (route).
 func (e *Engine) queryShard(i int, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
 	e.scattered[i].Add(1)
-	q = e.shardRect(i, q)
 	e.locks[i].RLock()
 	defer e.locks[i].RUnlock()
 	return e.inner[i].Query(kind, q)
@@ -411,7 +405,7 @@ func (e *Engine) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error
 func (e *Engine) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
 	sp := obs.SpanFrom(ctx).Child("scatter")
 	defer sp.End()
-	rel := e.relevant(q)
+	rel, clipped := e.route(q)
 	sp.Set("shards_total", int64(len(e.inner)))
 	sp.Set("shards_relevant", int64(len(rel)))
 	sp.Set("shards_pruned", int64(len(e.inner)-len(rel)))
@@ -429,7 +423,7 @@ func (e *Engine) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.R
 		}
 	}
 	parts, errs := scatter(ctx, len(rel), func(j int) (core.Result, error) {
-		res, err := e.queryShard(rel[j], kind, q)
+		res, err := e.queryShard(rel[j], kind, clipped[j])
 		if shardSpans != nil {
 			recordShardSpan(shardSpans[j], res, err)
 		}
@@ -490,20 +484,31 @@ type batchRouting struct {
 	subOff  []int
 	// active lists the shards with at least one query.
 	active []int
+	// bounds is every shard's bounding rectangle as it was when the batch
+	// was routed (a copy: inserts grow the live ones in place), so the
+	// shard workers clip their sub-batches without touching boundsMu.
+	bounds []dataset.Rect
 }
 
 func (r *batchRouting) touched(qi int) []int { return r.touchFlat[r.touchOff[qi]:r.touchOff[qi+1]] }
 func (r *batchRouting) sub(si int) []int     { return r.subFlat[r.subOff[si]:r.subOff[si+1]] }
 
-// routeBatch prunes every (query, shard) pair under one bounds lock.
+// routeBatch prunes every (query, shard) pair and copies the bounds under
+// one bounds lock.
 func (e *Engine) routeBatch(qs []core.BatchQuery) batchRouting {
 	r := batchRouting{
 		touchFlat: make([]int, 0, 2*len(qs)),
 		touchOff:  make([]int, len(qs)+1),
 		subOff:    make([]int, len(e.inner)+1),
+		bounds:    make([]dataset.Rect, len(e.inner)),
 	}
 	pruned := int64(0)
 	e.boundsMu.RLock()
+	// one array backs every copied rectangle
+	flat := make([]float64, 0, 2*e.info.Bounds[0].Dims()*len(e.inner))
+	for si, b := range e.info.Bounds {
+		flat, r.bounds[si] = appendRect(flat, b)
+	}
 	for qi := range qs {
 		q := qs[qi].Rect
 		for si, b := range e.info.Bounds {
@@ -569,8 +574,14 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core
 		si := r.active[k]
 		qis := r.sub(si)
 		sub := make([]core.BatchQuery, len(qis))
+		width := 0
+		for _, qi := range qis {
+			width += 2 * qs[qi].Rect.Dims()
+		}
+		clips := make([]float64, 0, width) // one buffer for the sub-batch's rectangles
 		for j, qi := range qis {
-			sub[j] = core.BatchQuery{Kind: qs[qi].Kind, Rect: e.shardRect(si, qs[qi].Rect)}
+			sub[j].Kind = qs[qi].Kind
+			clips, sub[j].Rect = appendClipped(clips, qs[qi].Rect, r.bounds[si])
 		}
 		e.scattered[si].Add(int64(len(sub)))
 		e.locks[si].RLock()
@@ -631,7 +642,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core
 // predicate and merges each group's partials (engine.Grouper). Every
 // inner engine must support grouping.
 func (e *Engine) GroupBy(kind dataset.AggKind, q dataset.Rect, dim int, groups []float64) ([]core.GroupResult, error) {
-	rel := e.relevant(q)
+	rel, _ := e.route(q)
 	if len(rel) == 0 {
 		if len(groups) == 0 {
 			return nil, fmt.Errorf("shard: GroupBy requires a non-empty group list")
