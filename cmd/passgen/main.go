@@ -14,8 +14,8 @@
 //
 // With -shards > 1 the synopsis is built sharded (range partitioning on
 // the first predicate column, one synopsis per shard built concurrently)
-// and -snap names the data DIRECTORY receiving the per-shard snapshots
-// plus the shard manifest.
+// and -snap names the data DIRECTORY, in which the table is checkpointed
+// the way a serving store does it: manifest, per-shard snapshots, WAL.
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/engine/factory"
@@ -136,9 +137,9 @@ func writeSnapshot(d *dataset.Dataset, path, table, datasetName string, partitio
 	})
 }
 
-// writeShardedSnapshot builds a sharded PASS engine and persists it as a
-// manifest plus per-shard snapshots into the data directory dir, ready
-// for a passd -data-dir warm start.
+// writeShardedSnapshot builds a sharded PASS engine and checkpoints it
+// into the data directory dir through a store opened there, ready for a
+// passd -data-dir warm start.
 func writeShardedSnapshot(d *dataset.Dataset, dir, table, datasetName string, partitions int, rate float64, seed uint64, shards int) error {
 	eng, err := factory.Build(fmt.Sprintf("sharded:pass:%d", shards), d, factory.Spec{
 		Partitions: partitions, SampleRate: rate, Seed: seed,
@@ -146,17 +147,22 @@ func writeShardedSnapshot(d *dataset.Dataset, dir, table, datasetName string, pa
 	if err != nil {
 		return err
 	}
-	sh, ok := eng.(engine.Sharded)
-	if !ok {
-		return fmt.Errorf("engine %s is not sharded", eng.Name())
-	}
 	if table == "" {
 		table = datasetName
 	}
 	schema := sqlfe.SchemaFromColNames(d.ColNames)
 	schema.Table = table
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create data dir: %w", err)
+	tbl, err := catalog.New().Register(table, eng, schema)
+	if err != nil {
+		return err
 	}
-	return store.WriteShardedTableFiles(dir, table, sh, schema)
+	st, err := store.Open(dir, store.Options{CheckpointInterval: -1})
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	if _, err := st.AttachSharded(tbl, nil, 0); err != nil {
+		return err
+	}
+	return st.SaveSharded(tbl)
 }

@@ -23,7 +23,6 @@
 package catalog
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -47,13 +46,14 @@ import (
 // ordering — the update must be on disk before it is acknowledged), and
 // Rollback undoes the most recent append if that apply then fails, so log
 // and engine never diverge. All three run under the table's write lock.
-// It is satisfied by store.TableLog; defining it here keeps the catalog
-// free of store imports.
+// It is satisfied by store.ShardedTableLog; defining it here keeps the
+// catalog free of store imports.
 type Journal interface {
 	Insert(point []float64, value float64) error
 	Delete(point []float64, value float64) error
 	// InsertMany journals a batch as one group commit (single write +
-	// fsync); a following Rollback undoes the whole group.
+	// fsync, whatever shards the rows route to); a following Rollback
+	// undoes the whole group.
 	InsertMany(points [][]float64, values []float64) error
 	Rollback() error
 }
@@ -447,61 +447,22 @@ func (t *Table) Save(w io.Writer) error {
 	return s.Save(w)
 }
 
-// Checkpoint captures a consistent snapshot of the table under the WRITE
-// lock and hands it to flush: because journal appends also run under the
-// write lock, no update can slip between the engine serialization and
-// whatever flush does with it (write the snapshot, truncate the WAL). This
-// is the atomicity anchor of the durable-store checkpoint protocol.
-func (t *Table) Checkpoint(flush func(engineName string, schema sqlfe.Schema, payload []byte, rows int) error) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	under := engine.Underlying(t.eng)
-	s, ok := under.(engine.Serializable)
-	if !ok {
-		return fmt.Errorf("catalog: table %q (engine %s): %w", t.name, t.eng.Name(), engine.ErrNotSerializable)
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		return fmt.Errorf("catalog: serialize table %q: %w", t.name, err)
-	}
-	return flush(under.Name(), t.schema, buf.Bytes(), int(t.rows.Load()))
-}
-
-// CheckpointShards is the sharded counterpart of Checkpoint: under the
-// exclusive lock it serializes every shard of a sharded engine
-// (engine.Sharded whose inner engines are engine.Serializable) and hands
-// the store the payloads together with the routing topology for the
-// manifest. The exclusive lock excludes both journaled updates and the
-// shared-lock update path, so the per-shard payloads are a consistent cut
-// of the whole table.
+// CheckpointShards captures a consistent cut of the table under the WRITE
+// lock and hands it to flush as N ≥ 1 serialised shards plus the routing
+// info for the manifest (engine.SnapshotShards: an unsharded engine is
+// the one-shard case). Journal appends also run under the write lock, and
+// it excludes the shared-lock update path too, so no update can slip
+// between the serialization and whatever flush does with it (write the
+// manifest and snapshots, truncate the WAL). This is the atomicity anchor
+// of the durable-store checkpoint protocol.
 func (t *Table) CheckpointShards(flush func(info engine.ShardInfo, innerEngine string, schema sqlfe.Schema, payloads [][]byte, shardRows []int, rows int) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sh, ok := engine.Underlying(t.eng).(engine.Sharded)
-	if !ok {
-		return fmt.Errorf("catalog: table %q (engine %s) is not sharded", t.name, t.eng.Name())
+	info, inner, payloads, shardRows, err := engine.SnapshotShards(t.eng)
+	if err != nil {
+		return fmt.Errorf("catalog: table %q: %w", t.name, err)
 	}
-	info := sh.ShardInfo()
-	payloads := make([][]byte, info.Shards)
-	shardRows := make([]int, info.Shards)
-	innerName := ""
-	for i := 0; i < info.Shards; i++ {
-		in := engine.Underlying(sh.Shard(i))
-		ser, ok := in.(engine.Serializable)
-		if !ok {
-			return fmt.Errorf("catalog: table %q shard %d (engine %s): %w", t.name, i, in.Name(), engine.ErrNotSerializable)
-		}
-		var buf bytes.Buffer
-		if err := ser.Save(&buf); err != nil {
-			return fmt.Errorf("catalog: serialize shard %d of table %q: %w", i, t.name, err)
-		}
-		payloads[i] = buf.Bytes()
-		if sz, ok := in.(engine.Sized); ok {
-			shardRows[i] = sz.N()
-		}
-		innerName = in.Name()
-	}
-	return flush(info, innerName, t.schema, payloads, shardRows, int(t.rows.Load()))
+	return flush(info, inner, t.schema, payloads, shardRows, int(t.rows.Load()))
 }
 
 // ShardStats reports a sharded table's partitioning, per-shard

@@ -320,9 +320,9 @@ func TestCheckpointNotSerializable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = tbl.Checkpoint(func(string, sqlfe.Schema, []byte, int) error { return nil })
+	err = tbl.CheckpointShards(func(engine.ShardInfo, string, sqlfe.Schema, [][]byte, []int, int) error { return nil })
 	if !errors.Is(err, engine.ErrNotSerializable) {
-		t.Errorf("Checkpoint error = %v, want ErrNotSerializable", err)
+		t.Errorf("CheckpointShards error = %v, want ErrNotSerializable", err)
 	}
 	var buf bytes.Buffer
 	if err := tbl.Save(&buf); !errors.Is(err, engine.ErrNotSerializable) {
@@ -340,8 +340,14 @@ func TestCheckpointFlushSeesConsistentState(t *testing.T) {
 	var gotEngine string
 	var gotRows int
 	var payload []byte
-	err = tbl.Checkpoint(func(engineName string, schema sqlfe.Schema, p []byte, rows int) error {
-		gotEngine, gotRows, payload = engineName, rows, p
+	// an unsharded engine checkpoints as the one-shard case: one payload
+	// under an empty routing policy
+	err = tbl.CheckpointShards(func(info engine.ShardInfo, engineName string, schema sqlfe.Schema, ps [][]byte, shardRows []int, rows int) error {
+		if info.Shards != 1 || info.Policy != "" || len(info.Bounds) != 1 || len(ps) != 1 || len(shardRows) != 1 || shardRows[0] != rows {
+			t.Errorf("flush saw info %+v, %d payloads, shard rows %v", info, len(ps), shardRows)
+			return nil
+		}
+		gotEngine, gotRows, payload = engineName, rows, ps[0]
 		if schema.AggColumn == "" {
 			t.Error("flush saw an empty schema")
 		}

@@ -21,7 +21,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -200,6 +202,44 @@ type ScatterStats struct {
 	Pruned int64
 	// Streamed counts the per-shard partials folded into answers.
 	Streamed int64
+}
+
+// SnapshotShards serialises an engine the way storage persists one: as
+// N ≥ 1 shard payloads plus the routing info that reassembles them. A
+// Sharded engine yields one payload per shard; any other engine is the
+// one-shard case — a single payload under an empty Policy, which the
+// loader hands back as the engine itself. inner is the payloads' engine
+// name (the factory loader key) and rows each shard's cardinality (0
+// where unknown). The caller excludes concurrent updates.
+func SnapshotShards(e Engine) (info ShardInfo, inner string, payloads [][]byte, rows []int, err error) {
+	e = Underlying(e)
+	parts := []Engine{e}
+	info = ShardInfo{Shards: 1, Bounds: make([]dataset.Rect, 1)}
+	if sh, ok := e.(Sharded); ok {
+		info = sh.ShardInfo()
+		parts = make([]Engine, info.Shards)
+		for i := range parts {
+			parts[i] = Underlying(sh.Shard(i))
+		}
+	}
+	payloads = make([][]byte, len(parts))
+	rows = make([]int, len(parts))
+	for i, p := range parts {
+		ser, ok := p.(Serializable)
+		if !ok {
+			return info, "", nil, nil, fmt.Errorf("shard %d (engine %s): %w", i, p.Name(), ErrNotSerializable)
+		}
+		var buf bytes.Buffer
+		if err := ser.Save(&buf); err != nil {
+			return info, "", nil, nil, fmt.Errorf("serialize shard %d (engine %s): %w", i, p.Name(), err)
+		}
+		payloads[i] = buf.Bytes()
+		if sz, ok := p.(Sized); ok {
+			rows[i] = sz.N()
+		}
+		inner = p.Name()
+	}
+	return info, inner, payloads, rows, nil
 }
 
 // Sketcher is the optional mergeable-sketch capability: engines that

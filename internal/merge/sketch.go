@@ -44,17 +44,6 @@ func (m *SketchMerger) Absorb(s *sketch.Set) bool {
 // returned set is owned by the accumulator: take the answer before Put.
 func (m *SketchMerger) Result() *sketch.Set { return m.acc }
 
-// MergeSketchSets is the slice-shaped twin of the streaming accumulator,
-// used by property tests to pin the two paths together and by callers
-// that already hold all shard sets. Nil entries are skipped.
-func MergeSketchSets(sets []*sketch.Set) *sketch.Set {
-	var m SketchMerger
-	for _, s := range sets {
-		m.Absorb(s)
-	}
-	return m.Result()
-}
-
 // sketchPool recycles sketch accumulators on the scatter-gather path,
 // with the same registry-backed accounting as the aggregate Merger pool.
 var (

@@ -17,9 +17,18 @@ func buildSketchSet(seed uint64, n int) *sketch.Set {
 	return s
 }
 
-// TestStreamingVsSliceSketchMerge pins the pooled streaming accumulator
-// to the slice-shaped twin at the byte level, across orders and nil
-// shards — the property that keeps traced and untraced scatter paths
+// fold merges sets through a fresh (unpooled) accumulator.
+func fold(sets []*sketch.Set) *sketch.Set {
+	var m SketchMerger
+	for _, s := range sets {
+		m.Absorb(s)
+	}
+	return m.Result()
+}
+
+// TestStreamingVsSliceSketchMerge pins a recycled pool accumulator to a
+// fresh one at the byte level, across orders and nil shards — the
+// property that keeps traced and untraced scatter paths
 // bitwise-identical.
 func TestStreamingVsSliceSketchMerge(t *testing.T) {
 	sets := []*sketch.Set{
@@ -41,20 +50,20 @@ func TestStreamingVsSliceSketchMerge(t *testing.T) {
 	streamed := m.Result().Encode()
 	PutSketch(m)
 
-	sliced := MergeSketchSets(sets)
+	sliced := fold(sets)
 	if !bytes.Equal(streamed, sliced.Encode()) {
-		t.Fatal("streaming and slice sketch merges serialize differently")
+		t.Fatal("pooled and fresh sketch accumulators serialize differently")
 	}
 
 	// Absorb must not mutate the inputs: re-merging gives the same bytes.
-	if !bytes.Equal(MergeSketchSets(sets).Encode(), streamed) {
+	if !bytes.Equal(fold(sets).Encode(), streamed) {
 		t.Fatal("merging mutated a shard's live sketch set")
 	}
 
 	// Reversed fold order: intermediate compaction points differ, so only
 	// answer-level equivalence is promised — the HLL distinct estimate is
 	// multiset-determined and must match exactly, as must the net count.
-	rev := MergeSketchSets([]*sketch.Set{sets[3], sets[2], nil, sets[0]})
+	rev := fold([]*sketch.Set{sets[3], sets[2], nil, sets[0]})
 	a, err1 := sliced.Answer(sketch.Query{Kind: sketch.KindDistinct})
 	b, err2 := rev.Answer(sketch.Query{Kind: sketch.KindDistinct})
 	if err1 != nil || err2 != nil {
@@ -65,8 +74,8 @@ func TestStreamingVsSliceSketchMerge(t *testing.T) {
 	}
 }
 
-func TestMergeSketchSetsAllNil(t *testing.T) {
-	if got := MergeSketchSets([]*sketch.Set{nil, nil}); got != nil {
+func TestSketchMergerAllNil(t *testing.T) {
+	if got := fold([]*sketch.Set{nil, nil}); got != nil {
 		t.Fatalf("all-nil merge returned %v, want nil", got)
 	}
 	m := GetSketch()

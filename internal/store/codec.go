@@ -1,18 +1,23 @@
 // Package store is the durable table-storage subsystem: versioned,
-// CRC-checked snapshot files for whole catalog tables (engine bytes plus
-// the schema needed to serve SQL after a restart), a per-table write-ahead
-// log for the updates that arrive between snapshots, and a Store manager
-// that loads everything back on boot and checkpoints in the background.
+// CRC-checked snapshot files (engine bytes plus the schema needed to serve
+// SQL after a restart), a manifest per table naming its shards, one
+// write-ahead log per table for the updates that arrive between
+// snapshots, and a Store manager that loads everything back on boot and
+// checkpoints in the background.
 //
-// On-disk layout inside a data directory:
+// On-disk layout inside a data directory — one layout for every table, an
+// unsharded engine being the one-shard case (N = 1, empty policy):
 //
-//	<table>.snap   snapshot: engine name, schema (+dicts), engine payload
-//	<table>.wal    write-ahead log: Insert/Delete tuples since the snapshot
+//	<table>.manifest   shard count N, routing policy, cuts, bounds
+//	<table>.s<i>.snap  shard i's snapshot: engine name, schema (+dicts), payload
+//	<table>.wal        write-ahead log: Insert/Delete tuples since the snapshots
 //
-// Recovery is snapshot + WAL replay: the snapshot restores the synopsis a
+// Recovery is snapshots + WAL replay: the snapshots restore the synopses a
 // checkpoint captured, and replaying the log re-applies every journaled
 // update, so a restarted server answers exactly what the pre-crash catalog
-// answered — without rebuilding any synopsis.
+// answered — without rebuilding any synopsis. LoadAll also imports the two
+// older filesets (a bare <table>.snap [+ .wal]; a manifest with one
+// <table>.s<i>.wal per shard) into this layout.
 package store
 
 import (

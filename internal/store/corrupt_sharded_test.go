@@ -115,32 +115,52 @@ func TestShardedBitFlippedShardSnapshot(t *testing.T) {
 
 func TestShardedTornWALTail(t *testing.T) {
 	dir, st := setupShardedDir(t)
-	path := st.shardWALPath("trips", 2)
+	path := st.walPath("trips")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) < 4 {
-		t.Fatalf("shard 2 WAL has only %d bytes; setup should have journaled a record", len(raw))
+	if w, recs, err := OpenWAL(path, false); err != nil || len(recs) != 3 {
+		t.Fatalf("setup should have journaled one record per shard: %d records, %v", len(recs), err)
+	} else {
+		w.Close()
 	}
 	// cut inside the final record — a crash mid-append
 	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := OpenWAL(path, false); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn shard WAL open = %v, want ErrCorrupt", err)
+		t.Fatalf("torn WAL open = %v, want ErrCorrupt", err)
 	}
-	expectLoadCorrupt(t, dir, "torn shard WAL tail")
-	// sibling shards' journals still open and replay cleanly
-	for _, i := range []int{0, 1} {
-		w, recs, err := OpenWAL(st.shardWALPath("trips", i), false)
-		if err != nil {
-			t.Fatalf("sibling shard %d WAL unreadable: %v", i, err)
-		}
-		if len(recs) != 1 {
-			t.Errorf("sibling shard %d WAL has %d records, want 1", i, len(recs))
-		}
-		w.Close()
+	expectLoadCorrupt(t, dir, "torn WAL tail")
+	// the log is damaged but every shard's snapshot survives intact
+	for i := 0; i < 3; i++ {
 		expectShardLoadable(t, st, i)
 	}
+}
+
+// TestShardedSnapshotBehindLog: one shard's snapshot put back from before
+// the last checkpoint is a generation behind the log, which no crash
+// produces — the records it lacks are gone from the log — so the load
+// must refuse it rather than serve a table missing them.
+func TestShardedSnapshotBehindLog(t *testing.T) {
+	dir, st := setupShardedDir(t)
+	stale, err := os.ReadFile(st.shardSnapPath("trips", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, _, err := openTable(t, dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.shardSnapPath("trips", 1), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expectLoadCorrupt(t, dir, "shard snapshot behind the log")
 }

@@ -19,12 +19,12 @@ import (
 //	frame(meta) — table name, inner engine, policy, dim, cuts, per-shard
 //	              generations and bounding rectangles, row count
 //
-// A sharded table persists as one manifest plus one snapshot+WAL pair per
-// shard (<table>.s<i>.snap / <table>.s<i>.wal). The manifest carries the
+// Every table persists as one manifest, one snapshot per shard
+// (<table>.s<i>.snap) and one WAL (<table>.wal). The manifest carries the
 // routing topology — everything shard.New needs to rebuild the
-// scatter-gather router at warm start — while each shard pairs its own
-// snapshot and log generations exactly like an unsharded table, so the
-// per-shard crash-recovery invariants are unchanged.
+// scatter-gather router at warm start; an unsharded table is the
+// one-shard case with an empty Policy. Each shard snapshot pairs with the
+// table's log by generation (see loadTable).
 const (
 	manifestMagic   = 0x50534d31 // "PSM1"
 	manifestVersion = 1
@@ -37,7 +37,8 @@ type ShardManifest struct {
 	// Engine is the inner engines' display name ("PASS", "US", "ST") used
 	// to dispatch the factory loader for every shard snapshot.
 	Engine string
-	// Policy, Dim, Cuts, Bounds mirror engine.ShardInfo.
+	// Policy, Dim, Cuts, Bounds mirror engine.ShardInfo. An empty Policy
+	// marks an unsharded table: its one shard IS the engine.
 	Policy string
 	Dim    int
 	Cuts   []float64
@@ -46,9 +47,9 @@ type ShardManifest struct {
 	Shards int
 	// Rows is the whole-table cardinality at manifest time (informational).
 	Rows int
-	// Gens records each shard's checkpoint generation at manifest time.
-	// The per-shard snapshot/WAL pairing is authoritative for recovery;
-	// these are a consistency cross-check.
+	// Gens records each shard's checkpoint generation at manifest time
+	// (informational: the snapshots' own generations are authoritative
+	// for recovery).
 	Gens []uint64
 }
 
@@ -164,11 +165,6 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) {
 	return m, nil
 }
 
-// WriteManifestFile writes a manifest atomically on the real filesystem.
-func WriteManifestFile(path string, m *ShardManifest) error {
-	return WriteManifestFileFS(vfs.OS(), path, m)
-}
-
 // WriteManifestFileFS writes a manifest atomically (temp file + fsync +
 // rename), like snapshots. Write-path failures are tagged ErrIO.
 func WriteManifestFileFS(fsys vfs.FS, path string, m *ShardManifest) error {
@@ -196,12 +192,6 @@ func WriteManifestFileFS(fsys vfs.FS, path string, m *ShardManifest) error {
 		return ioErr("publish manifest", err)
 	}
 	return syncDir(fsys, filepath.Dir(path))
-}
-
-// ReadManifestFile reads and verifies a manifest file on the real
-// filesystem.
-func ReadManifestFile(path string) (*ShardManifest, error) {
-	return ReadManifestFileFS(vfs.OS(), path)
 }
 
 // ReadManifestFileFS reads and verifies a manifest file.

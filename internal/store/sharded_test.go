@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/engine/factory"
 	"repro/internal/shard"
 	"repro/internal/sqlfe"
+	"repro/internal/vfs"
 )
 
 // buildShardedTable registers a freshly built sharded PASS engine in a
@@ -52,10 +54,10 @@ func TestManifestRoundTrip(t *testing.T) {
 		Gens:   []uint64{4, 5, 6},
 	}
 	path := filepath.Join(t.TempDir(), "t.manifest")
-	if err := WriteManifestFile(path, m); err != nil {
+	if err := WriteManifestFileFS(vfs.OS(), path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifestFile(path)
+	got, err := ReadManifestFileFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestManifestRejectsCorruption(t *testing.T) {
 		Gens:   []uint64{1},
 	}
 	path := filepath.Join(t.TempDir(), "t.manifest")
-	if err := WriteManifestFile(path, m); err != nil {
+	if err := WriteManifestFileFS(vfs.OS(), path, m); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -98,23 +100,23 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifestFile(path); err == nil {
+	if _, err := ReadManifestFileFS(vfs.OS(), path); err == nil {
 		t.Fatal("bit-flipped manifest must be rejected")
 	}
 	// truncated tail
 	if err := os.WriteFile(path, raw[:len(raw)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifestFile(path); err == nil {
+	if _, err := ReadManifestFileFS(vfs.OS(), path); err == nil {
 		t.Fatal("truncated manifest must be rejected")
 	}
 }
 
-// TestShardedSaveAndWarmStart is the crash-recovery twin test of the
-// manifest path: a sharded table is persisted, journaled updates land in
-// per-shard WALs, the process "crashes" (the store is abandoned without a
-// checkpoint), and a fresh store warm-starts the table — router, bounds
-// and all — answering exactly what the live table answered.
+// TestShardedSaveAndWarmStart is the crash-recovery twin test of a
+// sharded table: it is persisted, journaled updates land in its one WAL,
+// the process "crashes" (the store is abandoned without a checkpoint),
+// and a fresh store warm-starts the table — router, bounds and all —
+// answering exactly what the live table answered.
 func TestShardedSaveAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	tbl, live, _ := buildShardedTable(t, "trips", 3000, 3, 7)
@@ -139,14 +141,12 @@ func TestShardedSaveAndWarmStart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// the WALs must carry the updates, routed per shard
-	ts := st.tables["trips"]
-	total := 0
-	for _, w := range ts.shardWALs {
-		total += w.Records()
+	// the table's one WAL carries the updates of every shard
+	if total := st.tables["trips"].wal.Records(); total != info.Shards {
+		t.Fatalf("%d journaled records in the WAL, want %d", total, info.Shards)
 	}
-	if total != info.Shards {
-		t.Fatalf("%d journaled records across shard WALs, want %d", total, info.Shards)
+	if got, want := strings.Join(fileset(t, dir), " "), "trips.manifest trips.s0.snap trips.s1.snap trips.s2.snap trips.wal"; got != want {
+		t.Errorf("fileset = %s, want %s", got, want)
 	}
 	// crash: close WALs without checkpointing
 	if err := st.Close(); err != nil {
@@ -184,69 +184,157 @@ func TestShardedSaveAndWarmStart(t *testing.T) {
 	sameAnswers(t, engine.Engine(live), loaded[0].Engine, "sharded warm start")
 }
 
-// TestShardedCrashBetweenSnapshotsAndManifest simulates the torn
-// checkpoint: shard snapshots published at generation g+1 while the WALs
-// still carry the folded records at generation g. The loader must discard
-// the folded records per shard instead of double-applying them.
+// TestShardedCrashBetweenSnapshotsAndManifest is the torn checkpoint of a
+// 4-shard table: the crash lands on each filesystem operation in turn,
+// leaving the manifest rewritten, 0–4 shard snapshots at generation g+1
+// and the WAL still carrying the folded records at generation g. The
+// loader must skip the records of exactly the shards that folded them —
+// never double-apply, never drop — and roll the checkpoint forward; then
+// the same sweep runs over that roll-forward, from the state with two
+// shards ahead and two behind.
 func TestShardedCrashBetweenSnapshotsAndManifest(t *testing.T) {
-	dir := t.TempDir()
-	tbl, live, _ := buildShardedTable(t, "trips", 2000, 2, 3)
-	st, err := Open(dir, testOpts())
+	base := t.TempDir()
+	tbl, _, _ := buildShardedTable(t, "trips", 800, 4, 3)
+	st, err := Open(base, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := st.AttachSharded(tbl, live, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
-	if err := st.SaveSharded(tbl); err != nil {
-		t.Fatal(err)
-	}
-	info := live.ShardInfo()
-	for i := 0; i < info.Shards; i++ {
-		if err := tbl.Insert([]float64{info.Bounds[i].Lo[0]}, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// checkpoint again: snapshots + manifest move to generation 2 and the
-	// WALs truncate...
-	if err := st.SaveSharded(tbl); err != nil {
-		t.Fatal(err)
-	}
+	persist(t, st, tbl)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// ...then un-truncate shard 0's WAL to replay the crash window: a log
-	// at the old generation whose records the snapshot already folded in
-	wal, _, err := OpenWAL(filepath.Join(dir, "trips.s0.wal"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Truncate(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Append(Record{Op: OpInsert, Point: []float64{info.Bounds[0].Lo[0]}, Value: 5}); err != nil {
-		t.Fatal(err)
-	}
-	wal.Close()
+	want := sweepCheckpointCrashes(t, base)
 
-	st2, err := Open(dir, testOpts())
+	torn, _ := journaled(t, base, true, &vfs.Fault{Op: vfs.OpWrite, Path: ".s2.snap", Crash: true})
+	var ahead []int
+	for i := 0; i < 4; i++ {
+		snap, err := ReadSnapshotFile(st.shardSnapPath("trips", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn, err := ReadSnapshotFile(filepath.Join(torn, filepath.Base(st.shardSnapPath("trips", i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if torn.Gen > snap.Gen {
+			ahead = append(ahead, i)
+		}
+	}
+	if fmt.Sprint(ahead) != "[0 1]" {
+		t.Fatalf("torn checkpoint left shards %v ahead of the log, want [0 1]", ahead)
+	}
+	sweepLoadCrashes(t, torn, want)
+}
+
+// TestInsertManyIsOneGroupCommitAcrossShards pins the write path's cost
+// and atomicity: a batch whose rows route to every shard is one write and
+// one fsync on the table's one WAL, a crash on either leaves all of it or
+// none of it (never one shard's share), a torn write still fails the next
+// load, and a batch the engine rejects half-way stays journaled as exactly
+// the applied prefix.
+func TestInsertManyIsOneGroupCommitAcrossShards(t *testing.T) {
+	const rows = 800
+	base := t.TempDir()
+	tbl, live, _ := buildShardedTable(t, "trips", rows, 4, 7)
+	st, err := Open(base, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	loaded, err := st2.LoadAll()
-	if err != nil {
+	persist(t, st, tbl)
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != 1 {
-		t.Fatalf("loaded %d tables", len(loaded))
+	points := make([][]float64, 16)
+	values := make([]float64, 16)
+	touched := map[int]bool{}
+	for i := range points {
+		points[i] = []float64{float64(i*50) + 0.5}
+		values[i] = float64(i)
+		si, err := live.Route(points[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched[si] = true
 	}
-	if loaded[0].Replayed != 0 {
-		t.Errorf("replayed %d stale records, want 0 (already folded into the snapshot)", loaded[0].Replayed)
+	if len(touched) != 4 {
+		t.Fatalf("the batch touches shards %v, want all 4", touched)
 	}
-	sameAnswers(t, engine.Engine(live), loaded[0].Engine, "torn sharded checkpoint")
+	// insert runs the batch on a copy of base under a fault (nil: none) and
+	// returns the directory it leaves behind
+	insert := func(fault *vfs.Fault, batch [][]float64) (dir string, applied int, err error) {
+		dir = cloneDir(t, base)
+		fsys := vfs.NewFaultFS(vfs.OS())
+		st, tbl, lerr := openTable(t, dir, faultOpts(fsys))
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		defer st.Close()
+		if fault != nil {
+			fsys.Inject(fault)
+		}
+		writes, syncs := fsys.OpCount(vfs.OpWrite), fsys.OpCount(vfs.OpSync)
+		applied, err = tbl.InsertMany(batch, values)
+		if err == nil {
+			if w, s := fsys.OpCount(vfs.OpWrite)-writes, fsys.OpCount(vfs.OpSync)-syncs; w != 1 || s != 1 {
+				t.Errorf("a 16-row batch across 4 shards took %d writes and %d fsyncs, want 1 and 1", w, s)
+			}
+		}
+		return dir, applied, err
+	}
+	count := func(dir string) (n, replayed int) {
+		st, err := Open(dir, testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		loaded, err := st.LoadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := loaded[0].Engine.Query(dataset.Count, dataset.Rect1(-1e18, 1e18))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(r.Estimate), loaded[0].Replayed
+	}
+
+	dir, applied, err := insert(nil, points)
+	if err != nil || applied != 16 {
+		t.Fatalf("InsertMany = %d, %v", applied, err)
+	}
+	if n, replayed := count(dir); n != rows+16 || replayed != 16 {
+		t.Errorf("after restart: %d rows, %d replayed, want %d and 16", n, replayed, rows+16)
+	}
+
+	// the append is two operations, write then fsync: crash on each
+	for k, want := range []int{rows, rows + 16} {
+		dir, _, err := insert(&vfs.Fault{Op: vfs.OpAny, Path: ".wal", After: k, Crash: true}, points)
+		if err == nil {
+			t.Fatalf("InsertMany survived a crash on WAL operation %d", k+1)
+		}
+		if n, _ := count(dir); n != want {
+			t.Errorf("crash on WAL operation %d: %d rows after restart, want %d (all of the batch or none)", k+1, n, want)
+		}
+	}
+
+	// a write torn by the crash is not a prefix of the batch: it is corruption
+	dir, _, err = insert(&vfs.Fault{Op: vfs.OpWrite, Path: ".wal", ShortWrite: 40, Crash: true}, points)
+	if err == nil {
+		t.Fatal("InsertMany survived a torn write")
+	}
+	expectLoadCorrupt(t, dir, "torn group append")
+
+	// row 5 cannot be routed: the engine applies rows 0-4 and the catalog
+	// rewinds the journal to exactly those
+	poisoned := slices.Clone(points)
+	poisoned[5] = []float64{}
+	dir, applied, err = insert(nil, poisoned)
+	if err == nil || applied != 5 {
+		t.Fatalf("poisoned InsertMany = %d, %v, want 5 applied and an error", applied, err)
+	}
+	if n, replayed := count(dir); n != rows+5 || replayed != 5 {
+		t.Errorf("poisoned batch after restart: %d rows, %d replayed, want %d and 5", n, replayed, rows+5)
+	}
 }
 
 func TestShardedRemoveDeletesAllFiles(t *testing.T) {
@@ -267,6 +355,7 @@ func TestShardedRemoveDeletesAllFiles(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("no files persisted")
 	}
+	base := cloneDir(t, dir)
 	if err := st.Remove("trips"); err != nil {
 		t.Fatal(err)
 	}
@@ -274,34 +363,7 @@ func TestShardedRemoveDeletesAllFiles(t *testing.T) {
 	for _, e := range entries {
 		t.Errorf("file %s survived Remove", e.Name())
 	}
-}
-
-// TestWriteShardedTableFiles exercises the passgen path: a fileset
-// written with no store open must warm-start cleanly.
-func TestWriteShardedTableFiles(t *testing.T) {
-	dir := t.TempDir()
-	_, live, _ := buildShardedTable(t, "gen", 2000, 2, 11)
-	schema := sqlfe.SchemaFromColNames([]string{"time", "light"})
-	schema.Table = "gen"
-	if err := WriteShardedTableFiles(dir, "gen", live, schema); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	loaded, err := st.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 1 || loaded[0].Name != "gen" {
-		t.Fatalf("loaded %+v", loaded)
-	}
-	if loaded[0].Schema.PredColumns[0] != "time" {
-		t.Errorf("schema lost: %+v", loaded[0].Schema)
-	}
-	sameAnswers(t, engine.Engine(live), loaded[0].Engine, "passgen fileset")
+	sweepRemoveCrashes(t, base)
 }
 
 // TestValidateTableNameRejectsShardCollisions: a table named like a
@@ -325,30 +387,12 @@ func TestValidateTableNameRejectsShardCollisions(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "logs.s0", 1000, 1)
-	if _, err := st.Attach(tbl); err == nil {
-		t.Error("Attach accepted a shard-colliding table name")
+	if _, err := st.AttachSharded(tbl, nil, 0); err == nil {
+		t.Error("AttachSharded accepted a shard-colliding unsharded table name")
 	}
 	stbl, live, _ := buildShardedTable(t, "logs.s1", 1000, 2, 1)
 	if _, err := st.AttachSharded(stbl, live, 2); err == nil {
 		t.Error("AttachSharded accepted a shard-colliding table name")
-	}
-}
-
-// TestPlainAttachRejectsShardedState guards the API seam: once a table is
-// sharded in the store, the unsharded Attach/SaveTable must refuse it.
-func TestPlainAttachRejectsShardedState(t *testing.T) {
-	dir := t.TempDir()
-	tbl, live, _ := buildShardedTable(t, "trips", 2000, 2, 5)
-	st, err := Open(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.AttachSharded(tbl, live, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Attach(tbl); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("plain Attach on a sharded table = %v, want a sharded-table error", err)
 	}
 }
 
@@ -379,9 +423,8 @@ func TestRemoveDoesNotTouchExtendedNameSiblings(t *testing.T) {
 		left = append(left, e.Name())
 	}
 	want := map[string]bool{
-		"logs.staging.manifest": true,
-		"logs.staging.s0.snap":  true, "logs.staging.s0.wal": true,
-		"logs.staging.s1.snap": true, "logs.staging.s1.wal": true,
+		"logs.staging.manifest": true, "logs.staging.wal": true,
+		"logs.staging.s0.snap": true, "logs.staging.s1.snap": true,
 	}
 	if len(left) != len(want) {
 		t.Fatalf("files after Remove(logs): %v, want exactly logs.staging's fileset", left)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/engine/factory"
 	"repro/internal/retry"
 	"repro/internal/sqlfe"
 	"repro/internal/vfs"
@@ -26,17 +24,18 @@ import (
 // store can no longer promise durability for new updates. Queries keep
 // serving from the in-memory synopsis; writes fail with this sentinel
 // (the original I/O cause stays in the chain). The table recovers on a
-// successful explicit checkpoint (SaveTable/SaveSharded) or on restart.
+// successful explicit checkpoint (SaveSharded) or on restart.
 var ErrDegraded = errors.New("table is in read-only degraded mode")
 
-// Checkpointable is the view of a live catalog table the store needs to
-// snapshot it: a name plus a Checkpoint method that, under the table's
-// exclusive lock, hands the store a consistent engine payload. It is
+// ShardCheckpointable is the view of a live catalog table the store needs
+// to snapshot it: a name plus a CheckpointShards method that, under the
+// table's exclusive lock, hands the store a consistent cut of the engine
+// as N ≥ 1 shard payloads with the routing info for the manifest. It is
 // satisfied structurally by *catalog.Table, keeping the catalog free of
 // store imports.
-type Checkpointable interface {
+type ShardCheckpointable interface {
 	Name() string
-	Checkpoint(flush func(engineName string, schema sqlfe.Schema, payload []byte, rows int) error) error
+	CheckpointShards(flush func(info engine.ShardInfo, innerEngine string, schema sqlfe.Schema, payloads [][]byte, shardRows []int, rows int) error) error
 }
 
 // Options configures a Store.
@@ -84,23 +83,18 @@ func transientIO(err error) bool {
 	return errors.Is(err, ErrIO) && !errors.Is(err, ErrCorrupt)
 }
 
-// tableState is the store's per-table bookkeeping: the open WAL (or, for
-// a sharded table, one WAL per shard) and, once the table is attached,
-// the live source to checkpoint from. opMu orders checkpoints against
-// Remove so a background checkpoint racing a drop cannot recreate the
-// files of a removed table; removed marks the state dead once Remove has
-// won.
+// tableState is the store's per-table bookkeeping: the table's one open
+// WAL and, once the table is attached, the live source to checkpoint
+// from. opMu orders checkpoints against Remove so a background checkpoint
+// racing a drop cannot recreate the files of a removed table; removed
+// marks the state dead once Remove has won.
 type tableState struct {
 	name string
-	wal  *WAL // unsharded tables
-	// shardWALs holds one journal per shard for sharded tables (wal is
-	// then nil); index = shard id.
-	shardWALs []*WAL
+	wal  *WAL
 
-	opMu     sync.Mutex
-	src      Checkpointable      // nil until Attach
-	shardSrc ShardCheckpointable // nil until AttachSharded
-	removed  bool
+	opMu    sync.Mutex
+	src     ShardCheckpointable // nil until AttachSharded
+	removed bool
 
 	// degMu guards degraded — the read-only-mode cause, nil when healthy.
 	// It is its own (tiny) lock because the journal hot path checks it on
@@ -137,35 +131,15 @@ func (ts *tableState) degradedErr() error {
 	return fmt.Errorf("store: table %q: %w: %w", ts.name, ErrDegraded, ts.degraded)
 }
 
-// pending counts journaled records across the table's WAL(s).
-func (ts *tableState) pending() int {
-	if ts.wal != nil {
-		return ts.wal.Records()
-	}
-	n := 0
-	for _, w := range ts.shardWALs {
-		n += w.Records()
-	}
-	return n
-}
-
-// closeWALs closes every open journal of the table.
-func (ts *tableState) closeWALs() error {
-	var firstErr error
-	if ts.wal != nil {
-		firstErr = ts.wal.Close()
-	}
-	for _, w := range ts.shardWALs {
-		if err := w.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Store manages a data directory of table snapshots and write-ahead logs:
-// Open → LoadAll (warm start) → Attach/SaveTable per table → background
-// checkpoints → Close. All methods are safe for concurrent use.
+// Store manages a data directory of durable tables. Every table, sharded
+// or not, is one fileset (the unsharded engine is the one-shard case):
+//
+//	<table>.manifest   shard count, routing policy, cuts and bounds
+//	<table>.s<i>.snap  one snapshot per shard, i < N, N ≥ 1
+//	<table>.wal        the one write-ahead log of the whole table
+//
+// Open → LoadAll (warm start) → AttachSharded/SaveSharded per table →
+// background checkpoints → Close. All methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -230,163 +204,19 @@ func ValidateTableName(name string) error {
 	return nil
 }
 
-func (s *Store) snapPath(name string) string { return filepath.Join(s.dir, fileKey(name)+".snap") }
-func (s *Store) walPath(name string) string  { return filepath.Join(s.dir, fileKey(name)+".wal") }
-
-// LoadedTable is one table restored from disk: the rebuilt engine, its
-// schema, and how many journaled updates were replayed on top of the
-// snapshot.
-type LoadedTable struct {
-	Name     string
-	Engine   engine.Engine
-	Schema   sqlfe.Schema
-	Replayed int
+func (s *Store) manifestPath(name string) string {
+	return filepath.Join(s.dir, fileKey(name)+".manifest")
 }
 
-// LoadAll restores every table in the data directory: sharded tables from
-// their manifest + per-shard snapshot/WAL sets, everything else from its
-// single snapshot + WAL pair, with each engine rebuilt through the
-// factory loader registry. Corrupt snapshots, manifests or logs fail the
-// whole load with a clear error — a durable store must never silently
-// serve partial state. Results are sorted by table name.
-func (s *Store) LoadAll() ([]LoadedTable, error) {
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: read data dir: %w", err)
-	}
-	var out []LoadedTable
-	seen := make(map[string]bool)
-	claimed := make(map[string]bool) // shard files owned by a manifest
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".manifest") {
-			continue
-		}
-		lt, err := s.loadSharded(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lt)
-		seen[fileKey(lt.Name)] = true
-		if sh, ok := lt.Engine.(engine.Sharded); ok {
-			for i := 0; i < sh.ShardInfo().Shards; i++ {
-				claimed[filepath.Base(s.shardSnapPath(lt.Name, i))] = true
-				claimed[filepath.Base(s.shardWALPath(lt.Name, i))] = true
-			}
-		}
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") || claimed[e.Name()] {
-			continue
-		}
-		if shardFilePattern.MatchString(e.Name()) {
-			// a per-shard snapshot whose manifest is gone (crash
-			// mid-Remove) cannot be served alone: every shard of a table
-			// records the same table name
-			s.opts.Logf("store: ignoring orphan shard snapshot %s (no manifest)", e.Name())
-			continue
-		}
-		lt, err := s.loadOne(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lt)
-		seen[fileKey(lt.Name)] = true
-	}
-	// orphan WALs (snapshot missing, e.g. a crash mid-Remove) are
-	// unreconstructible — surface them but do not fail the warm start
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".wal") || claimed[e.Name()] {
-			continue
-		}
-		key := strings.TrimSuffix(shardFilePattern.ReplaceAllString(e.Name(), ""), ".wal")
-		if !seen[key] {
-			s.opts.Logf("store: ignoring orphan WAL %s (no matching snapshot)", e.Name())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+func (s *Store) shardSnapPath(name string, i int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s.s%d.snap", fileKey(name), i))
 }
 
-// shardFilePattern matches the per-shard suffix of sharded table files
-// ("<key>.s<i>.snap" / "<key>.s<i>.wal").
-var shardFilePattern = regexp.MustCompile(`\.s\d+\.(snap|wal)$`)
+func (s *Store) walPath(name string) string { return filepath.Join(s.dir, fileKey(name)+".wal") }
 
-// loadOne restores a single table from its snapshot + WAL pair.
-func (s *Store) loadOne(snapPath string) (LoadedTable, error) {
-	snap, err := ReadSnapshotFileFS(s.fs, snapPath)
-	if err != nil {
-		return LoadedTable{}, err
-	}
-	if snap.Name == "" {
-		return LoadedTable{}, fmt.Errorf("store: snapshot %s carries no table name: %w", snapPath, ErrCorrupt)
-	}
-	load, ok := factory.Loader(snap.Engine)
-	if !ok {
-		return LoadedTable{}, fmt.Errorf("store: snapshot %s: no loader for engine %q (have %s)",
-			snapPath, snap.Engine, strings.Join(factory.LoaderKinds(), ", "))
-	}
-	eng, err := load(bytes.NewReader(snap.Payload))
-	if err != nil {
-		return LoadedTable{}, fmt.Errorf("store: restore engine %s for table %q: %w", snap.Engine, snap.Name, err)
-	}
-	wal, recs, err := OpenWALFS(s.fs, s.walPath(snap.Name), !s.opts.NoSync)
-	if err != nil {
-		return LoadedTable{}, err
-	}
-	recs, err = pairWAL(wal, recs, snap.Gen, snap.Name, s.opts.Logf)
-	if err != nil {
-		wal.Close()
-		return LoadedTable{}, err
-	}
-	if len(recs) > 0 {
-		u, ok := engine.Underlying(eng).(engine.Updatable)
-		if !ok {
-			wal.Close()
-			return LoadedTable{}, fmt.Errorf("store: table %q has %d journaled updates but engine %s is not updatable",
-				snap.Name, len(recs), snap.Engine)
-		}
-		for i, rec := range recs {
-			var aerr error
-			switch rec.Op {
-			case OpInsert:
-				aerr = u.Insert(rec.Point, rec.Value)
-			case OpDelete:
-				aerr = u.Delete(rec.Point, rec.Value)
-			}
-			if aerr != nil {
-				wal.Close()
-				return LoadedTable{}, fmt.Errorf("store: table %q: replay WAL record %d/%d: %w",
-					snap.Name, i+1, len(recs), aerr)
-			}
-		}
-	}
-	s.mu.Lock()
-	s.tables[strings.ToLower(snap.Name)] = &tableState{name: snap.Name, wal: wal}
-	s.mu.Unlock()
-	return LoadedTable{Name: snap.Name, Engine: eng, Schema: snap.Schema, Replayed: len(recs)}, nil
-}
-
-// pairWAL reconciles a WAL's generation against the snapshot it pairs
-// with: equal generations replay the journal on top of the snapshot, a
-// lagging WAL (crash between snapshot publish and truncation) has its
-// already-folded records discarded, and a WAL ahead of its snapshot is
-// corruption.
-func pairWAL(wal *WAL, recs []Record, snapGen uint64, name string, logf func(string, ...any)) ([]Record, error) {
-	switch {
-	case wal.Gen() == snapGen:
-		return recs, nil
-	case wal.Gen() < snapGen:
-		logf("store: table %q: WAL generation %d predates snapshot generation %d; discarding %d already-folded record(s)",
-			name, wal.Gen(), snapGen, len(recs))
-		if err := wal.Truncate(snapGen); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("store: table %q: WAL generation %d is ahead of snapshot generation %d (snapshot file replaced?): %w",
-			name, wal.Gen(), snapGen, ErrCorrupt)
-	}
-}
+// barePath is the single-file snapshot of the oldest layout, which is also
+// the exchange format passgen -snap and passquery -save write.
+func (s *Store) barePath(name string) string { return filepath.Join(s.dir, fileKey(name)+".snap") }
 
 // state returns (creating if needed) the per-table bookkeeping, opening
 // the table's WAL on first use.
@@ -401,32 +231,35 @@ func (s *Store) state(name string) (*tableState, error) {
 		return nil, fmt.Errorf("store: closed")
 	}
 	if ts, ok := s.tables[key]; ok {
-		if ts.wal == nil {
-			return nil, fmt.Errorf("store: table %q is sharded (use AttachSharded/SaveSharded)", name)
-		}
 		return ts, nil
 	}
-	wal, recs, err := OpenWALFS(s.fs, s.walPath(name), !s.opts.NoSync)
-	if err != nil {
+	// a table being created anew owns its name: whatever an older layout or
+	// a crashed drop left under it must neither be imported at the next
+	// boot nor pair with the files of this table's first checkpoint
+	if err := s.unlink(s.tableFiles(name)); err != nil {
 		return nil, err
 	}
-	if len(recs) > 0 {
-		// a pre-existing log for a table being created anew is stale state
-		if err := wal.Truncate(wal.Gen()); err != nil {
-			wal.Close()
-			return nil, err
-		}
+	wal, _, err := OpenWALFS(s.fs, s.walPath(name), !s.opts.NoSync)
+	if err != nil {
+		return nil, err
 	}
 	ts := &tableState{name: name, wal: wal}
 	s.tables[key] = ts
 	return ts, nil
 }
 
-// Attach connects a live table to its journal: the returned TableLog
-// implements the catalog's Journal interface, so every Insert/Delete on
-// the table is appended to the WAL before the in-memory apply. The store
-// also remembers the table as a checkpoint source.
-func (s *Store) Attach(t Checkpointable) (*TableLog, error) {
+// AttachSharded connects a live table, sharded or not, to its journal:
+// the returned log implements the catalog's Journal interface, so every
+// Insert/Delete on the table is appended to the WAL before the in-memory
+// apply. The store also remembers the table as a checkpoint source.
+//
+// The names AttachSharded, SaveSharded and ShardedTableLog and this
+// signature are pinned by the benchmark module (benchmark/ladder), which
+// cannot change in the same PR as the code it measures. The router and
+// shard count are no longer consulted — WAL records carry no shard index,
+// replay routes them — so dropping the "Sharded" from the three names and
+// the two arguments is a mechanical follow-up for the next benchmark PR.
+func (s *Store) AttachSharded(t ShardCheckpointable, _ any, _ int) (*ShardedTableLog, error) {
 	ts, err := s.state(t.Name())
 	if err != nil {
 		return nil, err
@@ -434,57 +267,44 @@ func (s *Store) Attach(t Checkpointable) (*TableLog, error) {
 	s.mu.Lock()
 	ts.src = t
 	s.mu.Unlock()
-	return &TableLog{ts: ts}, nil
+	return &ShardedTableLog{ts: ts}, nil
 }
 
-// SaveTable snapshots a table now: the engine payload is captured under
-// the table's exclusive lock and written atomically, then the WAL is
-// truncated — the journaled updates are folded into the snapshot.
-//
-// The snapshot is stamped with the WAL's generation + 1 and the truncated
-// WAL inherits that number, so a crash between the two steps is detected
-// at load time (the folded records are discarded, not replayed twice).
-// Holding the table lock across the snapshot write trades some query tail
-// latency during checkpoints for a protocol with no lost-update windows;
-// the WAL threshold keeps checkpoints infrequent.
-func (s *Store) SaveTable(t Checkpointable) error {
-	ts, err := s.state(t.Name())
-	if err != nil {
-		return err
+// SaveSharded checkpoints an attached table now: the manifest, every
+// shard snapshot, then the one log truncation — the journaled updates are
+// folded into the snapshots.
+func (s *Store) SaveSharded(t ShardCheckpointable) error {
+	s.mu.Lock()
+	ts := s.tables[strings.ToLower(t.Name())]
+	s.mu.Unlock()
+	if ts == nil {
+		return fmt.Errorf("store: table %q has no journal attached (AttachSharded first)", t.Name())
 	}
-	return s.saveTableState(ts, t)
+	return s.saveShardedState(ts, t)
 }
 
-// saveTableState checkpoints through an existing tableState. Taking opMu
+// saveShardedState checkpoints through an existing tableState. Taking opMu
 // for the duration excludes Remove, so a concurrent drop cannot interleave
 // with the file writes; a state Remove already won on is left untouched.
+//
+// The payloads are captured under the table's exclusive lock and stamped
+// with the WAL's generation + 1 (see publish). Holding the table lock
+// across the file writes trades some query tail latency during
+// checkpoints for a protocol with no lost-update windows; the WAL
+// threshold keeps checkpoints infrequent.
 //
 // Transient (ErrIO) write failures are retried with bounded backoff; if
 // the retries are exhausted the table degrades to read-only mode, and a
 // later successful save — durability re-established — recovers it.
-func (s *Store) saveTableState(ts *tableState, t Checkpointable) error {
+func (s *Store) saveShardedState(ts *tableState, t ShardCheckpointable) error {
 	ts.opMu.Lock()
 	defer ts.opMu.Unlock()
 	if ts.removed {
 		return nil
 	}
 	start := time.Now()
-	err := t.Checkpoint(func(engineName string, schema sqlfe.Schema, payload []byte, rows int) error {
-		gen := ts.wal.Gen() + 1
-		snap := &Snapshot{
-			Name:    ts.name,
-			Engine:  engineName,
-			Gen:     gen,
-			Rows:    rows,
-			Schema:  schema,
-			Payload: payload,
-		}
-		if err := retry.Do(context.Background(), s.opts.Retry, transientIO, func() error {
-			return WriteSnapshotFileFS(s.fs, s.snapPath(ts.name), snap)
-		}); err != nil {
-			return err
-		}
-		return ts.wal.Truncate(gen)
+	err := t.CheckpointShards(func(info engine.ShardInfo, innerEngine string, schema sqlfe.Schema, payloads [][]byte, shardRows []int, rows int) error {
+		return s.publish(ts, ts.wal.Gen()+1, info, innerEngine, schema, payloads, shardRows, rows)
 	})
 	switch {
 	case err == nil:
@@ -495,6 +315,61 @@ func (s *Store) saveTableState(ts *tableState, t Checkpointable) error {
 		ts.degrade(err)
 	}
 	return err
+}
+
+// publish writes one checkpoint of a table at generation gen, which must
+// exceed the WAL's: the manifest, then every shard snapshot stamped gen,
+// then the one log truncation to gen.
+//
+// The manifest goes FIRST for the sake of the routing bounds: an insert
+// outside a shard's bounding rectangle grows the bounds in memory, and
+// the grown bounds must be on disk before any snapshot folds that insert
+// in — otherwise a crash between snapshot and manifest would restore
+// stale-narrow bounds while skipping the WAL record that grew them, and
+// the warm-started router would prune the shard that owns the key.
+// Manifest bounds are conservative (only ever widen) and its generation
+// list is informational, so a crash at any point leaves every shard
+// either level with the log or in the detectable snapshot-ahead state the
+// loader resolves (skip the folded records, roll the checkpoint forward).
+func (s *Store) publish(ts *tableState, gen uint64, info engine.ShardInfo, innerEngine string, schema sqlfe.Schema, payloads [][]byte, shardRows []int, rows int) error {
+	if len(payloads) != info.Shards {
+		return fmt.Errorf("store: table %q: %d shard payloads for %d shards", ts.name, len(payloads), info.Shards)
+	}
+	m := &ShardManifest{
+		Name:   ts.name,
+		Engine: innerEngine,
+		Policy: info.Policy,
+		Dim:    info.Dim,
+		Cuts:   info.Cuts,
+		Bounds: info.Bounds,
+		Shards: info.Shards,
+		Rows:   rows,
+		Gens:   make([]uint64, info.Shards),
+	}
+	for i := range m.Gens {
+		m.Gens[i] = gen
+	}
+	if err := retry.Do(context.Background(), s.opts.Retry, transientIO, func() error {
+		return WriteManifestFileFS(s.fs, s.manifestPath(ts.name), m)
+	}); err != nil {
+		return err
+	}
+	for i, payload := range payloads {
+		snap := &Snapshot{
+			Name:    ts.name,
+			Engine:  innerEngine,
+			Gen:     gen,
+			Rows:    shardRows[i],
+			Schema:  schema,
+			Payload: payload,
+		}
+		if err := retry.Do(context.Background(), s.opts.Retry, transientIO, func() error {
+			return WriteSnapshotFileFS(s.fs, s.shardSnapPath(ts.name, i), snap)
+		}); err != nil {
+			return err
+		}
+	}
+	return ts.wal.Truncate(gen)
 }
 
 // Checkpoint snapshots every attached table whose WAL has grown past the
@@ -511,10 +386,11 @@ func (s *Store) CheckpointAll() error {
 }
 
 func (s *Store) checkpointWhere(needed func(pending int) bool) error {
+	// src is captured with the state under s.mu, which AttachSharded writes
+	// it under
 	type due struct {
-		ts       *tableState
-		src      Checkpointable
-		shardSrc ShardCheckpointable
+		ts  *tableState
+		src ShardCheckpointable
 	}
 	s.mu.Lock()
 	var work []due
@@ -522,43 +398,90 @@ func (s *Store) checkpointWhere(needed func(pending int) bool) error {
 		if ts.degradedErr() != nil {
 			// a degraded table's storage is already known-bad: the periodic
 			// checkpointer leaves it alone instead of hammering a failing
-			// disk; recovery is an explicit SaveTable/SaveSharded or restart
+			// disk; recovery is an explicit SaveSharded or restart
 			continue
 		}
-		if (ts.src != nil || ts.shardSrc != nil) && needed(ts.pending()) {
-			work = append(work, due{ts: ts, src: ts.src, shardSrc: ts.shardSrc})
+		if ts.src != nil && needed(ts.wal.Records()) {
+			work = append(work, due{ts, ts.src})
 		}
 	}
 	s.mu.Unlock()
 	var firstErr error
 	for _, d := range work {
+		ts := d.ts
 		// checkpoint through the captured state, never through state():
 		// a table dropped since the scan must not have its files recreated
-		var err error
-		name := d.ts.name
-		if d.shardSrc != nil {
-			err = s.saveShardedState(d.ts, d.shardSrc)
-		} else {
-			err = s.saveTableState(d.ts, d.src)
-		}
-		if err != nil {
-			s.opts.Logf("store: checkpoint %s: %v", name, err)
+		if err := s.saveShardedState(ts, d.src); err != nil {
+			s.opts.Logf("store: checkpoint %s: %v", ts.name, err)
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		s.opts.Logf("store: checkpointed table %s", name)
+		s.opts.Logf("store: checkpointed table %s", ts.name)
 	}
 	return firstErr
 }
 
-// Remove deletes a table's persisted files — snapshot and WAL, plus the
-// manifest and per-shard files when the table is (or once was) sharded —
-// so a dropped table cannot resurrect on the next boot. Taking the
-// state's opMu waits out any in-flight checkpoint of the table and marks
-// the state removed, so a later checkpoint attempt is a no-op instead of
-// recreating the files.
+// shardFiles lists the files in the data directory named
+// "<table>.s<i>.<ext>", ext being a regexp alternation. Shard files are
+// discovered from the directory rather than from a shard count: a crash
+// or an older layout may have left files the current manifest does not
+// describe. The match is anchored on the whole basename — a bare prefix
+// test would also catch "<name>.staging.s0.snap", the shard files of a
+// DIFFERENT table extending this name.
+func (s *Store) shardFiles(name, ext string) []string {
+	own := regexp.MustCompile(`^` + regexp.QuoteMeta(fileKey(name)) + `\.s\d+\.(` + ext + `)$`)
+	var out []string
+	if entries, err := s.fs.ReadDir(s.dir); err == nil {
+		for _, e := range entries {
+			if !e.IsDir() && own.MatchString(e.Name()) {
+				out = append(out, filepath.Join(s.dir, e.Name()))
+			}
+		}
+	}
+	return out
+}
+
+// tableFiles lists every file a table can have in the data directory, of
+// the current layout and of the two older ones, in the order a drop must
+// unlink them: the two files a load starts from — the bare single-file
+// snapshot, then the manifest — go first, so a crash part-way leaves
+// either the whole table or orphans LoadAll logs and ignores, never a
+// manifest whose shard files are missing, which would fail every boot.
+func (s *Store) tableFiles(name string) []string {
+	return append([]string{s.barePath(name), s.manifestPath(name), s.walPath(name)}, s.shardFiles(name, "snap|wal")...)
+}
+
+// unlink removes files (missing ones are fine) and, if any was there,
+// makes the unlinks durable, so a machine crash cannot resurrect them at
+// the next boot.
+func (s *Store) unlink(paths []string) error {
+	var firstErr error
+	removed := false
+	for _, p := range paths {
+		switch err := s.fs.Remove(p); {
+		case err == nil:
+			removed = true
+		case !os.IsNotExist(err) && firstErr == nil:
+			firstErr = err
+		}
+	}
+	if removed {
+		if err := syncDir(s.fs, s.dir); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// Remove deletes a table's persisted files — manifest, shard snapshots
+// and WAL, plus whatever an older layout left under the name — so a
+// dropped table cannot resurrect on the next boot; the manifest goes
+// before the files it names (see tableFiles), so a crash part-way cannot
+// fail the next boot either. Taking the state's opMu waits out any
+// in-flight checkpoint of the table and marks the state removed, so a
+// later checkpoint attempt is a no-op instead of recreating the files.
 func (s *Store) Remove(name string) error {
 	key := strings.ToLower(name)
 	s.mu.Lock()
@@ -568,37 +491,10 @@ func (s *Store) Remove(name string) error {
 	if ts != nil {
 		ts.opMu.Lock()
 		ts.removed = true
-		ts.closeWALs()
+		ts.wal.Close()
 		ts.opMu.Unlock()
 	}
-	doomed := []string{s.snapPath(name), s.walPath(name), s.manifestPath(name)}
-	// shard files are discovered from the directory rather than the open
-	// state: a crash may have left files for shards the state never
-	// opened. The match is anchored on the whole basename — a bare prefix
-	// test would also catch "<name>.staging.s0.snap", the shard files of
-	// a DIFFERENT table extending this name
-	ownShardFile := regexp.MustCompile(`^` + regexp.QuoteMeta(fileKey(name)) + `\.s\d+\.(snap|wal)$`)
-	if entries, err := s.fs.ReadDir(s.dir); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() && ownShardFile.MatchString(e.Name()) {
-				doomed = append(doomed, filepath.Join(s.dir, e.Name()))
-			}
-		}
-	}
-	var firstErr error
-	for _, p := range doomed {
-		if err := s.fs.Remove(p); err != nil && !os.IsNotExist(err) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	// make the unlinks durable, so a machine crash cannot resurrect the
-	// dropped table at the next boot
-	if err := syncDir(s.fs, s.dir); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return s.unlink(s.tableFiles(name))
 }
 
 // Degraded reports whether a table is in read-only degraded mode, and if
@@ -648,7 +544,7 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	var firstErr error
 	for _, ts := range s.tables {
-		if err := ts.closeWALs(); err != nil && firstErr == nil {
+		if err := ts.wal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -673,22 +569,24 @@ func (s *Store) run() {
 	}
 }
 
-// TableLog is one table's journaling handle, satisfying the catalog's
-// Journal interface: appends happen before the in-memory apply, and
-// Rollback undoes the last append when that apply fails. The catalog
-// serializes all three behind the table's write lock.
+// ShardedTableLog is one table's journaling handle, satisfying the
+// catalog's Journal interface: appends happen before the in-memory apply,
+// and Rollback undoes the last append when that apply fails. The catalog
+// serializes all three behind the table's write lock. Whatever shards a
+// batch routes to, it is one group commit on the table's one WAL — one
+// write, one fsync, all-or-nothing across a crash.
 //
 // An append that fails with an I/O error (as opposed to a validation
 // error) degrades the table to read-only mode — the WAL could not be
 // extended, so accepting more writes would silently drop durability.
 // Every later write is rejected with ErrDegraded until the table
 // recovers (explicit checkpoint or restart).
-type TableLog struct {
+type ShardedTableLog struct {
 	ts *tableState
 }
 
 // append journals records through the degraded-mode gate.
-func (l *TableLog) append(recs []Record) error {
+func (l *ShardedTableLog) append(recs []Record) error {
 	if err := l.ts.degradedErr(); err != nil {
 		return err
 	}
@@ -700,17 +598,17 @@ func (l *TableLog) append(recs []Record) error {
 }
 
 // Insert journals an insert.
-func (l *TableLog) Insert(point []float64, value float64) error {
+func (l *ShardedTableLog) Insert(point []float64, value float64) error {
 	return l.append([]Record{{Op: OpInsert, Point: point, Value: value}})
 }
 
 // Delete journals a delete.
-func (l *TableLog) Delete(point []float64, value float64) error {
+func (l *ShardedTableLog) Delete(point []float64, value float64) error {
 	return l.append([]Record{{Op: OpDelete, Point: point, Value: value}})
 }
 
 // InsertMany journals a batch of inserts as one group commit.
-func (l *TableLog) InsertMany(points [][]float64, values []float64) error {
+func (l *ShardedTableLog) InsertMany(points [][]float64, values []float64) error {
 	recs := make([]Record, len(points))
 	for i := range points {
 		recs[i] = Record{Op: OpInsert, Point: points[i], Value: values[i]}
@@ -719,4 +617,4 @@ func (l *TableLog) InsertMany(points [][]float64, values []float64) error {
 }
 
 // Rollback undoes the most recent append.
-func (l *TableLog) Rollback() error { return l.ts.wal.Rollback() }
+func (l *ShardedTableLog) Rollback() error { return l.ts.wal.Rollback() }

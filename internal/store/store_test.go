@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,7 +18,8 @@ import (
 )
 
 // buildTable registers a freshly built 1D PASS synopsis in a catalog,
-// returning the table — the Checkpointable the store persists.
+// returning the table — the ShardCheckpointable the store persists, as the
+// one-shard case.
 func buildTable(t *testing.T, name string, rows int, seed uint64) (*catalog.Table, *dataset.Dataset) {
 	t.Helper()
 	d := dataset.GenIntelWireless(rows, seed)
@@ -36,6 +38,35 @@ func buildTable(t *testing.T, name string, rows int, seed uint64) (*catalog.Tabl
 
 func testOpts() Options {
 	return Options{CheckpointInterval: -1, NoSync: true}
+}
+
+// persist attaches tbl's journal and takes its first checkpoint — what
+// pass.Session does when a table is registered on a durable session.
+func persist(t *testing.T, st *Store, tbl *catalog.Table) *ShardedTableLog {
+	t.Helper()
+	j, err := st.AttachSharded(tbl, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.AttachJournal(j)
+	if err := st.SaveSharded(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// fileset lists a data directory, sorted.
+func fileset(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 func queries() []dataset.Rect {
@@ -81,8 +112,10 @@ func TestStoreSaveAndLoadAll(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "sensors", 3000, 5)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
+	persist(t, st, tbl)
+	// the unsharded table is the one-shard case of the one layout
+	if got, want := strings.Join(fileset(t, dir), " "), "sensors.manifest sensors.s0.snap sensors.wal"; got != want {
+		t.Errorf("fileset = %s, want %s", got, want)
 	}
 
 	st2, err := Open(dir, testOpts())
@@ -138,20 +171,13 @@ func TestStoreCrashRecoveryViaWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := buildTable(t, "sensors", 2500, 9)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	persist(t, st, tbl)
 
 	// the twin: an identical build receiving the same inserts, never
 	// touching disk... except its starting state must match the recovered
 	// one, which derives from the snapshot (delta-encoded samples). Load
 	// the twin from the same snapshot bytes to make the comparison exact.
-	snap, err := ReadSnapshotFile(st.snapPath("sensors"))
+	snap, err := ReadSnapshotFile(st.shardSnapPath("sensors", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +230,7 @@ func TestStoreCheckpointTruncatesWAL(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "sensors", 2000, 3)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	j := persist(t, st, tbl)
 
 	for i := 0; i < 9; i++ {
 		if err := tbl.Insert([]float64{float64(i)}, 1); err != nil {
@@ -262,14 +281,7 @@ func TestStoreBackgroundCheckpointer(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "sensors", 1500, 4)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	j := persist(t, st, tbl)
 	for i := 0; i < 25; i++ {
 		if err := tbl.Insert([]float64{float64(i % 24)}, 2); err != nil {
 			t.Fatal(err)
@@ -294,14 +306,7 @@ func TestStoreConcurrentInsertWhileCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := buildTable(t, "sensors", 2000, 8)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	persist(t, st, tbl)
 
 	const inserts = 400
 	var wg sync.WaitGroup
@@ -359,26 +364,15 @@ func TestStoreRemoveDeletesFiles(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "Sensors", 1200, 2)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Attach(tbl); err != nil {
-		t.Fatal(err)
-	}
+	persist(t, st, tbl)
+	base := cloneDir(t, dir)
 	if err := st.Remove("sensors"); err != nil { // case-insensitive
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = e.Name()
-		}
+	if names := fileset(t, dir); len(names) != 0 {
 		t.Errorf("files survive a drop: %v", names)
 	}
+	sweepRemoveCrashes(t, base)
 }
 
 func TestStoreLoadAllRejectsCorruptSnapshot(t *testing.T) {
@@ -389,10 +383,8 @@ func TestStoreLoadAllRejectsCorruptSnapshot(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "sensors", 1200, 2)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "sensors.snap")
+	persist(t, st, tbl)
+	path := filepath.Join(dir, "sensors.s0.snap")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -406,8 +398,8 @@ func TestStoreLoadAllRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, err := st2.LoadAll(); err == nil {
-		t.Fatal("LoadAll accepted a corrupt snapshot")
+	if _, err := st2.LoadAll(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadAll of a corrupt snapshot = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -436,14 +428,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := buildTable(t, "sensors", 1000, 6)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	j := persist(t, st, tbl)
 	const n = 30
 	for i := 0; i < n; i++ {
 		if err := tbl.Insert([]float64{float64(i % 24)}, 1); err != nil {
@@ -453,10 +438,10 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	// snapshot publish WITHOUT the truncate: exactly what a crash between
 	// the two filesystem operations leaves behind
 	gen := j.ts.wal.Gen() + 1
-	err = tbl.Checkpoint(func(engineName string, schema sqlfe.Schema, payload []byte, rows int) error {
-		return WriteSnapshotFile(filepath.Join(dir, "sensors.snap"), &Snapshot{
+	err = tbl.CheckpointShards(func(_ engine.ShardInfo, engineName string, schema sqlfe.Schema, payloads [][]byte, _ []int, rows int) error {
+		return WriteSnapshotFile(st.shardSnapPath("sensors", 0), &Snapshot{
 			Name: "sensors", Engine: engineName, Gen: gen, Rows: rows,
-			Schema: schema, Payload: payload,
+			Schema: schema, Payload: payloads[0],
 		})
 	})
 	if err != nil {
@@ -485,6 +470,17 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if int(r.Estimate) != 1000+n {
 		t.Errorf("row count = %v, want %d (double-applied WAL?)", r.Estimate, 1000+n)
 	}
+	// the load rolled the interrupted checkpoint forward: log and snapshot
+	// are level again, so no later append lands on a log older than the
+	// snapshot it would be replayed over
+	snap, err := ReadSnapshotFile(st2.shardSnapPath("sensors", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := st2.tables["sensors"].wal; w.Gen() != snap.Gen || snap.Gen <= gen || w.Records() != 0 {
+		t.Errorf("after roll-forward: WAL generation %d with %d records under snapshot generation %d (crashed checkpoint was %d)",
+			w.Gen(), w.Records(), snap.Gen, gen)
+	}
 }
 
 // TestCheckpointAfterRemoveDoesNotResurrect: a background checkpoint that
@@ -497,14 +493,7 @@ func TestCheckpointAfterRemoveDoesNotResurrect(t *testing.T) {
 	}
 	defer st.Close()
 	tbl, _ := buildTable(t, "sensors", 800, 6)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	j := persist(t, st, tbl)
 	if err := tbl.Insert([]float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -513,18 +502,10 @@ func TestCheckpointAfterRemoveDoesNotResurrect(t *testing.T) {
 	if err := st.Remove("sensors"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.saveTableState(ts, tbl); err != nil {
+	if err := st.saveShardedState(ts, tbl); err != nil {
 		t.Fatalf("post-remove checkpoint should be a no-op, got %v", err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = e.Name()
-		}
+	if names := fileset(t, dir); len(names) != 0 {
 		t.Errorf("checkpoint resurrected dropped table files: %v", names)
 	}
 }
@@ -538,14 +519,7 @@ func TestInsertManyGroupCommitRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := buildTable(t, "sensors", 700, 6)
-	if err := st.SaveTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Attach(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.AttachJournal(j)
+	j := persist(t, st, tbl)
 	const n = 48
 	points := make([][]float64, n)
 	values := make([]float64, n)

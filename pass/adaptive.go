@@ -340,17 +340,7 @@ func (s *Session) rebuildTable(table string, bs []partition.Boundary) error {
 	// completes recovers the pre-rebuild snapshot + WAL — a consistent
 	// (merely unoptimized) state; the re-optimizer will fire again.
 	if s.store != nil && src.persisted {
-		if sh, ok := engine.Underlying(newEng).(engine.Sharded); ok {
-			// refresh the journal router: the rebuilt cuts may differ
-			j, err := s.store.AttachSharded(tbl, sh, sh.ShardInfo().Shards)
-			if err != nil {
-				return fmt.Errorf("pass: reattach shard journals after rebuild of %q: %w", table, err)
-			}
-			tbl.AttachJournal(j)
-			if err := s.store.SaveSharded(tbl); err != nil {
-				return fmt.Errorf("pass: persist rebuilt sharded table %q: %w", table, err)
-			}
-		} else if err := s.store.SaveTable(tbl); err != nil {
+		if err := s.store.SaveSharded(tbl); err != nil {
 			return fmt.Errorf("pass: persist rebuilt table %q: %w", table, err)
 		}
 	}

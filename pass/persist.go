@@ -10,8 +10,10 @@ import (
 
 // Durable sessions: a Session with a store.Store attached persists its
 // catalog — every registered table is snapshotted to the store's data
-// directory, every Insert/Delete is journaled to a per-table write-ahead
-// log before the in-memory apply, and dropping a table removes its files.
+// directory (one manifest plus one snapshot per shard, an unsharded table
+// being the one-shard case), every Insert/Delete is journaled to the
+// table's one write-ahead log before the in-memory apply, and dropping a
+// table removes its files.
 // Reattaching a store to a fresh session (a passd restart) restores the
 // whole catalog from snapshots + WAL replay, with no synopsis rebuilt.
 
@@ -38,15 +40,7 @@ func (s *Session) AttachStore(st *store.Store) (int, error) {
 		// (statistics + cache + tap; no rebuilds and no exact ground
 		// truth — the base rows live only in the synopsis)
 		s.attachHooks(tbl)
-		if sh, ok := engine.Underlying(lt.Engine).(engine.Sharded); ok {
-			j, err := st.AttachSharded(tbl, sh, sh.ShardInfo().Shards)
-			if err != nil {
-				return 0, err
-			}
-			tbl.AttachJournal(j)
-			continue
-		}
-		j, err := st.Attach(tbl)
+		j, err := st.AttachSharded(tbl, nil, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -87,9 +81,8 @@ func (s *Session) RegisterEngineEphemeral(name string, eng engine.Engine, schema
 // attaches its journal and snapshots it — in that order: any insert that
 // sneaks in between registration and the snapshot is either journaled (and
 // truncated when the snapshot folds it in) or captured by the snapshot
-// itself, so no acknowledged update can miss both. Sharded engines take
-// the per-shard path: one routed journal and one snapshot per shard plus
-// the manifest. A table that was promised durability but cannot be
+// itself, so no acknowledged update can miss both. A table that was
+// promised durability but cannot be
 // persisted (engine.ErrNotSerializable, disk errors) is rolled back out
 // of the catalog and the store — callers choose explicitly between
 // failing and RegisterEphemeral, never a silent skip.
@@ -107,26 +100,13 @@ func (s *Session) register(name string, eng engine.Engine, schema sqlfe.Schema, 
 		_ = s.cat.Drop(name)
 		_ = s.store.Remove(name)
 	}
-	if sh, ok := engine.Underlying(eng).(engine.Sharded); ok {
-		j, err := s.store.AttachSharded(tbl, sh, sh.ShardInfo().Shards)
-		if err != nil {
-			rollback()
-			return fmt.Errorf("pass: attach shard journals for table %q: %w", name, err)
-		}
-		tbl.AttachJournal(j)
-		if err := s.store.SaveSharded(tbl); err != nil {
-			rollback()
-			return fmt.Errorf("pass: persist sharded table %q: %w", name, err)
-		}
-		return nil
-	}
-	j, err := s.store.Attach(tbl)
+	j, err := s.store.AttachSharded(tbl, nil, 0)
 	if err != nil {
 		rollback()
 		return fmt.Errorf("pass: attach journal for table %q: %w", name, err)
 	}
 	tbl.AttachJournal(j)
-	if err := s.store.SaveTable(tbl); err != nil {
+	if err := s.store.SaveSharded(tbl); err != nil {
 		rollback()
 		return fmt.Errorf("pass: persist table %q: %w", name, err)
 	}

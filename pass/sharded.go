@@ -17,8 +17,9 @@ import (
 // in proportion to their cardinality.
 //
 // Register the result with Session.RegisterEngine; with a store attached
-// the table persists as one snapshot+WAL pair per shard plus a manifest,
-// and updates route to the owning shard under per-shard locks.
+// the table persists as a manifest, one snapshot per shard and one WAL
+// for the whole table, and updates route to the owning shard under
+// per-shard locks.
 func BuildShardedEngine(t *Table, opt Options, shards int) (engine.Engine, sqlfe.Schema, error) {
 	if shards < 1 {
 		return nil, sqlfe.Schema{}, fmt.Errorf("pass: shard count must be positive, got %d", shards)
