@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,7 +290,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = out
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(w, http.StatusOK, resp, true)
 }
 
 // handlePrepare registers a named prepared statement: normalized and
@@ -567,12 +569,50 @@ func (s *server) handleDropTable(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON answers v as two-space indented JSON, the form of every
+// endpoint but /query.
+func writeJSON(w http.ResponseWriter, status int, v any) { writeEncoded(w, status, v, false) }
+
+// respBufs pools response buffers. A response is encoded whole before its
+// header goes out, so an encoding failure still becomes a 500, and every
+// body leaves in one write with a Content-Length instead of chunked.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledResp bounds the buffers kept in respBufs: one huge response
+// must not pin its buffer for the life of the process.
+const maxPooledResp = 1 << 20
+
+// writeEncoded answers v through a pooled buffer. compact drops the
+// indentation and the HTML escaping: /query answers that way, because its
+// batch answers are the largest and hottest bodies the server sends,
+// indentation roughly doubled their encoding cost, and every "<=" in an
+// echoed statement would otherwise cost "\u003c=".
+func writeEncoded(w http.ResponseWriter, status int, v any, compact bool) {
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledResp {
+			respBufs.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
+	if compact {
+		enc.SetEscapeHTML(false)
+	} else {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(v); err != nil {
+		// e.g. a non-finite float: the value cannot be sent, so say so
+		// rather than answer the original status with an empty body
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -12,6 +12,8 @@ import (
 // (CompileTemplate + Bind) must produce exactly the Plan that Compile
 // produces — against a schema derived from the statement itself, so the
 // planner's name resolution is exercised rather than short-circuited.
+// Normalize reuses pooled scratch, so it also checks that normalizing a
+// second statement leaves an earlier template untouched.
 func FuzzNormalize(f *testing.F) {
 	for _, sql := range []string{
 		"SELECT SUM(x) FROM t",
@@ -31,6 +33,10 @@ func FuzzNormalize(f *testing.F) {
 		"SELECT",
 		"",
 		"\x00\xff'(",
+		kdStmt,
+		"SELECT COUNT(*) FROM taxi WHERE pickup_time >= 0.5 AND pickup_time <= 23 AND trip_distance >= 2 " +
+			"AND trip_distance <= 9.75 AND passenger_count >= 2 AND passenger_count <= 5",
+		"SELECT AVG(fare) FROM Taxi WHERE pickup_time >= -1.5e1 AND pickup_time <= .5 AND zone = 'O''Hare'",
 	} {
 		f.Add(sql)
 	}
@@ -43,10 +49,18 @@ func FuzzNormalize(f *testing.F) {
 		if errP != nil {
 			return
 		}
-		// Normalization is deterministic.
+		// Normalization is deterministic, and a second statement through
+		// the same scratch does not reach into the first template.
+		text, table, params := tm.Text, tm.Table, append([]Param(nil), tm.Params()...)
+		if _, err := Normalize(kdStmt); err != nil {
+			t.Fatal(err)
+		}
 		tm2, err := Normalize(sql)
 		if err != nil || tm2.Text != tm.Text || !reflect.DeepEqual(tm2.Params(), tm.Params()) {
 			t.Fatalf("re-normalizing %q changed the template: %v", sql, err)
+		}
+		if tm.Text != text || tm.Table != table || !reflect.DeepEqual(tm.Params(), params) {
+			t.Fatalf("normalizing other statements mutated the template of %q", sql)
 		}
 		// Resolve against a schema shaped like the statement: its predicate
 		// and grouping columns exist, its aggregate column matches.

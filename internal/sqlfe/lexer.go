@@ -19,7 +19,6 @@ package sqlfe
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -47,14 +46,19 @@ type lexer struct {
 }
 
 // lex tokenises the input; errors carry byte offsets for diagnostics.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+func lex(src string) ([]token, error) { return lexAppend(nil, src) }
+
+// lexAppend tokenises src, appending the tokens to dst so a caller can
+// reuse one slice across statements. Token texts are sub-slices of src,
+// except string literals holding a doubled-quote escape.
+func lexAppend(dst []token, src string) ([]token, error) {
+	l := lexer{src: src, toks: dst}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.ident()
 		case unicode.IsDigit(rune(c)) || c == '.' ||
 			((c == '-' || c == '+') && l.pos+1 < len(l.src) && startsNumber(l.src[l.pos+1])):
@@ -65,45 +69,64 @@ func lex(src string) ([]token, error) {
 			if err := l.str(); err != nil {
 				return nil, err
 			}
-		case strings.ContainsRune("(),*=", rune(c)):
-			l.emit(tokSymbol, string(c))
-			l.pos++
+		case c == '(' || c == ')' || c == ',' || c == '*' || c == '=':
+			l.emit(tokSymbol, l.pos, l.pos+1)
 		case c == '<' || c == '>' || c == '!':
-			op := string(c)
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '=' || (c == '<' && l.src[l.pos] == '>')) {
-				op += string(l.src[l.pos])
-				l.pos++
+			end := l.pos + 1
+			if end < len(l.src) && (l.src[end] == '=' || (c == '<' && l.src[end] == '>')) {
+				end++
 			}
-			l.emit(tokSymbol, op)
+			l.emit(tokSymbol, l.pos, end)
 		default:
 			return nil, fmt.Errorf("sqlfe: unexpected character %q at offset %d", c, l.pos)
 		}
 	}
-	l.emit(tokEOF, "")
+	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
 	return l.toks, nil
 }
 
 func startsNumber(c byte) bool { return c >= '0' && c <= '9' || c == '.' }
 
-func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_'
-}
+// isIdentStart and isIdentRune classify one source byte, read as the
+// Latin-1 rune of the same value, from a table the unicode package fills.
+// The lookup inlines where unicode.IsLetter/IsDigit do not: on a 3-D
+// six-literal statement it cuts BenchmarkNormalize by about a quarter,
+// ~2.1 to ~1.6 µs (2-vCPU Xeon, medians of six interleaved runs each,
+// the table faster in all six pairs).
+func isIdentStart(c byte) bool { return identClass[c] == identStart }
 
-func isIdentRune(c rune) bool {
-	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
-}
+func isIdentRune(c byte) bool { return identClass[c] != 0 }
 
-func (l *lexer) emit(kind tokKind, text string) {
-	l.toks = append(l.toks, token{kind: kind, text: text, pos: l.pos})
+const (
+	identStart = 1 + iota // a letter or '_'
+	identDigit
+)
+
+var identClass = func() (t [256]uint8) {
+	for c := range t {
+		switch r := rune(c); {
+		case unicode.IsLetter(r) || r == '_':
+			t[c] = identStart
+		case unicode.IsDigit(r):
+			t[c] = identDigit
+		}
+	}
+	return t
+}()
+
+// emit appends the token src[start:end] and moves past it.
+func (l *lexer) emit(kind tokKind, start, end int) {
+	l.toks = append(l.toks, token{kind: kind, text: l.src[start:end], pos: start})
+	l.pos = end
 }
 
 func (l *lexer) ident() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentRune(rune(l.src[l.pos])) {
-		l.pos++
+	end := start
+	for end < len(l.src) && isIdentRune(l.src[end]) {
+		end++
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	l.emit(tokIdent, start, end)
 }
 
 func (l *lexer) number() error {
@@ -135,29 +158,36 @@ done:
 	if !digits {
 		return fmt.Errorf("sqlfe: malformed number at offset %d", start)
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
+	l.emit(tokNumber, start, l.pos)
 	return nil
 }
 
+// str lexes a quoted literal. Without a doubled-quote escape its text is a
+// sub-slice of the source; with one, the unescaped text is built once.
 func (l *lexer) str() error {
 	start := l.pos
 	l.pos++ // opening quote
-	var sb strings.Builder
+	from := l.pos
+	var esc []byte // the unescaped prefix, once a '' escape was seen
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			// '' escapes a quote
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
-			return nil
+			continue
 		}
-		sb.WriteByte(c)
+		// '' escapes a quote
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			esc = append(esc, l.src[from:l.pos+1]...)
+			l.pos += 2
+			from = l.pos
+			continue
+		}
+		text := l.src[from:l.pos]
+		if esc != nil {
+			text = string(append(esc, text...))
+		}
 		l.pos++
+		l.toks = append(l.toks, token{kind: tokString, text: text, pos: start})
+		return nil
 	}
 	return fmt.Errorf("sqlfe: unterminated string at offset %d", start)
 }

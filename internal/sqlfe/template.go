@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/sketch"
@@ -101,34 +102,69 @@ type tmplCond struct {
 // case only at positions where the parser consumes them as keywords, so a
 // column that happens to be named "between" or "and" is preserved
 // verbatim exactly where the parser would treat it as an identifier.
+//
+// A normalizer is pooled scratch: its slices are reused across calls, and
+// Normalize copies out of it everything the returned Template keeps.
 type normalizer struct {
 	toks   []token
 	pos    int
-	out    []string
+	out    []byte // canonical text, tokens separated by one space
 	params []Param
 	table  string
 	stmt   tmplStmt
 }
+
+var normalizers = sync.Pool{New: func() any { return new(normalizer) }}
+
+// maxPooledNormalizer bounds the canonical text a pooled normalizer may
+// keep: one pathological statement must not pin a large buffer forever.
+const maxPooledNormalizer = 64 << 10
 
 // Normalize canonicalizes one statement of the supported class into a
 // Template. Statements the parser would reject are rejected here with
 // equivalent errors; callers that want the parser's exact diagnostics can
 // fall back to Parse on any Normalize error.
 func Normalize(sql string) (*Template, error) {
-	toks, err := lex(sql)
+	n := normalizers.Get().(*normalizer)
+	defer n.release()
+	toks, err := lexAppend(n.toks[:0], sql)
 	if err != nil {
 		return nil, err
 	}
-	n := &normalizer{toks: toks}
+	n.toks = toks
 	if err := n.run(); err != nil {
 		return nil, err
 	}
-	return &Template{
-		Text:   strings.Join(n.out, " "),
-		Table:  n.table,
-		params: n.params,
-		stmt:   n.stmt,
-	}, nil
+	return n.template(), nil
+}
+
+// template copies the normalized statement out of the scratch: one
+// allocation for Text, one each for the parameter and condition vectors.
+// Column names and string parameters are token texts, which reference the
+// (immutable) source statement, never the scratch.
+func (n *normalizer) template() *Template {
+	t := &Template{Text: string(n.out), Table: n.table, stmt: n.stmt}
+	t.params = append([]Param(nil), n.params...)
+	t.stmt.conds = append([]tmplCond(nil), n.stmt.conds...)
+	return t
+}
+
+// release clears every reference into the last statement and returns the
+// scratch to the pool.
+func (n *normalizer) release() {
+	if cap(n.out) > maxPooledNormalizer {
+		return
+	}
+	clear(n.toks)
+	clear(n.params)
+	clear(n.stmt.conds)
+	*n = normalizer{
+		toks:   n.toks[:0],
+		out:    n.out[:0],
+		params: n.params[:0],
+		stmt:   tmplStmt{conds: n.stmt.conds[:0]},
+	}
+	normalizers.Put(n)
 }
 
 func (n *normalizer) cur() token { return n.toks[n.pos] }
@@ -166,7 +202,13 @@ func (n *normalizer) expectSymbol(sym string) error {
 	return fmt.Errorf("sqlfe: expected %q near %q", sym, n.cur().text)
 }
 
-func (n *normalizer) emit(tok string) { n.out = append(n.out, tok) }
+// emit appends one canonical token, separated from the last by a space.
+func (n *normalizer) emit(tok string) {
+	if len(n.out) > 0 {
+		n.out = append(n.out, ' ')
+	}
+	n.out = append(n.out, tok...)
+}
 
 // run mirrors parser.selectStmt.
 func (n *normalizer) run() error {

@@ -3,6 +3,7 @@ package sqlfe
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -294,5 +295,72 @@ func TestPlanCacheLRUAndInvalidation(t *testing.T) {
 	}
 	if s := nilC.Stats(); s != (PlanCacheStats{}) {
 		t.Errorf("nil stats = %+v", s)
+	}
+}
+
+// kdStmt is the shape of one batch_kd benchmark statement: a 3-D box
+// spelled as six numeric comparisons.
+const kdStmt = "SELECT SUM(fare) FROM taxi WHERE pickup_time >= 6.3125 AND pickup_time <= 9.5 " +
+	"AND trip_distance >= 1.25 AND trip_distance <= 7.0625 AND passenger_count >= 1 AND passenger_count <= 4"
+
+// TestNormalizeAllocates pins the allocation-light normalizer: with a
+// pooled scratch, Normalize allocates only what the returned Template
+// keeps — the Template, its Text, and its parameter and condition
+// vectors (at most one more is tolerated: a GC may empty the pool).
+func TestNormalizeAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, c := range []struct {
+		sql  string
+		want float64
+	}{
+		{kdStmt, 5},
+		{"SELECT COUNT(*) FROM taxi WHERE pickup_time >= 8 AND pickup_time <= 10.5", 4},
+	} {
+		mustNormalize(t, c.sql)
+		if n := testing.AllocsPerRun(200, func() { _, _ = Normalize(c.sql) }); n > c.want {
+			t.Errorf("%v allocs per Normalize, want at most %v: %s", n, c.want, c.sql)
+		}
+	}
+}
+
+// BenchmarkNormalize times one batch_kd-shaped statement.
+func BenchmarkNormalize(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = Normalize(kdStmt)
+	}
+}
+
+// TestNormalizeTemplateOwnsItsText checks that no pooled scratch leaks
+// into a returned Template: a template kept by one caller must not
+// change while other goroutines normalize different statements.
+func TestNormalizeTemplateOwnsItsText(t *testing.T) {
+	a := mustNormalize(t, "SELECT AVG(fare) FROM Taxi WHERE zone = 'O''Hare' AND pickup_time BETWEEN 1 AND 2 GROUP BY zone")
+	wantText, wantTable := a.Text, a.Table
+	wantParams := append([]Param(nil), a.Params()...)
+	wantStmt := a.stmt
+	wantStmt.conds = append([]tmplCond(nil), a.stmt.conds...)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				b, err := Normalize(kdStmt)
+				if err != nil || b.Text == wantText {
+					t.Errorf("Normalize(kdStmt) = %v, %v", b, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if a.Text != wantText || a.Table != wantTable || !reflect.DeepEqual(a.Params(), wantParams) ||
+		!reflect.DeepEqual(a.stmt, wantStmt) {
+		t.Fatalf("template changed under concurrent Normalize:\n%q %q %+v %+v\nwant\n%q %q %+v %+v",
+			a.Text, a.Table, a.Params(), a.stmt, wantText, wantTable, wantParams, wantStmt)
 	}
 }
