@@ -318,3 +318,64 @@ func TestFaultScheduleFlagParses(t *testing.T) {
 		t.Fatalf("eio rule error %v should wrap ErrInjected", rules[0].Err)
 	}
 }
+
+// TestDropTableStatus: DELETE /tables/{name} answers 404 only for a name
+// no table is registered under. A drop whose files cannot be unlinked is a
+// server fault — 500 — and the files it leaves bring the table back whole
+// at the next boot.
+func TestDropTableStatus(t *testing.T) {
+	dir := t.TempDir()
+	fsys := vfs.NewFaultFS(vfs.OS())
+	st, err := store.Open(dir, store.Options{CheckpointInterval: -1, NoSync: true, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := pass.NewSession()
+	if _, err := sess.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(sess).handler())
+	defer ts.Close()
+	if resp, body := postJSON(t, ts.URL+"/tables", map[string]any{
+		"name": "sensors", "csv": sensorCSV(2400), "partitions": 16, "sample_rate": 0.05,
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create = %d (%v), want 201", resp.StatusCode, body)
+	}
+	drop := func(name string) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/tables/"+name, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := drop("ghost"); code != http.StatusNotFound {
+		t.Errorf("drop of an unknown table = %d, want 404", code)
+	}
+	rules, err := vfs.ParseSchedule("op=remove,path=.manifest,err=eio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.Inject(rules...)
+	if code := drop("sensors"); code != http.StatusInternalServerError {
+		t.Errorf("drop whose manifest unlink fails = %d, want 500", code)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{CheckpointInterval: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess2 := pass.NewSession()
+	if _, err := sess2.AttachStore(st2); err != nil {
+		t.Fatalf("boot after a failed drop: %v", err)
+	}
+	defer sess2.Close()
+	if tabs := sess2.Tables(); len(tabs) != 1 || tabs[0].Name != "sensors" || tabs[0].Rows != 2400 {
+		t.Fatalf("tables after a failed drop = %+v, want sensors back whole", tabs)
+	}
+}

@@ -2,17 +2,59 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/pass"
 )
+
+// TestMain lets a test boot passd itself: the test binary, re-executed
+// with PASSD_AS_MAIN=1, is the command.
+func TestMain(m *testing.M) {
+	if os.Getenv("PASSD_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBootRefusesOlderLayout: a data directory holding a file of a layout
+// nothing writes any more — a bare <table>.snap, or a <table>.s<i>.wal —
+// stops passd at boot with a non-zero exit naming the file, instead of
+// serving without the table.
+func TestBootRefusesOlderLayout(t *testing.T) {
+	for _, file := range []string{"sensors.snap", "sensors.s0.wal"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, file), []byte("older layout"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-listen", "127.0.0.1:0", "-data-dir", dir)
+		cmd.Env = append(os.Environ(), "PASSD_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || timedOut {
+			t.Fatalf("%s: passd ended with %v, want exit status 1 at boot\n%s", file, err, out)
+		}
+		if !strings.Contains(string(out), filepath.Join(dir, file)) {
+			t.Errorf("%s: boot error does not name the file:\n%s", file, out)
+		}
+	}
+}
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -451,5 +493,43 @@ func TestCreateTableReservedNameRejectedUpfront(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("reserved name: HTTP %d (%v), want 400", resp.StatusCode, body)
+	}
+}
+
+// TestQueryRejectsAmbiguousBody: a /query body carrying more than one of a
+// non-blank "sql", a non-empty "statements" and "prepared" is a 400 —
+// running one and dropping the others would answer a different request.
+func TestQueryRejectsAmbiguousBody(t *testing.T) {
+	ts := testServer(t)
+	if _, created := postJSON(t, ts.URL+"/tables", map[string]any{
+		"name": "t", "csv": sensorCSV(600), "partitions": 8, "sample_rate": 0.1,
+	}); created["error"] != nil {
+		t.Fatalf("create: %v", created["error"])
+	}
+	if resp, body := postJSON(t, ts.URL+"/prepare", map[string]any{
+		"name": "p", "sql": "SELECT COUNT(*) FROM t",
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("prepare: HTTP %d (%v)", resp.StatusCode, body)
+	}
+	const sql = "SELECT COUNT(*) FROM t"
+	for _, body := range []map[string]any{
+		{"sql": sql, "statements": []string{sql}},
+		{"sql": sql, "prepared": "p"},
+		{"statements": []string{sql}, "prepared": "p"},
+		{"sql": sql, "statements": []string{sql}, "prepared": "p"},
+	} {
+		if resp, out := postJSON(t, ts.URL+"/query", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%v: HTTP %d (%v), want 400", body, resp.StatusCode, out)
+		}
+	}
+	// a blank "sql" or an empty "statements" beside the real request is no
+	// second request
+	for _, body := range []map[string]any{
+		{"sql": "  ", "prepared": "p"},
+		{"sql": sql, "statements": []string{}},
+	} {
+		if resp, out := postJSON(t, ts.URL+"/query", body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%v: HTTP %d (%v), want 200", body, resp.StatusCode, out)
+		}
 	}
 }

@@ -253,6 +253,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
 		defer cancel()
 	}
+	given := 0
+	for _, set := range [...]bool{req.Prepared != "", len(req.Statements) > 0, strings.TrimSpace(req.SQL) != ""} {
+		if set {
+			given++
+		}
+	}
+	if given > 1 {
+		// running one and dropping the rest would answer a different request
+		httpError(w, http.StatusBadRequest, fmt.Errorf(`"sql", "statements" and "prepared" are mutually exclusive`))
+		return
+	}
 	var results []pass.StmtResult
 	switch {
 	case req.Prepared != "":
@@ -396,11 +407,7 @@ func (s *server) handleReoptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := s.sess.Reoptimize(name)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "unknown table") {
-			status = http.StatusNotFound
-		}
-		httpError(w, status, err)
+		httpError(w, tableErrStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -563,10 +570,21 @@ func (s *server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleDropTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.sess.Drop(name); err != nil {
-		httpError(w, http.StatusNotFound, err)
+		httpError(w, tableErrStatus(err), err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// tableErrStatus maps the failure of an operation on a named table to its
+// status: 404 when no table is registered under the name, 500 for
+// everything else — a drop whose files could not be unlinked is a server
+// fault, and those files would bring the table back at the next boot.
+func tableErrStatus(err error) int {
+	if errors.Is(err, catalog.ErrUnknownTable) {
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
 }
 
 // writeJSON answers v as two-space indented JSON, the form of every

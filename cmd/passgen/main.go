@@ -1,32 +1,31 @@
 // Command passgen generates the simulated evaluation datasets to CSV so
 // they can be inspected, loaded into other tools, or fed to passquery —
 // and, with -snap, builds a PASS synopsis over the generated data and
-// writes it as a store snapshot file that passd serves directly from a
-// data directory (build once, serve forever).
+// checkpoints it into a data directory that passd serves directly (build
+// once, serve forever).
 //
 // Usage:
 //
 //	passgen -dataset nyctaxi -rows 100000 -out taxi.csv
 //	passgen -dataset nyctaxi -dims 5 -rows 100000 -out taxi5d.csv
 //	passgen -dataset adversarial -rows 1000000 -out adv.csv
-//	passgen -dataset intel -rows 100000 -snap data/intel.snap -table intel
+//	passgen -dataset intel -rows 100000 -snap data -table intel
 //	passgen -dataset intel -rows 100000 -shards 4 -snap data -table intel
 //
-// With -shards > 1 the synopsis is built sharded (range partitioning on
-// the first predicate column, one synopsis per shard built concurrently)
-// and -snap names the data DIRECTORY, in which the table is checkpointed
-// the way a serving store does it: manifest, per-shard snapshots, WAL.
+// -snap names a data DIRECTORY, in which the table is checkpointed the way
+// a serving store does it: manifest, shard snapshots, WAL. With -shards 1
+// (the default) that is the one-shard fileset of an unsharded synopsis;
+// with -shards > 1 the synopsis is built sharded (range partitioning on the
+// first predicate column, one synopsis per shard built concurrently).
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/catalog"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/engine/factory"
 	"repro/internal/sqlfe"
 	"repro/internal/store"
@@ -39,11 +38,11 @@ func main() {
 		dims       = flag.Int("dims", 1, "predicate columns (nyctaxi only, 1-5)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		out        = flag.String("out", "", "output file (default stdout)")
-		snap       = flag.String("snap", "", "also build a PASS synopsis and write it as a store snapshot file (a data directory when -shards > 1)")
+		snap       = flag.String("snap", "", "also build a PASS synopsis and checkpoint it into this data directory (manifest + shard snapshots + WAL)")
 		table      = flag.String("table", "", "table name recorded in the snapshot (default: the dataset name)")
 		partitions = flag.Int("partitions", 64, "leaf partitions for -snap")
 		rate       = flag.Float64("rate", 0.005, "sample rate for -snap")
-		shards     = flag.Int("shards", 1, "build a sharded synopsis with this many shards (-snap then writes per-shard snapshots + manifest into a directory)")
+		shards     = flag.Int("shards", 1, "build a sharded synopsis with this many shards for -snap (1 = unsharded)")
 	)
 	flag.Parse()
 
@@ -60,17 +59,11 @@ func main() {
 	}
 
 	if *snap != "" {
-		var err error
-		if *shards > 1 {
-			err = writeShardedSnapshot(d, *snap, *table, *name, *partitions, *rate, *seed, *shards)
-		} else {
-			err = writeSnapshot(d, *snap, *table, *name, *partitions, *rate, *seed)
-		}
-		if err != nil {
+		if err := writeDataDir(d, *snap, *table, *name, *partitions, *rate, *seed, *shards); err != nil {
 			fmt.Fprintf(os.Stderr, "passgen: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "wrote synopsis snapshot (%d rows, %d shard(s)) to %s\n", d.N(), *shards, *snap)
+		fmt.Fprintf(os.Stderr, "wrote synopsis (%d rows, %d shard(s)) into data directory %s\n", d.N(), max(*shards, 1), *snap)
 		if *out == "" {
 			return // -snap without -out: don't dump CSV to the terminal
 		}
@@ -102,46 +95,15 @@ func main() {
 	}
 }
 
-// writeSnapshot builds a PASS engine over the dataset and persists it
-// through the same snapshot codec passd's data directories use, so the
-// output file can be dropped straight into a -data-dir.
-func writeSnapshot(d *dataset.Dataset, path, table, datasetName string, partitions int, rate float64, seed uint64) error {
-	eng, err := factory.Build("pass", d, factory.Spec{
-		Partitions: partitions, SampleRate: rate, Seed: seed,
-	})
-	if err != nil {
-		return err
+// writeDataDir builds a PASS engine — unsharded for shards ≤ 1, a
+// range-sharded one otherwise — and checkpoints it into the data directory
+// dir through a store opened there, ready for a passd -data-dir warm start.
+func writeDataDir(d *dataset.Dataset, dir, table, datasetName string, partitions int, rate float64, seed uint64, shards int) error {
+	kind := "pass"
+	if shards > 1 {
+		kind = fmt.Sprintf("sharded:pass:%d", shards)
 	}
-	ser, ok := eng.(engine.Serializable)
-	if !ok {
-		return fmt.Errorf("engine %s: %w", eng.Name(), engine.ErrNotSerializable)
-	}
-	var payload bytes.Buffer
-	if err := ser.Save(&payload); err != nil {
-		return fmt.Errorf("serialize synopsis: %w", err)
-	}
-	if table == "" {
-		table = datasetName
-	}
-	if err := store.ValidateTableName(table); err != nil {
-		return err
-	}
-	schema := sqlfe.SchemaFromColNames(d.ColNames)
-	schema.Table = table
-	return store.WriteSnapshotFile(path, &store.Snapshot{
-		Name:    table,
-		Engine:  eng.Name(),
-		Rows:    d.N(),
-		Schema:  schema,
-		Payload: payload.Bytes(),
-	})
-}
-
-// writeShardedSnapshot builds a sharded PASS engine and checkpoints it
-// into the data directory dir through a store opened there, ready for a
-// passd -data-dir warm start.
-func writeShardedSnapshot(d *dataset.Dataset, dir, table, datasetName string, partitions int, rate float64, seed uint64, shards int) error {
-	eng, err := factory.Build(fmt.Sprintf("sharded:pass:%d", shards), d, factory.Spec{
+	eng, err := factory.Build(kind, d, factory.Spec{
 		Partitions: partitions, SampleRate: rate, Seed: seed,
 	})
 	if err != nil {

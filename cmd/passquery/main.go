@@ -1,44 +1,38 @@
-// Command passquery builds an AQP engine from a CSV file and answers
-// one aggregate query with a confidence interval (and, for PASS, hard
-// bounds).
+// Command passquery answers one aggregate query over a table it builds
+// from a CSV file (-in) or loads from a data directory (-load), through a
+// pass.Session: -agg/-where is rendered as the SQL statement -sql would
+// give, and every statement runs through Session.Exec. The CSV has a
+// header row and its last column is the aggregation column; -where takes
+// one lo:hi range per predicate column, in order (-inf or inf leaves a
+// side open, missing trailing ranges are unconstrained).
 //
-// The CSV must have a header row; all columns but the last are predicate
-// columns, the last is the aggregation column. Ranges are given as
-// lo:hi pairs, one per predicate column in order (missing trailing ranges
-// are unconstrained).
-//
-// Usage:
-//
-//	passquery -in taxi.csv -agg sum -where 6:18
+//	passquery -in taxi.csv -agg sum -where 6:18 -exact     # also print truth
 //	passquery -in taxi5d.csv -agg avg -where 6:18,0:15 -partitions 256
-//	passquery -in taxi.csv -agg count -where 6:18 -exact   # also print truth
 //	passquery -in taxi.csv -sql "SELECT AVG(trip_distance) FROM t WHERE pickup_time BETWEEN 6 AND 18"
-//	passquery -in taxi.csv -sql "SELECT SUM(trip_distance) FROM t WHERE pickup_time BETWEEN 6 AND 18" -explain
-//	passquery -in taxi.csv -agg sum -where 6:18 -engine aqpp   # a comparator engine
-//	passquery -in taxi.csv -agg sum -where 6:18 -json          # machine-readable
+//	passquery -in taxi.csv -agg sum -where 6:18 -engine aqpp -explain -json
 //
-// A synopsis built once can be persisted and served forever through the
-// store snapshot codec (the same format passd data directories use):
+// -save persists the built table into a data directory, the layout passd
+// serves, and -load answers from one without a rebuild:
 //
-//	passquery -in taxi.csv -save taxi.snap -table taxi        # build + persist
-//	passquery -load taxi.snap -agg sum -where 6:18            # answer without rebuilding
-//	passquery -load taxi.snap -sql "SELECT SUM(trip_distance) FROM taxi WHERE pickup_time BETWEEN 6 AND 18"
+//	passquery -in taxi.csv -save data -table taxi
+//	passquery -load data -agg sum -where 6:18
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/engine/factory"
 	"repro/internal/jsonout"
 	"repro/internal/obs"
@@ -48,26 +42,22 @@ import (
 	"repro/pass"
 )
 
-// jsonOutput is the machine-readable result document, mirroring
-// passbench -json in spirit: one stable schema the CI artifact tooling
-// and scripts can consume.
+// jsonOutput is the -json result document; report prints it as text too.
 type jsonOutput struct {
+	Table       string          `json:"table"`
 	Engine      string          `json:"engine"`
 	Rows        int             `json:"rows"`
-	Leaves      int             `json:"leaves,omitempty"`
-	Samples     int             `json:"samples,omitempty"`
 	MemoryBytes int             `json:"memory_bytes"`
 	BuildSecs   float64         `json:"build_seconds,omitempty"`
 	Aggregate   string          `json:"aggregate,omitempty"`
-	SQL         string          `json:"sql,omitempty"`
+	SQL         string          `json:"sql"`
 	NoMatch     bool            `json:"no_match,omitempty"`
 	Answer      *jsonout.Answer `json:"answer,omitempty"`
 	Groups      []jsonout.Group `json:"groups,omitempty"`
+	Sketch      *jsonout.Sketch `json:"sketch,omitempty"`
 	Exact       *jsonTruth      `json:"exact,omitempty"`
-	// ExactError reports why -exact could not produce a ground truth.
-	ExactError string `json:"exact_error,omitempty"`
-	// Trace is the EXPLAIN ANALYZE span tree (-explain only).
-	Trace *obs.SpanJSON `json:"trace,omitempty"`
+	ExactError  string          `json:"exact_error,omitempty"` // why -exact has no truth
+	Trace       *obs.SpanJSON   `json:"trace,omitempty"`       // -explain only
 }
 
 type jsonTruth struct {
@@ -77,191 +67,56 @@ type jsonTruth struct {
 
 func main() {
 	var (
-		in         = flag.String("in", "", "input CSV (required)")
+		in         = flag.String("in", "", "input CSV to build the table from")
 		aggName    = flag.String("agg", "sum", "aggregate: sum, count, avg, min, max")
 		where      = flag.String("where", "", "comma-separated lo:hi ranges, one per predicate column")
 		partitions = flag.Int("partitions", 64, "leaf partitions k")
 		rate       = flag.Float64("rate", 0.005, "sample rate")
 		confidence = flag.Float64("confidence", 0.99, "CI coverage")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		exact      = flag.Bool("exact", false, "also compute the exact answer by full scan")
+		exact      = flag.Bool("exact", false, "also compute the exact answer by full scan of -in")
 		sqlQuery   = flag.String("sql", "", "SQL statement (overrides -agg/-where); column names come from the CSV header")
-		explainQ   = flag.Bool("explain", false, "with -sql: run as EXPLAIN ANALYZE and print the span tree (in -json, attach it as \"trace\")")
-		engineName = flag.String("engine", "pass", "engine: "+strings.Join(factory.Kinds(), ", "))
+		explainQ   = flag.Bool("explain", false, "run the statement as EXPLAIN ANALYZE and print the span tree (in -json, attach it as \"trace\")")
+		engineName = flag.String("engine", "pass", "engine for -in: "+strings.Join(factory.Kinds(), ", ")+", or sharded:<inner>:<n>")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON (machine-readable)")
-		saveFile   = flag.String("save", "", "persist the built synopsis as a store snapshot file")
-		loadFile   = flag.String("load", "", "serve from a store snapshot file instead of building from -in")
-		tableName  = flag.String("table", "", "table name recorded with -save (default: the CSV basename)")
+		saveDir    = flag.String("save", "", "persist the table built from -in into this data directory")
+		loadDir    = flag.String("load", "", "answer from a table in this data directory instead of building from -in")
+		tableName  = flag.String("table", "", "table name (default: the -sql FROM table, else the CSV basename, or with -load the directory's only table)")
 	)
 	flag.Parse()
-
-	if *in == "" && *loadFile == "" {
-		fmt.Fprintln(os.Stderr, "passquery: -in (or -load) is required")
-		os.Exit(2)
-	}
-	if *explainQ && *sqlQuery == "" {
-		fmt.Fprintln(os.Stderr, "passquery: -explain needs -sql (the trace hangs off a SQL statement)")
+	if (*in == "") == (*loadDir == "") || (*saveDir != "" && *in == "") {
+		fmt.Fprintln(os.Stderr, "passquery: give -in (optionally with -save) or -load")
 		os.Exit(2)
 	}
 
-	agg, err := parseAgg(*aggName)
-	if err != nil {
-		fatal(err)
-	}
-	ranges, err := parseRanges(*where)
-	if err != nil {
-		fatal(err)
-	}
-	if len(ranges) == 0 {
-		ranges = []pass.Range{{Lo: math.Inf(-1), Hi: math.Inf(1)}}
-	}
-
-	if *saveFile != "" || *loadFile != "" {
-		runStoreMode(storeModeArgs{
-			in: *in, save: *saveFile, load: *loadFile, table: *tableName,
-			engine: *engineName, sql: *sqlQuery, agg: agg, ranges: ranges,
-			spec: factory.Spec{
-				Partitions: *partitions, SampleRate: *rate, Seed: *seed,
-				Lambda: stats.LambdaFor(*confidence),
-			},
-			exact: *exact, jsonOut: *jsonOut, explain: *explainQ,
-		})
-		return
-	}
-
-	if !strings.EqualFold(*engineName, "pass") {
-		if *sqlQuery != "" {
-			fatal(fmt.Errorf("-sql is only supported with -engine pass (comparators have no SQL frontend)"))
-		}
-		runComparator(*in, *engineName, agg, ranges, factory.Spec{
-			Partitions: *partitions, SampleRate: *rate, Seed: *seed,
-			Lambda: stats.LambdaFor(*confidence),
-		}, *exact, *jsonOut)
-		return
-	}
-
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	tbl, err := pass.ReadCSV(f)
-	if err != nil {
-		fatal(err)
-	}
-
-	opt := pass.Options{
-		Partitions: *partitions,
-		SampleRate: *rate,
-		Confidence: *confidence,
-		Seed:       *seed,
-	}
-	syn, err := pass.BuildAuto(tbl, opt)
-	if err != nil {
-		fatal(err)
-	}
-	out := jsonOutput{
-		Engine:      "PASS",
-		Rows:        tbl.Len(),
-		Leaves:      syn.Leaves(),
-		Samples:     syn.Samples(),
-		MemoryBytes: syn.MemoryBytes(),
-		BuildSecs:   syn.BuildSeconds(),
-	}
-	if !*jsonOut {
-		fmt.Printf("synopsis: %d rows, %d leaves, %d samples, %.1f KiB, built in %.3fs\n",
-			tbl.Len(), syn.Leaves(), syn.Samples(), float64(syn.MemoryBytes())/1024, syn.BuildSeconds())
-	}
-
-	if *sqlQuery != "" {
-		runSQL(syn, *sqlQuery, out, *jsonOut, *explainQ)
-		return
-	}
-
-	out.Aggregate = strings.ToUpper(*aggName)
-	ans, err := syn.Query(agg, ranges...)
-	if err == pass.ErrNoMatch {
-		out.NoMatch = true
-		if *jsonOut {
-			emitJSON(out)
-		} else {
-			fmt.Println("no tuples match the predicate")
-		}
-		return
-	}
-	if err != nil {
-		fatal(err)
-	}
-	out.Answer = jsonout.FromAnswer(ans)
-	if *exact {
-		if truth, err := tbl.Exact(agg, ranges...); err == nil {
-			out.Exact = &jsonTruth{Value: truth, RelativeErr: relErr(ans.Estimate, truth)}
-		} else {
-			out.ExactError = err.Error()
+	sess := pass.NewSession()
+	var base *dataset.Dataset // the rows behind a built table, for -exact
+	out := jsonOutput{Table: *tableName}
+	if out.Table == "" && *sqlQuery != "" {
+		stmt, _ := sqlfe.StripExplain(*sqlQuery)
+		if tmpl, err := sqlfe.Normalize(stmt); err == nil {
+			out.Table = tmpl.Table
 		}
 	}
-	if *jsonOut {
-		emitJSON(out)
-		return
+	dir := *saveDir
+	if *loadDir != "" {
+		if _, err := os.Stat(*loadDir); err != nil { // a read must not create it
+			fatal(err)
+		}
+		dir = *loadDir
 	}
-	fmt.Printf("%s ≈ %.6g ± %.6g (%.0f%% CI)\n", out.Aggregate, ans.Estimate, ans.CIHalf, *confidence*100)
-	if ans.HardBounds {
-		fmt.Printf("hard bounds: [%.6g, %.6g]\n", ans.HardLo, ans.HardHi)
-	}
-	if ans.Exact {
-		fmt.Println("answer is exact (predicate aligned with partitioning)")
-	}
-	fmt.Printf("tuples read: %d   skip rate: %.1f%%\n", ans.TuplesRead, ans.SkipRate*100)
-	if out.Exact != nil {
-		fmt.Printf("exact: %.6g   relative error: %.4f%%\n", out.Exact.Value, out.Exact.RelativeErr*100)
-	} else if *exact {
-		fmt.Printf("exact: undefined (%s)\n", out.ExactError)
-	}
-}
-
-// storeModeArgs collects the inputs of the -save/-load snapshot paths.
-type storeModeArgs struct {
-	in, save, load, table string
-	engine, sql           string
-	agg                   pass.Agg
-	ranges                []pass.Range
-	spec                  factory.Spec
-	exact                 bool
-	jsonOut               bool
-	explain               bool
-}
-
-// runStoreMode persists or restores a synopsis through the store snapshot
-// codec — the same format passd data directories use, so a file written
-// here can be dropped into a -data-dir and served immediately.
-func runStoreMode(a storeModeArgs) {
-	var (
-		eng    engine.Engine
-		schema sqlfe.Schema
-		name   string
-		base   *dataset.Dataset // only on the -save path, for -exact
-	)
-	switch {
-	case a.load != "":
-		snap, err := store.ReadSnapshotFile(a.load)
+	if dir != "" {
+		st, err := store.Open(dir, store.Options{CheckpointInterval: -1})
 		if err != nil {
 			fatal(err)
 		}
-		loader, ok := factory.Loader(snap.Engine)
-		if !ok {
-			fatal(fmt.Errorf("no loader for engine %q (have %s)", snap.Engine, strings.Join(factory.LoaderKinds(), ", ")))
-		}
-		eng, err = loader(bytes.NewReader(snap.Payload))
-		if err != nil {
+		defer st.Close() // -load: closed without a checkpoint, a read writes no new one
+		if _, err := sess.AttachStore(st); err != nil {
 			fatal(err)
 		}
-		schema, name = snap.Schema, snap.Name
-		if !a.jsonOut {
-			fmt.Printf("loaded table %q (engine %s, %d rows at snapshot) from %s — no rebuild\n",
-				name, snap.Engine, snap.Rows, a.load)
-		}
-	default: // -save
-		f, err := os.Open(a.in)
+	}
+	if *in != "" {
+		f, err := os.Open(*in)
 		if err != nil {
 			fatal(err)
 		}
@@ -270,268 +125,126 @@ func runStoreMode(a storeModeArgs) {
 		if err != nil {
 			fatal(err)
 		}
-		eng, err = factory.Build(a.engine, base, a.spec)
+		start := time.Now()
+		eng, err := factory.Build(*engineName, base, factory.Spec{
+			Partitions: *partitions, SampleRate: *rate, Seed: *seed, Lambda: stats.LambdaFor(*confidence),
+		})
 		if err != nil {
 			fatal(err)
 		}
-		ser, ok := engine.Underlying(eng).(engine.Serializable)
-		if !ok {
-			fatal(fmt.Errorf("engine %s: %w", eng.Name(), engine.ErrNotSerializable))
+		out.BuildSecs = time.Since(start).Seconds()
+		if out.Table == "" {
+			out.Table = strings.TrimSuffix(filepath.Base(*in), filepath.Ext(*in))
 		}
-		var payload bytes.Buffer
-		if err := ser.Save(&payload); err != nil {
+		// with -save the table is persisted on register, and Close checkpoints
+		if err := sess.RegisterEngine(out.Table, eng, sqlfe.SchemaFromColNames(base.ColNames)); err != nil {
 			fatal(err)
 		}
-		name = a.table
-		if name == "" {
-			name = strings.TrimSuffix(filepath.Base(a.in), filepath.Ext(a.in))
-		}
-		schema = sqlfe.SchemaFromColNames(base.ColNames)
-		schema.Table = name
-		if err := store.WriteSnapshotFile(a.save, &store.Snapshot{
-			Name: name, Engine: engine.Underlying(eng).Name(), Rows: base.N(),
-			Schema: schema, Payload: payload.Bytes(),
-		}); err != nil {
+		if err := sess.Close(); err != nil {
 			fatal(err)
-		}
-		if !a.jsonOut {
-			fmt.Printf("saved table %q (engine %s, %d rows) to %s\n", name, eng.Name(), base.N(), a.save)
 		}
 	}
+	tabs := sess.Tables()
+	if out.Table == "" && len(tabs) == 1 { // -load of a one-table directory
+		out.Table = tabs[0].Name
+	}
+	i := slices.IndexFunc(tabs, func(t pass.TableInfo) bool { return strings.EqualFold(t.Name, out.Table) })
+	if i < 0 {
+		fatal(fmt.Errorf("no table %q among the %d loaded; name one with -table", out.Table, len(tabs)))
+	}
+	info := tabs[i]
+	out.Table, out.Engine, out.Rows, out.MemoryBytes = info.Name, info.Engine, info.Rows, info.MemoryBytes
 
-	if a.sql != "" {
-		sess := pass.NewSession()
-		if err := sess.RegisterEngine(name, eng, schema); err != nil {
+	// one query path: -agg/-where is rendered as the statement -sql gives
+	stmt := *sqlQuery
+	if stmt == "" {
+		var err error
+		out.Aggregate = strings.ToUpper(*aggName)
+		if stmt, err = renderSQL(out.Aggregate, *where, info); err != nil {
 			fatal(err)
 		}
-		stmt := a.sql
-		if a.explain {
-			stmt = explainSQL(stmt)
-		}
-		res, err := sess.Exec(stmt)
-		out := jsonOutput{Engine: eng.Name(), MemoryBytes: eng.MemoryBytes(), SQL: a.sql}
-		out.Trace = res.Trace
-		switch {
-		case err == pass.ErrNoMatch:
-			out.NoMatch = true
-		case err != nil:
-			fatal(err)
-		case res.Groups != nil:
-			out.Groups = jsonout.FromGroups(res.Groups)
-		default:
-			out.Answer = jsonout.FromAnswer(res.Scalar)
-		}
-		if a.jsonOut {
-			emitJSON(out)
-			return
-		}
-		switch {
-		case out.NoMatch:
-			fmt.Println("no tuples match the predicate")
-		case out.Groups != nil:
-			for _, g := range out.Groups {
-				label := g.Label
-				if label == "" {
-					label = fmt.Sprintf("%g", g.Group)
-				}
-				if g.NoMatch || g.Answer == nil {
-					fmt.Printf("%-20s  (no matching tuples)\n", label)
-					continue
-				}
-				fmt.Printf("%-20s  %.6g ± %.6g\n", label, g.Answer.Estimate, g.Answer.CIHalf)
-			}
-		default:
-			fmt.Printf("result ≈ %.6g ± %.6g\n", out.Answer.Estimate, out.Answer.CIHalf)
-		}
-		printTrace(out.Trace)
-		return
 	}
-
-	// -agg/-where path: query the engine directly
-	kind, err := dataset.ParseAggKind(a.agg.String())
-	if err != nil {
-		fatal(err)
+	if *explainQ {
+		stmt = explainSQL(stmt)
 	}
-	rect := dataset.Rect{Lo: make([]float64, len(a.ranges)), Hi: make([]float64, len(a.ranges))}
-	for i, rg := range a.ranges {
-		rect.Lo[i], rect.Hi[i] = rg.Lo, rg.Hi
-	}
-	r, err := eng.Query(kind, rect)
-	if err != nil {
-		fatal(err)
-	}
-	out := jsonOutput{Engine: eng.Name(), MemoryBytes: eng.MemoryBytes(), Aggregate: kind.String()}
-	if r.NoMatch {
+	out.SQL, _ = sqlfe.StripExplain(stmt)
+	res, err := sess.Exec(stmt)
+	switch {
+	case errors.Is(err, pass.ErrNoMatch):
 		out.NoMatch = true
-		if a.jsonOut {
-			emitJSON(out)
-		} else {
-			fmt.Println("no tuples match the predicate")
-		}
-		return
-	}
-	out.Answer = &jsonout.Answer{
-		Estimate: r.Estimate, CIHalf: r.CIHalf, Exact: r.Exact, TuplesRead: r.TuplesRead,
-	}
-	if a.exact && base != nil {
-		if truth, err := base.Exact(kind, rect); err == nil {
-			out.Exact = &jsonTruth{Value: truth, RelativeErr: relErr(r.Estimate, truth)}
-		} else {
-			out.ExactError = err.Error()
-		}
-	} else if a.exact {
-		out.ExactError = "-exact needs the base data; a loaded snapshot has only the synopsis"
-	}
-	if a.jsonOut {
-		emitJSON(out)
-		return
-	}
-	fmt.Printf("%s ≈ %.6g ± %.6g\n", out.Aggregate, r.Estimate, r.CIHalf)
-	fmt.Printf("tuples read: %d\n", r.TuplesRead)
-	if out.Exact != nil {
-		fmt.Printf("exact: %.6g   relative error: %.4f%%\n", out.Exact.Value, out.Exact.RelativeErr*100)
-	} else if out.ExactError != "" {
-		fmt.Printf("exact: undefined (%s)\n", out.ExactError)
-	}
-}
-
-// runComparator answers the query with one of the non-PASS engines,
-// constructed by name through the engine factory.
-func runComparator(in, name string, agg pass.Agg, ranges []pass.Range, spec factory.Spec, exact, jsonOut bool) {
-	f, err := os.Open(in)
-	if err != nil {
+	case err != nil:
 		fatal(err)
-	}
-	defer f.Close()
-	d, err := dataset.ReadCSV(f, "table")
-	if err != nil {
-		fatal(err)
-	}
-	eng, err := factory.Build(name, d, spec)
-	if err != nil {
-		fatal(err)
-	}
-	kind, err := dataset.ParseAggKind(agg.String())
-	if err != nil {
-		fatal(err)
-	}
-	rect := dataset.Rect{Lo: make([]float64, len(ranges)), Hi: make([]float64, len(ranges))}
-	for i, r := range ranges {
-		rect.Lo[i], rect.Hi[i] = r.Lo, r.Hi
-	}
-	out := jsonOutput{
-		Engine:      eng.Name(),
-		Rows:        d.N(),
-		MemoryBytes: eng.MemoryBytes(),
-		Aggregate:   kind.String(),
-	}
-	r, err := eng.Query(kind, rect)
-	if err != nil {
-		fatal(err)
-	}
-	if r.NoMatch {
-		out.NoMatch = true
-		if jsonOut {
-			emitJSON(out)
-		} else {
-			fmt.Println("no tuples match the predicate")
-		}
-		return
-	}
-	out.Answer = &jsonout.Answer{
-		Estimate:   r.Estimate,
-		CIHalf:     r.CIHalf,
-		Exact:      r.Exact,
-		TuplesRead: r.TuplesRead,
-		SkipRate:   r.SkipRate(d.N()),
-	}
-	if exact {
-		if truth, err := d.Exact(kind, rect); err == nil {
-			out.Exact = &jsonTruth{Value: truth, RelativeErr: relErr(r.Estimate, truth)}
-		} else {
-			out.ExactError = err.Error()
-		}
-	}
-	if jsonOut {
-		emitJSON(out)
-		return
-	}
-	fmt.Printf("engine: %s, %d rows, %.1f KiB synopsis\n", eng.Name(), d.N(), float64(eng.MemoryBytes())/1024)
-	fmt.Printf("%s ≈ %.6g ± %.6g\n", out.Aggregate, r.Estimate, r.CIHalf)
-	fmt.Printf("tuples read: %d\n", r.TuplesRead)
-	if out.Exact != nil {
-		fmt.Printf("exact: %.6g   relative error: %.4f%%\n", out.Exact.Value, out.Exact.RelativeErr*100)
-	} else if exact {
-		fmt.Printf("exact: undefined (%s)\n", out.ExactError)
-	}
-}
-
-func runSQL(syn *pass.Synopsis, query string, out jsonOutput, jsonOut, explain bool) {
-	out.SQL = query
-	var res pass.SQLResult
-	var err error
-	if explain {
-		// tracing lives in the session executor, not the bare synopsis:
-		// register the synopsis under the statement's FROM table and run
-		// the statement as EXPLAIN ANALYZE (answers are bitwise identical).
-		stmt, _ := sqlfe.StripExplain(query)
-		tmpl, terr := sqlfe.Normalize(stmt)
-		if terr != nil {
-			fatal(terr)
-		}
-		sess := pass.NewSession()
-		if rerr := sess.Register(tmpl.Table, syn); rerr != nil {
-			fatal(rerr)
-		}
-		res, err = sess.Exec(explainSQL(stmt))
-		out.Trace = res.Trace
-	} else {
-		res, err = syn.SQL(query)
-	}
-	if err == pass.ErrNoMatch {
-		out.NoMatch = true
-		if jsonOut {
-			emitJSON(out)
-		} else {
-			fmt.Println("no tuples match the predicate")
-		}
-		return
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if res.Groups == nil {
+	case res.Groups != nil:
+		out.Groups = jsonout.FromGroups(res.Groups)
+	case res.Sketch != nil:
+		out.Sketch = jsonout.FromSketch(res.Sketch)
+	default:
 		out.Answer = jsonout.FromAnswer(res.Scalar)
-		if jsonOut {
-			emitJSON(out)
-			return
-		}
-		a := res.Scalar
-		fmt.Printf("result ≈ %.6g ± %.6g\n", a.Estimate, a.CIHalf)
-		if a.HardBounds {
-			fmt.Printf("hard bounds: [%.6g, %.6g]\n", a.HardLo, a.HardHi)
-		}
-		fmt.Printf("tuples read: %d   skip rate: %.1f%%\n", a.TuplesRead, a.SkipRate*100)
-		printTrace(out.Trace)
-		return
 	}
-	out.Groups = jsonout.FromGroups(res.Groups)
-	if jsonOut {
-		emitJSON(out)
-		return
+	out.Trace = res.Trace
+	if *exact {
+		out.Exact, out.ExactError = groundTruth(base, out.SQL, out.Answer)
 	}
-	for _, g := range res.Groups {
-		label := g.Label
-		if label == "" {
-			label = fmt.Sprintf("%g", g.Group)
-		}
-		if g.NoMatch {
-			fmt.Printf("%-20s  (no matching tuples)\n", label)
-			continue
-		}
-		fmt.Printf("%-20s  %.6g ± %.6g\n", label, g.Answer.Estimate, g.Answer.CIHalf)
+	report(out, *jsonOut)
+}
+
+// renderSQL writes -agg/-where as the statement binding to exactly the
+// parsed rectangle: BETWEEN for finite bounds, >= or <= for half-infinite
+// ones, nothing for -inf:inf. Bounds print in the shortest form that
+// parses back to the same float64.
+func renderSQL(agg, where string, t pass.TableInfo) (string, error) {
+	var conds []string
+	parts := strings.Fields(strings.ReplaceAll(where, ",", " "))
+	if len(parts) > len(t.PredColumns) {
+		return "", fmt.Errorf("%d ranges for the %d predicate columns %v", len(parts), len(t.PredColumns), t.PredColumns)
 	}
-	printTrace(out.Trace)
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for i, part := range parts {
+		bounds := strings.Split(part, ":")
+		if len(bounds) != 2 {
+			return "", fmt.Errorf("range %q must be lo:hi", part)
+		}
+		lo, err1 := strconv.ParseFloat(bounds[0], 64)
+		hi, err2 := strconv.ParseFloat(bounds[1], 64)
+		if err1 != nil || err2 != nil || math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
+			return "", fmt.Errorf("range %q must be lo:hi with lo < inf and hi > -inf", part)
+		}
+		switch col := t.PredColumns[i]; {
+		case math.IsInf(lo, -1) && math.IsInf(hi, 1):
+		case math.IsInf(hi, 1):
+			conds = append(conds, col+" >= "+num(lo))
+		case math.IsInf(lo, -1):
+			conds = append(conds, col+" <= "+num(hi))
+		default:
+			conds = append(conds, col+" BETWEEN "+num(lo)+" AND "+num(hi))
+		}
+	}
+	stmt := fmt.Sprintf("SELECT %s(%s) FROM %s", agg, t.AggColumn, t.Name)
+	if len(conds) > 0 {
+		stmt += " WHERE " + strings.Join(conds, " AND ")
+	}
+	return stmt, nil
+}
+
+// groundTruth answers a scalar statement exactly by a full scan of the
+// rows the table was built from.
+func groundTruth(base *dataset.Dataset, sql string, ans *jsonout.Answer) (*jsonTruth, string) {
+	if base == nil || ans == nil {
+		return nil, "-exact needs a scalar answer over -in; a loaded table has only the synopsis"
+	}
+	plan, err := sqlfe.ParseAndCompile(sql, sqlfe.SchemaFromColNames(base.ColNames))
+	if err != nil {
+		return nil, err.Error()
+	}
+	truth, err := base.Exact(plan.Agg, plan.Rect)
+	if err != nil {
+		return nil, err.Error()
+	}
+	rel := 0.0
+	if truth != 0 {
+		rel = math.Abs(ans.Estimate-truth) / math.Abs(truth)
+	}
+	return &jsonTruth{Value: truth, RelativeErr: rel}, ""
 }
 
 // explainSQL rewrites a statement as EXPLAIN ANALYZE (idempotently —
@@ -539,6 +252,49 @@ func runSQL(syn *pass.Synopsis, query string, out jsonOutput, jsonOut, explain b
 func explainSQL(sql string) string {
 	stmt, _ := sqlfe.StripExplain(sql)
 	return "EXPLAIN ANALYZE " + stmt
+}
+
+// report prints the result, as JSON or as text.
+func report(out jsonOutput, asJSON bool) {
+	if asJSON {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	fmt.Printf("table %q: %s, %d rows, %.1f KiB\n%s\n", out.Table, out.Engine, out.Rows, float64(out.MemoryBytes)/1024, out.SQL)
+	switch a := out.Answer; {
+	case out.NoMatch:
+		fmt.Println("no tuples match the predicate")
+	case out.Sketch != nil:
+		fmt.Printf("%s ≈ %.6g (bound %.6g)\n", out.Sketch.Kind, out.Sketch.Value, out.Sketch.Bound)
+	case out.Groups != nil:
+		for _, g := range out.Groups {
+			fmt.Printf("%-8g %-12s ", g.Group, g.Label)
+			if g.NoMatch || g.Answer == nil {
+				fmt.Println("(no matching tuples)")
+				continue
+			}
+			fmt.Printf("%.6g ± %.6g\n", g.Answer.Estimate, g.Answer.CIHalf)
+		}
+	default:
+		fmt.Printf("≈ %.6g ± %.6g\n", a.Estimate, a.CIHalf)
+		if a.HardBounds {
+			fmt.Printf("hard bounds: [%.6g, %.6g]\n", a.HardLo, a.HardHi)
+		}
+		if a.Exact {
+			fmt.Println("answer is exact (predicate aligned with partitioning)")
+		}
+		fmt.Printf("tuples read: %d   skip rate: %.1f%%\n", a.TuplesRead, a.SkipRate*100)
+	}
+	if out.Exact != nil {
+		fmt.Printf("exact: %.6g   relative error: %.4f%%\n", out.Exact.Value, out.Exact.RelativeErr*100)
+	} else if out.ExactError != "" {
+		fmt.Printf("exact: undefined (%s)\n", out.ExactError)
+	}
+	printTrace(out.Trace)
 }
 
 // printTrace renders the EXPLAIN ANALYZE span tree as an indented text
@@ -566,60 +322,6 @@ func printSpan(sp *obs.SpanJSON, depth int) {
 	for _, c := range sp.Children {
 		printSpan(c, depth+1)
 	}
-}
-
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fatal(err)
-	}
-}
-
-func relErr(est, truth float64) float64 {
-	if truth == 0 {
-		return 0
-	}
-	return math.Abs(est-truth) / math.Abs(truth)
-}
-
-func parseAgg(s string) (pass.Agg, error) {
-	switch strings.ToLower(s) {
-	case "sum":
-		return pass.Sum, nil
-	case "count":
-		return pass.Count, nil
-	case "avg":
-		return pass.Avg, nil
-	case "min":
-		return pass.Min, nil
-	case "max":
-		return pass.Max, nil
-	}
-	return 0, fmt.Errorf("passquery: unknown aggregate %q", s)
-}
-
-func parseRanges(s string) ([]pass.Range, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []pass.Range
-	for _, part := range strings.Split(s, ",") {
-		bounds := strings.Split(strings.TrimSpace(part), ":")
-		if len(bounds) != 2 {
-			return nil, fmt.Errorf("passquery: range %q must be lo:hi", part)
-		}
-		lo, err := strconv.ParseFloat(bounds[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("passquery: bad lower bound %q", bounds[0])
-		}
-		hi, err := strconv.ParseFloat(bounds[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("passquery: bad upper bound %q", bounds[1])
-		}
-		out = append(out, pass.Range{Lo: lo, Hi: hi})
-	}
-	return out, nil
 }
 
 func fatal(err error) {

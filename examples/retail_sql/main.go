@@ -2,8 +2,9 @@
 // categorical column (region), queried through the SQL front-end with
 // string predicates and GROUP BY (Section 4.5 "Extensions" of the paper:
 // categorical queries via dictionary encoding, group-bys rewritten as
-// equality predicates). The synopsis is then persisted to disk and
-// restored — the expensive optimisation runs once, query nodes just load.
+// equality predicates). SQL resolves its FROM table through a
+// pass.Session. The synopsis is then persisted and restored — the
+// expensive optimisation runs once, query nodes just load.
 //
 // Run with: go run ./examples/retail_sql
 package main
@@ -59,9 +60,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// SQL resolves the FROM table against a session catalog
+	sess := pass.NewSession()
+	if err := sess.Register("sales", syn); err != nil {
+		log.Fatal(err)
+	}
+
 	// scalar SQL with a string predicate
 	q1 := "SELECT SUM(revenue) FROM sales WHERE region = 'emea' AND day BETWEEN 0 AND 89"
-	res, err := syn.SQL(q1)
+	res, err := sess.Exec(q1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func main() {
 
 	// GROUP BY over the dictionary column
 	q2 := "SELECT AVG(revenue) FROM sales WHERE day BETWEEN 180 AND 269 GROUP BY region"
-	res, err = syn.SQL(q2)
+	res, err = sess.Exec(q2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +116,10 @@ func main() {
 		log.Fatal(err)
 	}
 	restored.SetSchema([]string{"pickup_time"}, "trip_distance", nil)
-	r2, err := restored.SQL("SELECT AVG(trip_distance) FROM trips WHERE pickup_time BETWEEN 7 AND 10")
+	if err := sess.Register("trips", restored); err != nil {
+		log.Fatal(err)
+	}
+	r2, err := sess.Exec("SELECT AVG(trip_distance) FROM trips WHERE pickup_time BETWEEN 7 AND 10")
 	if err != nil {
 		log.Fatal(err)
 	}

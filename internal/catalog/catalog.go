@@ -486,6 +486,10 @@ func (t *Table) ShardStats() (info engine.ShardInfo, shardRows []int, scatter en
 // so serving layers can map it to 409 and everything else to 5xx.
 var ErrExists = errors.New("table already registered")
 
+// ErrUnknownTable tags a Lookup or Drop of a name no table is registered
+// under, so serving layers can map it to 404 and everything else to 5xx.
+var ErrUnknownTable = errors.New("unknown table")
+
 // Catalog is a named-table registry safe for concurrent use.
 type Catalog struct {
 	mu     sync.RWMutex
@@ -534,9 +538,9 @@ func (c *Catalog) Lookup(name string) (*Table, error) {
 			names[i] = kt.Name()
 		}
 		if len(names) == 0 {
-			return nil, fmt.Errorf("catalog: unknown table %q (no tables registered)", name)
+			return nil, fmt.Errorf("catalog: %w %q (no tables registered)", ErrUnknownTable, name)
 		}
-		return nil, fmt.Errorf("catalog: unknown table %q (have %s)", name, strings.Join(names, ", "))
+		return nil, fmt.Errorf("catalog: %w %q (have %s)", ErrUnknownTable, name, strings.Join(names, ", "))
 	}
 	return t, nil
 }
@@ -547,7 +551,7 @@ func (c *Catalog) Drop(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("catalog: unknown table %q", name)
+		return fmt.Errorf("catalog: %w %q", ErrUnknownTable, name)
 	}
 	delete(c.tables, key)
 	return nil

@@ -44,7 +44,7 @@ func TestWALSyncFailureDegradesAndRecoversOnRestart(t *testing.T) {
 
 	// the twin starts from the same snapshot bytes the recovery will read,
 	// so the comparison is exact (delta-encoded samples included)
-	snap, err := ReadSnapshotFile(st.shardSnapPath("sensors", 0))
+	snap, err := ReadSnapshotFileFS(vfs.OS(), st.shardSnapPath("sensors", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCrashDuringCheckpointRecovers(t *testing.T) {
 	tbl, _ := buildTable(t, "sensors", 1800, 5)
 	persist(t, st, tbl)
 
-	snap, err := ReadSnapshotFile(st.shardSnapPath("sensors", 0))
+	snap, err := ReadSnapshotFileFS(vfs.OS(), st.shardSnapPath("sensors", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,9 +599,8 @@ func sweepCheckpointCrashes(t *testing.T, base string) settled {
 }
 
 // sweepLoadCrashes crashes the warm start of the fileset in state — one
-// that makes the load roll a checkpoint forward or import an older layout
-// — on each of its filesystem operations; want is the twin whose load
-// was not interrupted.
+// that makes the load roll a checkpoint forward — on each of its
+// filesystem operations; want is the twin whose load was not interrupted.
 func sweepLoadCrashes(t *testing.T, state string, want settled) {
 	t.Helper()
 	count := vfs.NewFaultFS(vfs.OS())

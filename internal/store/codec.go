@@ -15,9 +15,9 @@
 // Recovery is snapshots + WAL replay: the snapshots restore the synopses a
 // checkpoint captured, and replaying the log re-applies every journaled
 // update, so a restarted server answers exactly what the pre-crash catalog
-// answered — without rebuilding any synopsis. LoadAll also imports the two
-// older filesets (a bare <table>.snap [+ .wal]; a manifest with one
-// <table>.s<i>.wal per shard) into this layout.
+// answered — without rebuilding any synopsis. A directory holding a file
+// of an older layout (a bare <table>.snap, or a <table>.s<i>.wal) is
+// refused at load, never half-read.
 package store
 
 import (
@@ -230,11 +230,6 @@ func decodeMeta(meta []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// WriteSnapshotFile writes a snapshot atomically on the real filesystem.
-func WriteSnapshotFile(path string, snap *Snapshot) error {
-	return WriteSnapshotFileFS(vfs.OS(), path, snap)
-}
-
 // WriteSnapshotFileFS writes a snapshot atomically: the bytes land in a
 // temporary file that is fsynced and renamed over the target, so a crash
 // mid-checkpoint leaves the previous snapshot intact. Write-path failures
@@ -280,12 +275,6 @@ func syncDir(fsys vfs.FS, dir string) error {
 		return ioErr("sync dir", err)
 	}
 	return nil
-}
-
-// ReadSnapshotFile reads and verifies a snapshot file on the real
-// filesystem.
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	return ReadSnapshotFileFS(vfs.OS(), path)
 }
 
 // ReadSnapshotFileFS reads and verifies a snapshot file.

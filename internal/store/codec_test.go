@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/sqlfe"
+	"repro/internal/vfs"
 )
 
 func demoSnapshot() *Snapshot {
@@ -62,13 +63,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotFileAtomicRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.snap")
-	if err := WriteSnapshotFile(path, demoSnapshot()); err != nil {
+	if err := WriteSnapshotFileFS(vfs.OS(), path, demoSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Error("temporary file left behind")
 	}
-	got, err := ReadSnapshotFile(path)
+	got, err := ReadSnapshotFileFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

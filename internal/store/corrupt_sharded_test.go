@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine/factory"
+	"repro/internal/vfs"
 )
 
 // setupShardedDir persists a 3-shard table with journaled updates into a
@@ -62,7 +63,7 @@ func expectLoadCorrupt(t *testing.T, dir, context string) {
 // working engine — corruption elsewhere must not damage siblings.
 func expectShardLoadable(t *testing.T, st *Store, shard int) {
 	t.Helper()
-	snap, err := ReadSnapshotFile(st.shardSnapPath("trips", shard))
+	snap, err := ReadSnapshotFileFS(vfs.OS(), st.shardSnapPath("trips", shard))
 	if err != nil {
 		t.Fatalf("sibling shard %d snapshot unreadable: %v", shard, err)
 	}
@@ -104,7 +105,7 @@ func TestShardedBitFlippedShardSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// the CRC-framed codec catches the flip and types it
-	if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadSnapshotFileFS(vfs.OS(), path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit-flipped shard snapshot read = %v, want ErrCorrupt", err)
 	}
 	expectLoadCorrupt(t, dir, "bit-flipped shard snapshot")

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/engine/factory"
 	"repro/internal/shard"
@@ -25,19 +24,17 @@ type LoadedTable struct {
 	Replayed int
 }
 
-// shardFilePattern matches the per-shard suffix of table files
-// ("<key>.s<i>.snap", and "<key>.s<i>.wal" of the older sharded layout).
-var shardFilePattern = regexp.MustCompile(`\.s\d+\.(snap|wal)$`)
+// shardFilePattern matches the per-shard suffix of snapshot files
+// ("<key>.s<i>.snap").
+var shardFilePattern = regexp.MustCompile(`\.s\d+\.snap$`)
 
 // LoadAll restores every table in the data directory from its manifest,
 // shard snapshots and WAL, with each engine rebuilt through the factory
-// loader registry. Filesets of the two older layouts — a bare
-// <table>.snap [+ .wal], or a manifest with one <table>.s<i>.wal per
-// shard — are imported on the way: loaded with the pairing rules they
-// were written under, rewritten as the current fileset, the old files
-// removed. Corrupt snapshots, manifests or logs fail the whole load with a
-// clear error — a durable store must never silently serve partial state.
-// Results are sorted by table name.
+// loader registry. Corrupt snapshots, manifests or logs fail the whole
+// load with a clear error — a durable store must never silently serve
+// partial state — and so does a file of an older layout (see
+// olderLayout), which this loader no longer reads. Results are sorted by
+// table name.
 func (s *Store) LoadAll() ([]LoadedTable, error) {
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -45,16 +42,14 @@ func (s *Store) LoadAll() ([]LoadedTable, error) {
 	}
 	names := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() {
-			names[e.Name()] = true
+		if e.IsDir() {
+			continue
 		}
-	}
-	for _, e := range entries {
-		if name := e.Name(); names[name] && strings.HasSuffix(name, ".snap") && !shardFilePattern.MatchString(name) {
-			if err := s.adoptBare(name, names); err != nil {
-				return nil, err
-			}
+		if olderLayout(e.Name()) {
+			return nil, fmt.Errorf("store: %s belongs to an older data-directory layout (a bare <table>.snap or a per-shard <table>.s<i>.wal), which is no longer read; convert the directory by opening it once with passd built at commit bdd8d50, the last version that imports it",
+				filepath.Join(s.dir, e.Name()))
 		}
+		names[e.Name()] = true
 	}
 	var out []LoadedTable
 	seen := make(map[string]bool)
@@ -62,7 +57,7 @@ func (s *Store) LoadAll() ([]LoadedTable, error) {
 		if !strings.HasSuffix(name, ".manifest") {
 			continue
 		}
-		lt, err := s.loadTable(filepath.Join(s.dir, name), names)
+		lt, err := s.loadTable(filepath.Join(s.dir, name))
 		if err != nil {
 			return nil, err
 		}
@@ -85,48 +80,16 @@ func (s *Store) LoadAll() ([]LoadedTable, error) {
 	return out, nil
 }
 
-// adoptBare imports a single-file snapshot — what passgen -snap and
-// passquery -save write, and the whole of the oldest layout — as shard 0
-// of a one-shard table: the codec is the same, so it publishes a manifest
-// for it and renames it into place. Its <table>.wal is already where the
-// loader looks, and pairs with it by generation exactly as it always did.
-// Manifest first, so a crash in between leaves a fileset this function
-// completes; a bare file beside a manifest whose shard 0 exists is a
-// stray (the manifest wins) and is removed.
-func (s *Store) adoptBare(file string, names map[string]bool) error {
-	path := filepath.Join(s.dir, file)
-	snap, err := ReadSnapshotFileFS(s.fs, path)
-	if err != nil {
-		return err
+// olderLayout reports whether a file name belongs to a layout nothing
+// writes any more: a bare single-file <table>.snap, or a per-shard
+// <table>.s<i>.wal. Loading around such a file would make its table
+// vanish, so LoadAll refuses the directory instead.
+func olderLayout(name string) bool {
+	if strings.HasSuffix(name, ".snap") {
+		return !shardFilePattern.MatchString(name)
 	}
-	if snap.Name == "" {
-		return fmt.Errorf("store: snapshot %s carries no table name: %w", path, ErrCorrupt)
-	}
-	manifest, shard0 := s.manifestPath(snap.Name), s.shardSnapPath(snap.Name, 0)
-	if !names[filepath.Base(manifest)] {
-		m := &ShardManifest{
-			Name:   snap.Name,
-			Engine: snap.Engine,
-			Shards: 1,
-			Rows:   snap.Rows,
-			Gens:   []uint64{snap.Gen},
-			Bounds: make([]dataset.Rect, 1),
-		}
-		if err := WriteManifestFileFS(s.fs, manifest, m); err != nil {
-			return err
-		}
-		names[filepath.Base(manifest)] = true
-	}
-	delete(names, file)
-	if names[filepath.Base(shard0)] {
-		s.opts.Logf("store: removing stray snapshot %s (table %q has a manifest)", file, snap.Name)
-		return s.unlink([]string{path})
-	}
-	if err := s.fs.Rename(path, shard0); err != nil {
-		return ioErr("adopt snapshot", err)
-	}
-	names[filepath.Base(shard0)] = true
-	return syncDir(s.fs, s.dir)
+	wal, ok := strings.CutSuffix(name, ".wal")
+	return ok && reservedSuffix.MatchString(wal)
 }
 
 // loadTable restores one table: manifest → shard snapshots → engine
@@ -143,10 +106,9 @@ func (s *Store) adoptBare(file string, names map[string]bool) error {
 // shard BEHIND the log means a snapshot file was replaced: corruption.
 //
 // A table that comes up with any shard ahead of the log is rolled forward
-// before it is returned, and so is one importShardWALs found per-shard
-// logs of the older sharded layout for: no record is ever appended to a
-// log older than a snapshot.
-func (s *Store) loadTable(manifestPath string, names map[string]bool) (LoadedTable, error) {
+// before it is returned: no record is ever appended to a log older than a
+// snapshot.
+func (s *Store) loadTable(manifestPath string) (LoadedTable, error) {
 	m, err := ReadManifestFileFS(s.fs, manifestPath)
 	if err != nil {
 		return LoadedTable{}, err
@@ -218,10 +180,6 @@ func (s *Store) loadTable(manifestPath string, names map[string]bool) (LoadedTab
 		}
 		ahead = ahead || g > wal.Gen()
 	}
-	imported, err := s.importShardWALs(m.Name, gens, names, apply)
-	if err != nil {
-		return fail(err)
-	}
 	for j, rec := range recs {
 		i, err := route(rec.Point)
 		if err == nil && gens[i] == wal.Gen() {
@@ -232,10 +190,10 @@ func (s *Store) loadTable(manifestPath string, names map[string]bool) (LoadedTab
 		}
 	}
 	ts := &tableState{name: m.Name, wal: wal}
-	if ahead || len(imported) > 0 {
-		s.opts.Logf("store: table %q: rolling an interrupted checkpoint or older fileset forward (WAL generation %d, snapshot generations %v)",
+	if ahead {
+		s.opts.Logf("store: table %q: rolling an interrupted checkpoint forward (WAL generation %d, snapshot generations %v)",
 			m.Name, wal.Gen(), gens)
-		if err := s.rollForward(ts, eng, schema, gens, imported); err != nil {
+		if err := s.rollForward(ts, eng, schema, gens); err != nil {
 			return fail(err)
 		}
 	}
@@ -253,48 +211,12 @@ func logAhead(table string, shard int, walGen, snapGen uint64) error {
 		table, shard, walGen, snapGen, ErrCorrupt)
 }
 
-// importShardWALs replays the per-shard logs of the older sharded layout,
-// <table>.s<i>.wal, each paired with its shard's snapshot under that
-// layout's rule — equal generations replay, a log behind its snapshot is
-// already folded into it — and returns their paths for rollForward to
-// remove. Like adoptBare it is import only: nothing writes these files
-// any more, and the call in loadTable is its only tie to the loader.
-func (s *Store) importShardWALs(table string, gens []uint64, names map[string]bool, apply func(Record) error) ([]string, error) {
-	var imported []string
-	for i, g := range gens {
-		path := filepath.Join(s.dir, fmt.Sprintf("%s.s%d.wal", fileKey(table), i))
-		if !names[filepath.Base(path)] {
-			continue
-		}
-		imported = append(imported, path)
-		old, recs, err := OpenWALFS(s.fs, path, false)
-		if err != nil {
-			return nil, err
-		}
-		old.Close()
-		switch {
-		case old.Gen() > g:
-			return nil, logAhead(table, i, old.Gen(), g)
-		case old.Gen() < g:
-			continue
-		}
-		for j, rec := range recs {
-			if err := apply(rec); err != nil {
-				return nil, fmt.Errorf("store: table %q shard %d: replay WAL record %d/%d: %w", table, i, j+1, len(recs), err)
-			}
-		}
-	}
-	return imported, nil
-}
-
-// rollForward completes what a crash interrupted — or imports an older
-// fileset — by checkpointing the freshly loaded engine: manifest with the
-// replayed bounds, every shard snapshot, one truncation, then the removal
-// of the imported per-shard logs. The new generation exceeds every one on
-// disk, so if this crashes too, each shard it has rewritten reads as ahead
-// of whatever log it is paired with and the next load skips or discards
-// the same records again.
-func (s *Store) rollForward(ts *tableState, eng engine.Engine, schema sqlfe.Schema, gens []uint64, imported []string) error {
+// rollForward completes what a crash interrupted by checkpointing the
+// freshly loaded engine: manifest with the replayed bounds, every shard
+// snapshot, one truncation. The new generation exceeds every one on disk,
+// so if this crashes too, each shard it has rewritten reads as ahead of
+// the log and the next load skips the same records again.
+func (s *Store) rollForward(ts *tableState, eng engine.Engine, schema sqlfe.Schema, gens []uint64) error {
 	info, inner, payloads, shardRows, err := engine.SnapshotShards(eng)
 	if err != nil {
 		return fmt.Errorf("store: table %q: %w", ts.name, err)
@@ -304,8 +226,5 @@ func (s *Store) rollForward(ts *tableState, eng engine.Engine, schema sqlfe.Sche
 		gen = max(gen, g)
 		rows += shardRows[i]
 	}
-	if err := s.publish(ts, gen+1, info, inner, schema, payloads, shardRows, rows); err != nil {
-		return err
-	}
-	return s.unlink(imported)
+	return s.publish(ts, gen+1, info, inner, schema, payloads, shardRows, rows)
 }

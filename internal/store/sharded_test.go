@@ -208,11 +208,11 @@ func TestShardedCrashBetweenSnapshotsAndManifest(t *testing.T) {
 	torn, _ := journaled(t, base, true, &vfs.Fault{Op: vfs.OpWrite, Path: ".s2.snap", Crash: true})
 	var ahead []int
 	for i := 0; i < 4; i++ {
-		snap, err := ReadSnapshotFile(st.shardSnapPath("trips", i))
+		snap, err := ReadSnapshotFileFS(vfs.OS(), st.shardSnapPath("trips", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn, err := ReadSnapshotFile(filepath.Join(torn, filepath.Base(st.shardSnapPath("trips", i))))
+		torn, err := ReadSnapshotFileFS(vfs.OS(), filepath.Join(torn, filepath.Base(st.shardSnapPath("trips", i))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,10 +214,6 @@ func (s *Store) shardSnapPath(name string, i int) string {
 
 func (s *Store) walPath(name string) string { return filepath.Join(s.dir, fileKey(name)+".wal") }
 
-// barePath is the single-file snapshot of the oldest layout, which is also
-// the exchange format passgen -snap and passquery -save write.
-func (s *Store) barePath(name string) string { return filepath.Join(s.dir, fileKey(name)+".snap") }
-
 // state returns (creating if needed) the per-table bookkeeping, opening
 // the table's WAL on first use.
 func (s *Store) state(name string) (*tableState, error) {
@@ -233,9 +229,9 @@ func (s *Store) state(name string) (*tableState, error) {
 	if ts, ok := s.tables[key]; ok {
 		return ts, nil
 	}
-	// a table being created anew owns its name: whatever an older layout or
-	// a crashed drop left under it must neither be imported at the next
-	// boot nor pair with the files of this table's first checkpoint
+	// a table being created anew owns its name: whatever a crashed drop
+	// left under it must not pair with the files of this table's first
+	// checkpoint
 	if err := s.unlink(s.tableFiles(name)); err != nil {
 		return nil, err
 	}
@@ -424,14 +420,13 @@ func (s *Store) checkpointWhere(needed func(pending int) bool) error {
 }
 
 // shardFiles lists the files in the data directory named
-// "<table>.s<i>.<ext>", ext being a regexp alternation. Shard files are
-// discovered from the directory rather than from a shard count: a crash
-// or an older layout may have left files the current manifest does not
-// describe. The match is anchored on the whole basename — a bare prefix
-// test would also catch "<name>.staging.s0.snap", the shard files of a
-// DIFFERENT table extending this name.
-func (s *Store) shardFiles(name, ext string) []string {
-	own := regexp.MustCompile(`^` + regexp.QuoteMeta(fileKey(name)) + `\.s\d+\.(` + ext + `)$`)
+// "<table>.s<i>.snap". Shard files are discovered from the directory
+// rather than from a shard count: a crash may have left files the current
+// manifest does not describe. The match is anchored on the whole basename
+// — a bare prefix test would also catch "<name>.staging.s0.snap", the
+// shard files of a DIFFERENT table extending this name.
+func (s *Store) shardFiles(name string) []string {
+	own := regexp.MustCompile(`^` + regexp.QuoteMeta(fileKey(name)) + `\.s\d+\.snap$`)
 	var out []string
 	if entries, err := s.fs.ReadDir(s.dir); err == nil {
 		for _, e := range entries {
@@ -443,43 +438,43 @@ func (s *Store) shardFiles(name, ext string) []string {
 	return out
 }
 
-// tableFiles lists every file a table can have in the data directory, of
-// the current layout and of the two older ones, in the order a drop must
-// unlink them: the two files a load starts from — the bare single-file
-// snapshot, then the manifest — go first, so a crash part-way leaves
-// either the whole table or orphans LoadAll logs and ignores, never a
-// manifest whose shard files are missing, which would fail every boot.
+// tableFiles lists every file a table can have in the data directory, in
+// the order a drop must unlink them: the manifest, which a load starts
+// from, goes first, so a drop cut short leaves either the whole table or
+// orphans LoadAll logs and ignores, never a manifest whose shard files are
+// missing, which would fail every boot.
 func (s *Store) tableFiles(name string) []string {
-	return append([]string{s.barePath(name), s.manifestPath(name), s.walPath(name)}, s.shardFiles(name, "snap|wal")...)
+	return append([]string{s.manifestPath(name), s.walPath(name)}, s.shardFiles(name)...)
 }
 
-// unlink removes files (missing ones are fine) and, if any was there,
-// makes the unlinks durable, so a machine crash cannot resurrect them at
-// the next boot.
+// unlink removes files in order (missing ones are fine) and, if any was
+// there, makes the unlinks durable, so a machine crash cannot resurrect
+// them at the next boot. It stops at the first file it fails to remove:
+// the files after it must outlive it (see tableFiles).
 func (s *Store) unlink(paths []string) error {
-	var firstErr error
+	var err error
 	removed := false
 	for _, p := range paths {
-		switch err := s.fs.Remove(p); {
-		case err == nil:
+		if err = s.fs.Remove(p); err == nil {
 			removed = true
-		case !os.IsNotExist(err) && firstErr == nil:
-			firstErr = err
+		} else if !os.IsNotExist(err) {
+			break
 		}
+		err = nil
 	}
 	if removed {
-		if err := syncDir(s.fs, s.dir); err != nil && firstErr == nil {
-			firstErr = err
+		if serr := syncDir(s.fs, s.dir); err == nil {
+			err = serr
 		}
 	}
-	return firstErr
+	return err
 }
 
 // Remove deletes a table's persisted files — manifest, shard snapshots
-// and WAL, plus whatever an older layout left under the name — so a
-// dropped table cannot resurrect on the next boot; the manifest goes
-// before the files it names (see tableFiles), so a crash part-way cannot
-// fail the next boot either. Taking the state's opMu waits out any
+// and WAL — so a dropped table cannot resurrect on the next boot; the
+// manifest goes before the files it names (see tableFiles), so a crash or
+// failure part-way cannot fail the next boot either. Taking the state's
+// opMu waits out any
 // in-flight checkpoint of the table and marks the state removed, so a
 // later checkpoint attempt is a no-op instead of recreating the files.
 func (s *Store) Remove(name string) error {

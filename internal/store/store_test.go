@@ -15,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/sqlfe"
+	"repro/internal/vfs"
 )
 
 // buildTable registers a freshly built 1D PASS synopsis in a catalog,
@@ -142,6 +143,59 @@ func TestStoreSaveAndLoadAll(t *testing.T) {
 	sameAnswers(t, twinEngine(t, twin), lt.Engine, "after snapshot load")
 }
 
+// TestLoadAllRefusesOlderLayouts: a bare <table>.snap, or a per-shard
+// <table>.s<i>.wal beside a manifest, is a file of a layout nothing writes
+// any more. LoadAll fails naming it, and touches nothing, rather than
+// loading around it — a table whose only file that was would vanish.
+func TestLoadAllRefusesOlderLayouts(t *testing.T) {
+	base := t.TempDir()
+	st, err := Open(base, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := buildTable(t, "sensors", 1000, 3)
+	persist(t, st, tbl)
+	st.Close()
+	snap, err := os.ReadFile(filepath.Join(base, "sensors.s0.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(base, "sensors.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what, file string
+		body       []byte
+		fileset    bool // the current fileset of the table sits beside it
+	}{
+		{"bare snapshot alone", "sensors.snap", snap, false},
+		{"bare snapshot beside a manifest", "sensors.snap", snap, true},
+		{"per-shard WAL beside a manifest", "sensors.s0.wal", wal, true},
+	} {
+		dir := t.TempDir()
+		if tc.fileset {
+			dir = cloneDir(t, base)
+		}
+		if err := os.WriteFile(filepath.Join(dir, tc.file), tc.body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := fileset(t, dir)
+		st, err := Open(dir, testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.LoadAll()
+		st.Close()
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, tc.file)) {
+			t.Errorf("%s: LoadAll = %v, want a failure naming %s", tc.what, err, tc.file)
+		}
+		if after := fileset(t, dir); strings.Join(after, " ") != strings.Join(before, " ") {
+			t.Errorf("%s: a refused load changed the directory from %v to %v", tc.what, before, after)
+		}
+	}
+}
+
 // twinEngine extracts a comparable engine view from a catalog table by
 // querying through it.
 func twinEngine(t *testing.T, tbl *catalog.Table) engine.Engine {
@@ -177,7 +231,7 @@ func TestStoreCrashRecoveryViaWAL(t *testing.T) {
 	// touching disk... except its starting state must match the recovered
 	// one, which derives from the snapshot (delta-encoded samples). Load
 	// the twin from the same snapshot bytes to make the comparison exact.
-	snap, err := ReadSnapshotFile(st.shardSnapPath("sensors", 0))
+	snap, err := ReadSnapshotFileFS(vfs.OS(), st.shardSnapPath("sensors", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +493,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	// the two filesystem operations leaves behind
 	gen := j.ts.wal.Gen() + 1
 	err = tbl.CheckpointShards(func(_ engine.ShardInfo, engineName string, schema sqlfe.Schema, payloads [][]byte, _ []int, rows int) error {
-		return WriteSnapshotFile(st.shardSnapPath("sensors", 0), &Snapshot{
+		return WriteSnapshotFileFS(vfs.OS(), st.shardSnapPath("sensors", 0), &Snapshot{
 			Name: "sensors", Engine: engineName, Gen: gen, Rows: rows,
 			Schema: schema, Payload: payloads[0],
 		})
@@ -473,7 +527,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	// the load rolled the interrupted checkpoint forward: log and snapshot
 	// are level again, so no later append lands on a log older than the
 	// snapshot it would be replayed over
-	snap, err := ReadSnapshotFile(st2.shardSnapPath("sensors", 0))
+	snap, err := ReadSnapshotFileFS(vfs.OS(), st2.shardSnapPath("sensors", 0))
 	if err != nil {
 		t.Fatal(err)
 	}

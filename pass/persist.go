@@ -54,10 +54,9 @@ func (s *Session) AttachStore(st *store.Store) (int, error) {
 func (s *Session) Persistent() bool { return s.store != nil }
 
 // RegisterEngine registers an arbitrary engine under a table name with an
-// explicit schema — the path for engines restored from snapshot files
-// (passquery -load) or built outside the pass API, sharded engines
-// (BuildShardedEngine) included. With a store attached it persists like
-// Register.
+// explicit schema — the path for engines built outside the pass API, by
+// the engine factory (passquery) or BuildShardedEngine. With a store
+// attached it persists like Register.
 func (s *Session) RegisterEngine(name string, eng engine.Engine, schema sqlfe.Schema) error {
 	if eng == nil {
 		return fmt.Errorf("pass: nil engine")

@@ -304,8 +304,7 @@ func (s *Session) DegradedTables() []string {
 
 // Exec parses, plans and executes one SQL statement, resolving the FROM
 // clause against the session catalog. Unknown table names are an error
-// (they name the registered tables); see Synopsis.SQL for the legacy
-// single-synopsis path that ignores the FROM table.
+// (they name the registered tables).
 func (s *Session) Exec(sql string) (SQLResult, error) {
 	return s.ExecCtx(context.Background(), sql)
 }

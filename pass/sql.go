@@ -90,73 +90,9 @@ type SQLResult struct {
 	Trace *obs.SpanJSON
 }
 
-// SQL parses and executes one statement of the supported class:
-//
-//	SELECT SUM|COUNT|AVG|MIN|MAX(column|*) FROM t
-//	 WHERE col >= x AND col BETWEEN a AND b AND col = 'category' ...
-//	 [GROUP BY col]
-//
-// Column names resolve against the table the synopsis was built from;
-// string literals resolve through dictionaries attached with SetDict.
-// GROUP BY requires a dictionary on the grouping column (the synopsis
-// does not store distinct numeric values — use GroupBy directly for
-// numeric group keys).
-func (s *Synopsis) SQL(query string) (SQLResult, error) {
-	if len(s.schema.PredColumns) == 0 {
-		return SQLResult{}, fmt.Errorf("pass: synopsis has no schema (loaded from disk?) — call SetSchema first")
-	}
-	plan, err := s.compileSQL(query)
-	if err != nil {
-		return SQLResult{}, err
-	}
-	if plan.Sketch != nil {
-		r, err := s.inner.SketchQuery(*plan.Sketch)
-		if err != nil {
-			return SQLResult{}, err
-		}
-		return SQLResult{Sketch: sketchAnswerFromResult(r)}, nil
-	}
-	if plan.GroupDim < 0 {
-		r, err := s.inner.Query(plan.Agg, plan.Rect)
-		if err != nil {
-			return SQLResult{}, err
-		}
-		if r.NoMatch {
-			return SQLResult{}, ErrNoMatch
-		}
-		return SQLResult{Scalar: answerFromResult(r, s.inner.N())}, nil
-	}
-	if len(plan.Groups) == 0 {
-		return SQLResult{}, fmt.Errorf("pass: GROUP BY on a numeric column needs explicit group keys — use Synopsis.GroupBy")
-	}
-	res, err := s.inner.GroupBy(plan.Agg, plan.Rect, plan.GroupDim, plan.Groups)
-	if err != nil {
-		return SQLResult{}, err
-	}
-	return SQLResult{Groups: groupAnswers(res, plan.GroupDict, s.inner.N())}, nil
-}
-
-// compileSQL plans one statement against the synopsis schema: normalize
-// to a parameterized template, compile it, bind the statement's own
-// literals. The FROM table name is ignored on this single-synopsis path,
-// and nothing is cached: its callers are one-shots (cmd/passquery);
-// repeated statements belong on a Session, which caches compiled
-// templates.
-func (s *Synopsis) compileSQL(query string) (*sqlfe.Plan, error) {
-	tmpl, err := sqlfe.Normalize(query)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := sqlfe.CompileTemplate(tmpl, s.schema)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Bind(tmpl.Params())
-}
-
 // SetSchema attaches column names (and optional dictionaries) to a
-// synopsis, enabling SQL queries — needed after LoadSynopsis, which does
-// not persist names.
+// synopsis, so it can be registered on a Session and queried with SQL —
+// needed after LoadSynopsis, which does not persist names.
 func (s *Synopsis) SetSchema(predCols []string, aggCol string, dicts map[string]*Dict) {
 	s.schema = sqlfe.Schema{
 		PredColumns: append([]string(nil), predCols...),

@@ -39,13 +39,23 @@ func boroughTable(t *testing.T) (*Table, *Dict) {
 	return tbl, dict
 }
 
+// tripsSession serves syn as table "trips" on a fresh session.
+func tripsSession(t *testing.T, syn *Synopsis) *Session {
+	t.Helper()
+	sess := NewSession()
+	if err := sess.Register("trips", syn); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
 func TestSQLScalar(t *testing.T) {
 	tbl, _ := boroughTable(t)
 	syn, err := BuildMulti(tbl, Options{Partitions: 64, SampleRate: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := syn.SQL("SELECT AVG(fare) FROM trips WHERE borough = 'manhattan' AND hour BETWEEN 7 AND 9")
+	res, err := tripsSession(t, syn).Exec("SELECT AVG(fare) FROM trips WHERE borough = 'manhattan' AND hour BETWEEN 7 AND 9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +72,7 @@ func TestSQLGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := syn.SQL("SELECT AVG(fare) FROM trips GROUP BY borough")
+	res, err := tripsSession(t, syn).Exec("SELECT AVG(fare) FROM trips GROUP BY borough")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +104,16 @@ func TestSQLErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := tripsSession(t, syn)
 	bad := []string{
-		"SELECT MEDIAN(fare) FROM t",
-		"SELECT SUM(fare) FROM t WHERE borough = 'atlantis'",
-		"SELECT SUM(fare) FROM t WHERE hour = 1 OR hour = 2",
-		"SELECT SUM(nope) FROM t",
-		"SELECT SUM(fare) FROM t GROUP BY hour", // numeric group-by needs GroupBy()
+		"SELECT MEDIAN(fare) FROM trips",
+		"SELECT SUM(fare) FROM trips WHERE borough = 'atlantis'",
+		"SELECT SUM(fare) FROM trips WHERE hour = 1 OR hour = 2",
+		"SELECT SUM(nope) FROM trips",
+		"SELECT SUM(fare) FROM trips GROUP BY hour", // numeric group-by needs GroupBy()
 	}
 	for _, sql := range bad {
-		if _, err := syn.SQL(sql); err == nil {
+		if _, err := sess.Exec(sql); err == nil {
 			t.Errorf("SQL accepted %q", sql)
 		}
 	}
@@ -152,12 +163,16 @@ func TestSaveLoadWithSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SQL before SetSchema must fail gracefully
-	if _, err := got.SQL("SELECT SUM(trip_distance) FROM t"); err == nil {
-		t.Error("SQL without schema accepted")
+	// serving before SetSchema must fail gracefully
+	sess := NewSession()
+	if err := sess.Register("trips", got); err == nil {
+		t.Error("a synopsis without schema was registered")
 	}
 	got.SetSchema([]string{"pickup_time"}, "trip_distance", nil)
-	res, err := got.SQL("SELECT SUM(trip_distance) FROM t WHERE pickup_time BETWEEN 6 AND 18")
+	if err := sess.Register("trips", got); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Exec("SELECT SUM(trip_distance) FROM trips WHERE pickup_time BETWEEN 6 AND 18")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,29 +193,5 @@ func TestSetDictValidation(t *testing.T) {
 	}
 	if err := tbl.SetDict("v", dict); err == nil {
 		t.Error("SetDict on the aggregate column accepted")
-	}
-}
-
-// TestSynopsisSQLIgnoresTableName pins the legacy single-synopsis
-// behavior the catalog fixed: a Synopsis detached from any session has no
-// table identity, so its SQL method accepts any FROM name. Multi-table
-// resolution — and the unknown-table error — lives in pass.Session (see
-// TestSessionUnknownTable).
-func TestSynopsisSQLIgnoresTableName(t *testing.T) {
-	tbl, _ := boroughTable(t)
-	syn, err := BuildMulti(tbl, Options{Partitions: 32, SampleRate: 0.05, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := syn.SQL("SELECT COUNT(*) FROM anything_at_all")
-	if err != nil {
-		t.Fatalf("detached synopsis must accept any FROM table: %v", err)
-	}
-	b, err := syn.SQL("SELECT COUNT(*) FROM some_other_name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Scalar != b.Scalar {
-		t.Errorf("same query, different answers: %+v vs %+v", a.Scalar, b.Scalar)
 	}
 }
