@@ -89,8 +89,7 @@ func BenchmarkDPVariants(b *testing.B) { runExperiment(b, "dpcost", true) }
 func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation", true) }
 
 // BenchmarkAdaptive runs the workload-adaptive experiment: skewed-
-// workload accuracy before/after re-optimization plus the semantic
-// result cache's repeat-pass speedup.
+// workload accuracy before/after re-optimization.
 func BenchmarkAdaptive(b *testing.B) { runExperiment(b, "adaptive", true) }
 
 // --- micro-benchmarks -------------------------------------------------

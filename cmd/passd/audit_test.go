@@ -18,7 +18,7 @@ import (
 func auditServer(t *testing.T, cfg pass.AuditConfig) (*httptest.Server, *pass.Session, *server) {
 	t.Helper()
 	sess := pass.NewSession()
-	if err := sess.EnableAdaptive(pass.AdaptiveConfig{CacheBytes: 1 << 20}); err != nil {
+	if err := sess.EnableAdaptive(pass.AdaptiveConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.EnableAudit(cfg); err != nil {

@@ -11,7 +11,7 @@
 //
 //	POST   /query                    {"sql": "SELECT AVG(light) FROM sensors WHERE time >= 6"}
 //	                                 multi-statement scripts are batched: "SELECT ...; SELECT ..."
-//	GET    /tables                   list registered tables (+ adaptive/cache stats with -adaptive)
+//	GET    /tables                   list registered tables (+ adaptive stats with -adaptive)
 //	POST   /tables                   {"name": "sensors", "csv": "time,light\n1,0.5\n...", "partitions": 64}
 //	POST   /tables/{name}/rows       {"rows": [{"point": [13], "value": 0.7}]} insert tuples
 //	POST   /tables/{name}/reoptimize force a workload-driven rebuild decision (with -adaptive)
@@ -43,11 +43,10 @@
 //
 // With -adaptive the server closes the loop between the query log and the
 // synopses: every query feeds a per-table sliding-window workload
-// statistic, repeated predicates are served from a semantic result cache
-// (-cache-mb, invalidated by writes through per-table generations), and a
-// background re-optimizer (-reopt-every) rebuilds tables whose observed
-// workload drifted from their partitioning, forcing partition boundaries
-// onto the hot query endpoints so repeated ranges are answered exactly.
+// statistic, and a background re-optimizer (-reopt-every) rebuilds tables
+// whose observed workload drifted from their partitioning, forcing
+// partition boundaries onto the hot query endpoints so repeated ranges
+// are answered exactly.
 // See docs/OPERATIONS.md for the full flag and endpoint reference.
 //
 // With -data-dir the catalog is durable: tables are snapshotted into the
@@ -99,8 +98,7 @@ func main() {
 		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Second, "background checkpointer scan interval")
 		walMax     = flag.Int("wal-threshold", 4096, "journaled updates per table before a background checkpoint")
 		noSync     = flag.Bool("no-sync", false, "skip the per-update WAL fsync (faster, loses the journal tail on machine crash)")
-		adaptive   = flag.Bool("adaptive", false, "workload-adaptive serving: query statistics, semantic result cache, background re-optimization of drifted tables")
-		cacheMB    = flag.Int("cache-mb", 64, "semantic result cache budget in MiB (with -adaptive; 0 disables the cache)")
+		adaptive   = flag.Bool("adaptive", false, "workload-adaptive serving: query statistics and background re-optimization of drifted tables")
 		reoptEvery = flag.Duration("reopt-every", 30*time.Second, "background re-optimization scan interval (with -adaptive; 0 = manual POST /tables/{name}/reoptimize only)")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "server-side deadline per /query request; sharded tables drop shards that miss it and answer degraded (0 = none)")
@@ -135,20 +133,15 @@ func main() {
 	// every sharded engine picks it up
 	sess.SetStrictScatter(*strictMode)
 	if *adaptive {
-		cacheBytes := *cacheMB << 20
-		if *cacheMB <= 0 {
-			cacheBytes = -1
-		}
 		// enable before the store attaches so warm-started tables join the
-		// statistics and cache too
+		// statistics too
 		if err := sess.EnableAdaptive(pass.AdaptiveConfig{
 			ReoptInterval: *reoptEvery,
-			CacheBytes:    cacheBytes,
 			Logf:          log.Printf,
 		}); err != nil {
 			fatal(err)
 		}
-		log.Printf("passd: adaptive serving on (cache %d MiB, re-optimize every %s)", *cacheMB, *reoptEvery)
+		log.Printf("passd: adaptive serving on (re-optimize every %s)", *reoptEvery)
 	}
 	if *auditSample > 0 || *sloCoverage > 0 || *sloP99MS > 0 {
 		// enable before tables register (demo, CSV loads, warm start) so

@@ -20,8 +20,8 @@ var (
 
 // registerCollectors bridges the session-owned statistics into the
 // process-wide registry as scrape-time collector funcs — the stats keep
-// living where they always did (plan cache, semantic cache, per-table
-// scatter counters), and GET /metrics reads them through one pane of
+// living where they always did (plan cache, per-table scatter
+// counters), and GET /metrics reads them through one pane of
 // glass instead of a second copy. Re-registration replaces, so a fresh
 // server in the same process (tests) simply rebinds the names.
 func registerCollectors(sess *pass.Session) {
@@ -34,28 +34,6 @@ func registerCollectors(sess *pass.Session) {
 		func() float64 { return float64(sess.PlanCacheStats().Evictions) })
 	reg.GaugeFunc("pass_plan_cache_entries", "prepared-plan cache live entries",
 		func() float64 { return float64(sess.PlanCacheStats().Entries) })
-
-	reg.CounterFunc("pass_result_cache_hits_total", "semantic result cache hits (0 without -adaptive)",
-		func() float64 {
-			if cs, ok := sess.CacheStats(); ok {
-				return float64(cs.Hits)
-			}
-			return 0
-		})
-	reg.CounterFunc("pass_result_cache_misses_total", "semantic result cache misses (0 without -adaptive)",
-		func() float64 {
-			if cs, ok := sess.CacheStats(); ok {
-				return float64(cs.Misses)
-			}
-			return 0
-		})
-	reg.GaugeFunc("pass_result_cache_bytes", "semantic result cache footprint",
-		func() float64 {
-			if cs, ok := sess.CacheStats(); ok {
-				return float64(cs.Bytes)
-			}
-			return 0
-		})
 
 	reg.GaugeFunc("pass_tables", "registered tables",
 		func() float64 { return float64(len(sess.Tables())) })

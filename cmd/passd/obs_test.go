@@ -7,9 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/pass"
@@ -209,4 +212,108 @@ func TestPprofGate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof index with -pprof: HTTP %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestMetricsTableMatchesRegistry: the metric families GET /metrics
+// exposes — on a passd with auditing and both SLO objectives on, after
+// one audited query and one insert — are exactly the families the
+// docs/OPERATIONS.md metrics table lists, so neither can drift from the
+// other.
+func TestMetricsTableMatchesRegistry(t *testing.T) {
+	ts, sess, _ := auditServer(t, pass.AuditConfig{
+		SampleFraction: 1, QueueSize: 64, Manual: true,
+		SLOCoverage: 0.9, SLOP99: time.Second,
+	})
+	if resp, body := postJSON(t, ts.URL+"/tables", map[string]any{
+		"name": "skew", "csv": skewCSV(500), "partitions": 8, "sample_rate": 0.1, "seed": 3,
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %v", resp.StatusCode, body)
+	}
+	queryScalar(t, ts.URL, hotRangeSQL)
+	sess.AuditFlush() // before the insert, which would make the sample stale
+	if resp, body := postJSON(t, ts.URL+"/tables/skew/rows", map[string]any{
+		"rows": []map[string]any{{"point": []float64{7}, "value": 1}},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d %v", resp.StatusCode, body)
+	}
+	sess.SLOEvaluate()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scraped := map[string]bool{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			scraped[f[2]] = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	documented := documentedMetrics(t, "../../docs/OPERATIONS.md")
+	for name := range scraped {
+		if !documented[name] {
+			t.Errorf("%s is exposed on /metrics but missing from the OPERATIONS.md metrics table", name)
+		}
+	}
+	for name := range documented {
+		if !scraped[name] {
+			t.Errorf("%s is in the OPERATIONS.md metrics table but not exposed on /metrics", name)
+		}
+	}
+}
+
+// documentedMetrics reads the family names in the first column of the
+// OPERATIONS.md metrics table (the one headed "| Metric | Type |"):
+// every backquoted name, with `{a,b}` alternatives expanded and
+// `{label=}` suffixes dropped.
+func documentedMetrics(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "| Metric | Type | Meaning |\n")
+	if !ok {
+		t.Fatalf("%s has no metrics table", path)
+	}
+	out := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cells[1], -1) {
+			for _, name := range expandMetric(m[1]) {
+				out[name] = true
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: empty metrics table", path)
+	}
+	return out
+}
+
+// expandMetric turns a documented name pattern into family names:
+// "a_{x,y}_total{label=}" → a_x_total, a_y_total.
+func expandMetric(pattern string) []string {
+	open := strings.IndexByte(pattern, '{')
+	if open < 0 {
+		return []string{pattern}
+	}
+	end := open + strings.IndexByte(pattern[open:], '}')
+	head, group, tail := pattern[:open], pattern[open+1:end], pattern[end+1:]
+	if strings.Contains(group, "=") {
+		return expandMetric(head + tail)
+	}
+	var out []string
+	for _, alt := range strings.Split(group, ",") {
+		out = append(out, expandMetric(head+alt+tail)...)
+	}
+	return out
 }

@@ -381,18 +381,6 @@ func (s *server) handleListTables(w http.ResponseWriter, r *http.Request) {
 		}
 		out["audit"] = auditOut
 	}
-	// session-wide semantic-cache counters, when adaptive serving is on
-	if cs, ok := s.sess.CacheStats(); ok {
-		out["cache"] = map[string]any{
-			"hits":      cs.Hits,
-			"misses":    cs.Misses,
-			"hit_rate":  cs.HitRate(),
-			"evicted":   cs.Evicted,
-			"entries":   cs.Entries,
-			"bytes":     cs.Bytes,
-			"max_bytes": cs.MaxBytes,
-		}
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -492,15 +480,20 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 }
 
 // respondCreated maps a registration outcome to the create-table response:
-// name collisions are conflicts, persistence failures are server faults,
-// and success returns the registered table's info (shard stats included).
+// name collisions are conflicts, build failures are client mistakes,
+// persistence failures are server faults, and success returns the
+// registered table's info (shard stats included).
 func (s *server) respondCreated(w http.ResponseWriter, name string, err error, persisted bool) {
 	if err != nil {
-		// only a name collision is a conflict; persistence failures (disk
-		// full, I/O errors) are server-side faults, not client mistakes
+		// persistence failures (disk full, I/O errors) are server-side
+		// faults; a name collision or options no synopsis can be built
+		// with (the adaptive path builds inside registration) are not
 		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrExists) {
+		switch {
+		case errors.Is(err, catalog.ErrExists):
 			status = http.StatusConflict
+		case errors.Is(err, pass.ErrBuild):
+			status = http.StatusBadRequest
 		}
 		httpError(w, status, err)
 		return

@@ -2,7 +2,7 @@
 // synopsis: PASS optimises its partition tree for an *expected* query
 // workload, and this package makes that expectation empirical.
 //
-// It has three cooperating pieces:
+// It has two cooperating pieces:
 //
 //   - Collector: a concurrency-safe, per-table sliding window of query
 //     observations (predicate ranges, aggregate kinds, selectivities,
@@ -19,13 +19,9 @@
 //     forced onto them (partition.Forced via core.Options.ForceBoundaries),
 //     hot-swapping the result under the catalog's table lock.
 //
-//   - Cache: a bounded-memory semantic result cache keyed by
-//     (table, generation, aggregate, predicate). Exact predicate repeats
-//     are answered without touching the engine; a query contained in a
-//     range known to be empty is answered by containment. The generation
-//     component is the soundness anchor: every write to a table bumps its
-//     generation before and after applying (catalog.Table), so a cached
-//     answer can never be served after a write it does not reflect.
+// A repeated predicate is answered exactly by aligning the tree of
+// precomputed aggregates with it, not by storing its answer: the package
+// only observes and rebuilds.
 //
 // The package deliberately knows nothing about engines, catalogs or
 // storage: the serving layer (internal/catalog, pass.Session) feeds it
@@ -61,8 +57,6 @@ type Obs struct {
 	Selectivity float64
 	// Exact reports a zero-sampling-error answer; NoMatch an empty one.
 	Exact, NoMatch bool
-	// CacheHit reports the answer came from the semantic result cache.
-	CacheHit bool
 	// RelCI is CIHalf/|Estimate| for inexact answers (0 when exact or
 	// the estimate is zero).
 	RelCI float64
@@ -84,8 +78,6 @@ type TableStats struct {
 	MeanSelectivity float64
 	// MeanLatency averages serving-side latency over the window.
 	MeanLatency time.Duration
-	// CacheHitFrac is the fraction of window queries served by the cache.
-	CacheHitFrac float64
 }
 
 // ring is one table's sliding window.
@@ -139,16 +131,15 @@ func NewCollector(window int) *Collector {
 
 // ObserveQuery records one served query. It satisfies the catalog's
 // QueryRecorder interface: the serving layer calls it for every scalar
-// query — engine-executed or cache-served — with the result it returned.
-func (c *Collector) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration, cacheHit bool) {
+// query the engine answered, with the result it returned.
+func (c *Collector) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration) {
 	o := Obs{
-		Kind:     kind,
-		Lo:       math.Inf(-1),
-		Hi:       math.Inf(1),
-		Exact:    r.Exact,
-		NoMatch:  r.NoMatch,
-		CacheHit: cacheHit,
-		Elapsed:  elapsed,
+		Kind:    kind,
+		Lo:      math.Inf(-1),
+		Hi:      math.Inf(1),
+		Exact:   r.Exact,
+		NoMatch: r.NoMatch,
+		Elapsed: elapsed,
 	}
 	if q.Dims() > 0 {
 		o.Lo, o.Hi = q.Lo[0], q.Hi[0]
@@ -204,7 +195,7 @@ func (c *Collector) Stats(table string) (TableStats, bool) {
 	if len(w) == 0 {
 		return st, true
 	}
-	var exact, hits, inexact int
+	var exact, inexact int
 	var relCI, sel float64
 	var lat time.Duration
 	for _, o := range w {
@@ -214,14 +205,10 @@ func (c *Collector) Stats(table string) (TableStats, bool) {
 			inexact++
 			relCI += o.RelCI
 		}
-		if o.CacheHit {
-			hits++
-		}
 		sel += o.Selectivity
 		lat += o.Elapsed
 	}
 	st.ExactFrac = float64(exact) / float64(len(w))
-	st.CacheHitFrac = float64(hits) / float64(len(w))
 	st.MeanSelectivity = sel / float64(len(w))
 	st.MeanLatency = lat / time.Duration(len(w))
 	if inexact > 0 {

@@ -12,7 +12,7 @@ import (
 
 // ErrNoSource is returned by a RebuildFunc for tables whose base data is
 // not retained (e.g. tables warm-started from a snapshot): their
-// workload is still collected and cached, but the synopsis cannot be
+// workload is still collected, but the synopsis cannot be
 // re-partitioned without the rows it summarises. The re-optimizer treats
 // it as a skip, not a failure.
 var ErrNoSource = errors.New("adaptive: table has no retained data source")

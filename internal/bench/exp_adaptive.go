@@ -8,27 +8,15 @@ import (
 	"repro/pass"
 )
 
-// AdaptiveExp measures what the workload-adaptive layer buys on a skewed
-// repeated-range workload, in two independent comparisons:
+// AdaptiveExp measures what re-optimization buys on a skewed
+// repeated-range workload: the same hot-range workload is replayed
+// against one session before and after Session.Reoptimize. The rebuild
+// forces partition boundaries onto the observed query endpoints, so the
+// hot ranges flip from sampled estimates to exact answers — higher
+// exact-hit fraction, lower mean CI width.
 //
-//  1. Re-optimization: the same hot-range workload is replayed against
-//     one session before and after Session.Reoptimize. The rebuild
-//     forces partition boundaries onto the observed query endpoints, so
-//     the hot ranges flip from sampled estimates to exact answers —
-//     higher exact-hit fraction, lower mean CI width.
-//
-//  2. Semantic result cache: a repeated workload is timed against a
-//     cache-off and a cache-on session over identical synopses; the
-//     cache-on run answers repeats without touching the engine. The
-//     cache comparison uses a two-dimensional table: 1D sole-constraint
-//     queries resolve partial leaves from two O(log k) prefix lookups
-//     and are already parse-dominated, so caching them saves little —
-//     the cache pays off where the engine works hardest, on
-//     multi-column predicates that scan their partial-leaf samples.
-//
-// Paired sessions see identical statement streams, and the experiment
-// asserts nothing — it reports; the twin guarantees live in the pass and
-// passd test suites.
+// The experiment asserts nothing — it reports; the twin guarantees live
+// in the pass and passd test suites.
 func AdaptiveExp(cfg Config) []Table {
 	cfg = cfg.Defaults()
 	const parts = 64
@@ -54,15 +42,12 @@ func AdaptiveExp(cfg Config) []Table {
 	}
 
 	opt := pass.Options{Partitions: parts, SampleRate: rate, Seed: cfg.Seed}
-	newSess := func(cacheBytes int, t *pass.Table, opt pass.Options) *pass.Session {
-		s := pass.NewSession()
-		if err := s.EnableAdaptive(pass.AdaptiveConfig{CacheBytes: cacheBytes}); err != nil {
-			panic(err)
-		}
-		if _, err := s.RegisterAdaptive("taxi", t, opt, 1); err != nil {
-			panic(err)
-		}
-		return s
+	sess := pass.NewSession()
+	if err := sess.EnableAdaptive(pass.AdaptiveConfig{}); err != nil {
+		panic(err)
+	}
+	if _, err := sess.RegisterAdaptive("taxi", tbl, opt, 1); err != nil {
+		panic(err)
 	}
 
 	type phase struct {
@@ -72,13 +57,13 @@ func AdaptiveExp(cfg Config) []Table {
 		wall      time.Duration
 		qps       float64
 	}
-	run := func(s *pass.Session, stmts []string) phase {
+	run := func() phase {
 		// min-of-3 timing: single sub-millisecond passes jitter
 		var wall time.Duration
 		var res []pass.StmtResult
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			res = s.ExecBatch(stmts)
+			res = sess.ExecBatch(stmts)
 			if w := time.Since(start); rep == 0 || w < wall {
 				wall = w
 			}
@@ -102,55 +87,27 @@ func AdaptiveExp(cfg Config) []Table {
 		}
 	}
 
-	// comparison 1: before/after re-optimization, cache off so the
-	// synopsis itself is measured
-	reopt := newSess(-1, tbl, opt)
-	before := run(reopt, stmts)
+	before := run()
 	before.name = "before reoptimize"
-	out1, err := reopt.Reoptimize("taxi")
+	out, err := sess.Reoptimize("taxi")
 	if err != nil {
 		panic(err)
 	}
-	after := run(reopt, stmts)
+	after := run()
 	after.name = "after reoptimize"
-
-	// comparison 2: cache off vs on over a 2D table, where partial-leaf
-	// resolution scans samples instead of two prefix lookups; the same
-	// workload runs twice per session so the cache-on second pass is all
-	// hits
-	tbl2 := pass.DemoTaxi(cfg.Rows, 2, cfg.Seed)
-	opt2 := pass.Options{Partitions: parts, SampleRate: 0.05, Seed: cfg.Seed}
-	stmts2 := make([]string, 0, cfg.Queries)
-	for i := 0; i < cfg.Queries; i++ {
-		r := hot[int(rng.next()%uint64(len(hot)))]
-		day := float64(rng.next() % 20)
-		stmts2 = append(stmts2, fmt.Sprintf(
-			"SELECT SUM(trip_distance) FROM taxi WHERE pickup_time BETWEEN %g AND %g AND pickup_date BETWEEN %g AND %g",
-			r[0], r[1], day, day+7))
-	}
-	cold, warm := newSess(-1, tbl2, opt2), newSess(64<<20, tbl2, opt2)
-	run(cold, stmts2)
-	offPhase := run(cold, stmts2)
-	offPhase.name = "cache off (repeat pass)"
-	run(warm, stmts2)
-	onPhase := run(warm, stmts2)
-	onPhase.name = "cache on (repeat pass)"
 
 	t := Table{
 		Title: fmt.Sprintf("Workload-adaptive serving: skewed workload (%d rows, %d queries, 80%% hot ranges)",
 			tbl.Len(), cfg.Queries),
 		Header: []string{"Phase", "ExactFrac", "MeanCIHalf", "Wall", "QPS"},
 	}
-	for _, p := range []phase{before, after, offPhase, onPhase} {
+	for _, p := range []phase{before, after} {
 		t.AddRow(p.name, fmt.Sprintf("%.3f", p.exactFrac), fmt.Sprintf("%.3f", p.meanCI),
 			ms(p.wall), fmt.Sprintf("%.0f", p.qps))
 	}
-	note := fmt.Sprintf("reoptimize: %s; ", out1.Reason)
+	note := "reoptimize: " + out.Reason
 	if before.meanCI > 0 {
-		note += fmt.Sprintf("CI width %.2fx tighter; ", before.meanCI/math.Max(after.meanCI, 1e-12))
-	}
-	if offPhase.wall > 0 && onPhase.wall > 0 {
-		note += fmt.Sprintf("cache speedup %.2fx on repeats", float64(offPhase.wall)/float64(onPhase.wall))
+		note += fmt.Sprintf("; CI width %.2fx tighter", before.meanCI/math.Max(after.meanCI, 1e-12))
 	}
 	t.Note = note
 	return []Table{t}

@@ -42,7 +42,7 @@ func AuditExp(cfg Config) []Table {
 	}
 
 	sess := pass.NewSession()
-	if err := sess.EnableAdaptive(pass.AdaptiveConfig{CacheBytes: -1}); err != nil {
+	if err := sess.EnableAdaptive(pass.AdaptiveConfig{}); err != nil {
 		panic(err)
 	}
 	if err := sess.EnableAudit(pass.AuditConfig{

@@ -2,32 +2,33 @@ package catalog
 
 // Workload-adaptive serving hooks: the catalog is where queries and
 // updates meet the per-table lock, so it is the one place that can feed a
-// workload collector, consult a result cache, and hot-swap an engine with
-// airtight ordering against concurrent traffic. The hooks are interfaces
-// defined here and implemented by internal/adaptive, keeping the catalog
-// free of adaptive imports (mirroring the Journal/store split).
+// workload recorder and hot-swap an engine with airtight ordering against
+// concurrent traffic. The hooks are interfaces defined here and
+// implemented by internal/adaptive and the audit tap in pass, keeping the
+// catalog free of their imports (mirroring the Journal/store split).
 //
 // # Generation discipline
 //
 // Every table carries a monotonically increasing generation counter.
-// Updates bump it twice — once before journaling/applying, once after —
-// and queries read it under the same lock they execute under. A cached
-// result is keyed by the generation its query executed at, and lookups
-// key by the current generation, so:
+// Updates and engine swaps bump it twice — once before journaling or
+// applying, once after — so a completed write advances it by exactly two
+// and an odd reading means a write is in flight. No answer depends on
+// it; its readers are the accuracy auditor's two sides:
 //
-//   - after any completed update, lookups use a generation strictly
-//     greater than anything cached before or during the update — stale
-//     answers are unreachable by construction, with no invalidation scan;
-//   - while an update is in flight on the shared-lock path (internally
-//     synchronised engines), the first bump has already moved the
-//     generation, so results computed concurrently with the update can
-//     be stored but never served once the update completes (the second
-//     bump moves past them too).
+//   - the stamp: the audit tap reads Gen() right after the engine
+//     answers, under the query's read lock, and SketchQuery passes the
+//     same reading to a SketchRecorder;
+//   - the stale check: the exact re-execution over the retained rows
+//     (pass/audit.go) reads the generation before and after its scan and
+//     reports audit.ErrStale when the reading is odd or moved; the auditor
+//     also skips a sample whose stamp differs from the re-execution's.
 //
-// On the default exclusive-lock update path the double bump is merely
-// redundant; on the shared-lock path it is what makes "a cached answer
-// never survives a write it does not reflect" a structural guarantee
-// rather than a timing assumption.
+// On the default exclusive-lock update path no write overlaps a query,
+// so an even stamp names exactly the rows the answer saw. On the
+// shared-lock path (internally synchronised engines without a journal) a
+// write can run beside a query: a stamp read while it is in flight is odd
+// and the auditor skips that sample, but a write that completes before
+// the stamp is read goes unnoticed.
 
 import (
 	"fmt"
@@ -39,12 +40,12 @@ import (
 	"repro/internal/sketch"
 )
 
-// QueryRecorder receives one observation per served scalar query — both
-// engine-executed and cache-served — with the result as returned to the
-// client. Implemented by adaptive.Collector. Calls are made while the
-// table's read lock is held and must not call back into the table.
+// QueryRecorder receives one observation per answered scalar query, with
+// the result as returned to the client. Implemented by adaptive.Collector
+// and the audit tap. Calls are made while the table's read lock is held
+// and must not call back into the table.
 type QueryRecorder interface {
-	ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration, cacheHit bool)
+	ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration)
 }
 
 // SketchRecorder is the optional sketch-family extension of
@@ -54,16 +55,6 @@ type QueryRecorder interface {
 // table's read lock is held and must not call back into the table.
 type SketchRecorder interface {
 	ObserveSketch(table string, q sketch.Query, r sketch.Result, gen uint64)
-}
-
-// ResultCache answers repeated scalar queries without touching the
-// engine. Implemented by adaptive.Cache. Lookup and Store are called
-// under the table's read lock with the generation the query executes at;
-// the implementation must be safe for concurrent use.
-type ResultCache interface {
-	Lookup(table string, gen uint64, kind dataset.AggKind, q dataset.Rect) (core.Result, bool)
-	Store(table string, gen uint64, kind dataset.AggKind, q dataset.Rect, r core.Result)
-	Forget(table string)
 }
 
 // UpdateObserver is notified of every applied update, under the table's
@@ -80,12 +71,10 @@ type UpdateObserver interface {
 // is in flight on the shared-lock path.
 func (t *Table) Gen() uint64 { return t.gen.Load() }
 
-// AttachAdaptive wires a workload recorder and/or result cache under the
-// table. Either may be nil; pass both nil to detach.
-func (t *Table) AttachAdaptive(rec QueryRecorder, cache ResultCache) {
+// AttachAdaptive wires a query recorder under the table (nil detaches).
+func (t *Table) AttachAdaptive(rec QueryRecorder) {
 	t.mu.Lock()
 	t.recorder = rec
-	t.cache = cache
 	t.mu.Unlock()
 }
 
@@ -100,11 +89,11 @@ func (t *Table) AttachObserver(o UpdateObserver) {
 // lock: prep receives the engine being replaced and returns its
 // successor (typically a freshly rebuilt synopsis, plus any delta
 // updates applied inside prep — no update can interleave, the lock is
-// held). The generation is bumped on both sides of the swap, so cached
-// results for the old engine become unreachable, and the plan generation
-// is bumped so cached prepared statements recompile against the new
-// engine. The schema is retained; the row count resyncs from the new
-// engine.
+// held). The generation is bumped on both sides of the swap, like an
+// update's, so an audit re-execution that overlaps it is skipped, and the
+// plan generation is bumped so cached prepared statements recompile
+// against the new engine. The schema is retained; the row count resyncs
+// from the new engine.
 func (t *Table) SwapEngine(prep func(old engine.Engine) (engine.Engine, error)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +26,7 @@ func buildTestSynopsis(t *testing.T, n int) *core.Synopsis {
 	return s
 }
 
-func registerAdaptiveTable(t *testing.T, n int) (*Table, *adaptive.Collector, *adaptive.Cache) {
+func registerAdaptiveTable(t *testing.T, n int) (*Table, *adaptive.Collector) {
 	t.Helper()
 	cat := New()
 	tbl, err := cat.Register("t", buildTestSynopsis(t, n), sqlfe.SchemaFromColNames([]string{"x", "v"}))
@@ -33,40 +34,70 @@ func registerAdaptiveTable(t *testing.T, n int) (*Table, *adaptive.Collector, *a
 		t.Fatal(err)
 	}
 	col := adaptive.NewCollector(256)
-	cache := adaptive.NewCache(1 << 20)
-	tbl.AttachAdaptive(col, cache)
-	return tbl, col, cache
+	tbl.AttachAdaptive(col)
+	return tbl, col
 }
 
+// TestTableCacheHitAndRecord checks the recorder sees every answered
+// query exactly as the caller does, on both read entry points: one
+// observation per single Query and per batched query, carrying the
+// predicate range and the returned result, and none for a failed query.
 func TestTableCacheHitAndRecord(t *testing.T) {
-	tbl, col, cache := registerAdaptiveTable(t, 1000)
-	q := dataset.Rect1(100, 500)
+	tbl, col := registerAdaptiveTable(t, 1000)
+	r, err := tbl.Query(dataset.Sum, dataset.Rect1(100, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []core.BatchQuery{
+		{Kind: dataset.Sum, Rect: dataset.Rect1(0, 100)},
+		{Kind: dataset.Count, Rect: dataset.Rect1(-1, 2000)}, // whole table: exact
+	}
+	out := tbl.QueryBatch(qs)
+	for i, br := range out {
+		if br.Err != nil {
+			t.Fatalf("query %d: %v", i, br.Err)
+		}
+	}
+	w := col.Window("t")
+	if len(w) != 3 {
+		t.Fatalf("recorded %d observations, want 3 (1 single + 2 batched)", len(w))
+	}
+	want := []struct {
+		kind   dataset.AggKind
+		lo, hi float64
+		res    core.Result
+	}{
+		{dataset.Sum, 100, 500, r},
+		{dataset.Sum, 0, 100, out[0].Result},
+		{dataset.Count, -1, 2000, out[1].Result},
+	}
+	for i, o := range w {
+		if o.Kind != want[i].kind || o.Lo != want[i].lo || o.Hi != want[i].hi ||
+			o.Exact != want[i].res.Exact || o.NoMatch != want[i].res.NoMatch {
+			t.Errorf("observation %d = %+v, want %v [%v, %v] of %+v", i, o, want[i].kind, want[i].lo, want[i].hi, want[i].res)
+		}
+	}
+	if !w[2].Exact {
+		t.Error("whole-table COUNT must be recorded as exact")
+	}
 
-	r1, err := tbl.Query(dataset.Sum, q)
-	if err != nil {
-		t.Fatal(err)
+	// an expired deadline fails the query: nothing is recorded
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tbl.QueryCtx(ctx, dataset.Sum, dataset.Rect1(0, 10)); err == nil {
+		t.Fatal("cancelled ctx must fail the query")
 	}
-	r2, err := tbl.Query(dataset.Sum, q)
-	if err != nil {
-		t.Fatal(err)
+	if br := tbl.QueryBatchCtx(ctx, qs); br[0].Err == nil {
+		t.Fatal("cancelled ctx must fail the batch")
 	}
-	if r1.Estimate != r2.Estimate || r1.CIHalf != r2.CIHalf {
-		t.Fatalf("cached result differs: %+v vs %+v", r1, r2)
-	}
-	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", st)
-	}
-	cs, ok := col.Stats("t")
-	if !ok || cs.Window != 2 {
-		t.Fatalf("collector stats = %+v ok=%v, want 2 observations", cs, ok)
-	}
-	if cs.CacheHitFrac != 0.5 {
-		t.Fatalf("cache hit frac = %v, want 0.5", cs.CacheHitFrac)
+	if st, _ := col.Stats("t"); st.Total != 3 {
+		t.Fatalf("failed queries were recorded: total %d, want 3", st.Total)
 	}
 }
 
+// TestTableCacheInvalidatedByWrite: a read after a write reflects it.
 func TestTableCacheInvalidatedByWrite(t *testing.T) {
-	tbl, _, _ := registerAdaptiveTable(t, 1000)
+	tbl, _ := registerAdaptiveTable(t, 1000)
 	q := dataset.Rect1(-1, 2000) // full range: COUNT is exact
 
 	before, err := tbl.Query(dataset.Count, q)
@@ -76,61 +107,25 @@ func TestTableCacheInvalidatedByWrite(t *testing.T) {
 	if before.Estimate != 1000 {
 		t.Fatalf("count = %v, want 1000", before.Estimate)
 	}
-	gen := tbl.Gen()
 	if err := tbl.Insert([]float64{500}, 1); err != nil {
 		t.Fatal(err)
-	}
-	if tbl.Gen() != gen+2 {
-		t.Fatalf("generation advanced by %d, want 2", tbl.Gen()-gen)
 	}
 	after, err := tbl.Query(dataset.Count, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Estimate != 1001 {
-		t.Fatalf("post-insert count = %v, want 1001 (stale cache served?)", after.Estimate)
+		t.Fatalf("post-insert count = %v, want 1001", after.Estimate)
 	}
 }
 
-func TestTableBatchUsesCache(t *testing.T) {
-	tbl, _, cache := registerAdaptiveTable(t, 1000)
-	qs := []core.BatchQuery{
-		{Kind: dataset.Sum, Rect: dataset.Rect1(0, 100)},
-		{Kind: dataset.Count, Rect: dataset.Rect1(200, 300)},
-		{Kind: dataset.Sum, Rect: dataset.Rect1(0, 100)}, // repeat of #0
-	}
-	out := tbl.QueryBatch(qs)
-	for i, br := range out {
-		if br.Err != nil {
-			t.Fatalf("query %d: %v", i, br.Err)
-		}
-	}
-	if out[0].Result.Estimate != out[2].Result.Estimate {
-		t.Fatalf("repeat in one batch answered differently: %v vs %v",
-			out[0].Result.Estimate, out[2].Result.Estimate)
-	}
-	// the repeated batch is served entirely from cache
-	st0 := cache.Stats()
-	out2 := tbl.QueryBatch(qs)
-	st1 := cache.Stats()
-	if st1.Hits-st0.Hits != 3 {
-		t.Fatalf("second batch hits = %d, want 3", st1.Hits-st0.Hits)
-	}
-	for i := range out {
-		if out[i].Result.Estimate != out2[i].Result.Estimate {
-			t.Fatalf("batch replay differs at %d", i)
-		}
-	}
-}
-
-// TestCacheInvalidationRace is the catalog-level stale-read hunt: one
-// writer streams inserts into the queried range while readers hammer the
-// same cached COUNT. Counts observed by any single reader must never
-// decrease (a decrease means a cached pre-insert answer was served after
-// the insert), and the final drained answer must be exact. Run under
-// -race this also exercises every lock/generation interleaving.
+// TestCacheInvalidationRace is the catalog-level monotone-read check: one
+// writer streams inserts into the queried range while recorded readers
+// hammer the same COUNT. Counts observed by any single reader must never
+// decrease, and the final drained answer must be exact. Run under -race
+// this also exercises the recorder against concurrent updates.
 func TestCacheInvalidationRace(t *testing.T) {
-	tbl, _, _ := registerAdaptiveTable(t, 2000)
+	tbl, _ := registerAdaptiveTable(t, 2000)
 	q := dataset.Rect1(-1, 1e9)
 
 	const inserts = 200
@@ -153,7 +148,7 @@ func TestCacheInvalidationRace(t *testing.T) {
 					return
 				}
 				if r.Estimate < last {
-					t.Errorf("stale cached count: %v after having seen %v", r.Estimate, last)
+					t.Errorf("count went back: %v after having seen %v", r.Estimate, last)
 					return
 				}
 				last = r.Estimate
@@ -222,7 +217,7 @@ func TestObserverTracksUpdates(t *testing.T) {
 }
 
 func TestSwapEngine(t *testing.T) {
-	tbl, _, _ := registerAdaptiveTable(t, 1000)
+	tbl, _ := registerAdaptiveTable(t, 1000)
 	q := dataset.Rect1(-1, 1e9)
 	if _, err := tbl.Query(dataset.Count, q); err != nil {
 		t.Fatal(err)
@@ -249,7 +244,7 @@ func TestSwapEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Estimate != 1500 {
-		t.Fatalf("post-swap count = %v, want 1500 (cached pre-swap answer served?)", r.Estimate)
+		t.Fatalf("post-swap count = %v, want 1500 (old engine still serving?)", r.Estimate)
 	}
 	// a failing prep leaves the old engine serving
 	if err := tbl.SwapEngine(func(engine.Engine) (engine.Engine, error) {
@@ -259,5 +254,106 @@ func TestSwapEngine(t *testing.T) {
 	}
 	if tbl.Rows() != 1500 {
 		t.Fatal("failed swap must leave the table untouched")
+	}
+}
+
+// genProbe is an UpdateObserver that reads the table generation from
+// inside each applied update, and whether the update holds the exclusive
+// lock (a shared reader cannot get in beside it).
+type genProbe struct {
+	tbl       *Table
+	readings  []uint64
+	exclusive []bool
+}
+
+func (p *genProbe) read() {
+	excl := !p.tbl.mu.TryRLock()
+	if !excl {
+		p.tbl.mu.RUnlock()
+	}
+	p.readings = append(p.readings, p.tbl.Gen())
+	p.exclusive = append(p.exclusive, excl)
+}
+
+func (p *genProbe) ObserveInsert([]float64, float64) { p.read() }
+func (p *genProbe) ObserveDelete([]float64, float64) { p.read() }
+
+// TestGenerationDiscipline pins what the auditor's stale check relies on:
+// every update and engine swap — failed ones included — advances Gen by
+// exactly two, and a reading taken inside it is odd. It covers the
+// exclusive-lock path and the shared-lock path of an internally
+// synchronised engine without a journal.
+func TestGenerationDiscipline(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		build     func(t *testing.T) engine.Engine
+		exclusive bool
+	}{
+		{"exclusive", func(t *testing.T) engine.Engine { return buildTestSynopsis(t, 1000) }, true},
+		{"shared", func(t *testing.T) engine.Engine { return buildSharded(t, 3000, 3) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl, err := New().Register("t", tc.build(t), sqlfe.SchemaFromColNames([]string{"x", "v"}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := engine.Underlying(tbl.eng).(engine.ConcurrentUpdatable); ok == tc.exclusive {
+				t.Fatalf("premise: ConcurrentUpdatable = %v on the %s path", ok, tc.name)
+			}
+			p := &genProbe{tbl: tbl}
+			tbl.AttachObserver(p)
+			step := func(op string, applied int, wantErr bool, fn func() error) {
+				t.Helper()
+				p.readings, p.exclusive = nil, nil
+				before := tbl.Gen()
+				if err := fn(); (err != nil) != wantErr {
+					t.Fatalf("%s: err = %v, want error %v", op, err, wantErr)
+				}
+				if d := tbl.Gen() - before; d != 2 {
+					t.Errorf("%s advanced Gen by %d, want 2", op, d)
+				}
+				if len(p.readings) != applied {
+					t.Fatalf("%s: observer saw %d applied rows, want %d", op, len(p.readings), applied)
+				}
+				for i, g := range p.readings {
+					if g%2 != 1 {
+						t.Errorf("%s: Gen read inside the update = %d, want odd", op, g)
+					}
+					if p.exclusive[i] != tc.exclusive {
+						t.Errorf("%s ran under the exclusive lock = %v, want %v", op, p.exclusive[i], tc.exclusive)
+					}
+				}
+			}
+			pt, val := []float64{5}, 1.0
+			step("Insert", 1, false, func() error { return tbl.Insert(pt, val) })
+			step("Delete", 1, false, func() error { return tbl.Delete(pt, val) })
+			step("Insert failed", 0, true, func() error { return tbl.Insert(nil, val) })
+			step("InsertMany", 3, false, func() error {
+				_, err := tbl.InsertMany([][]float64{{6}, {7}, {8}}, []float64{1, 2, 3})
+				return err
+			})
+			step("InsertMany failed at row 2", 2, true, func() error {
+				n, err := tbl.InsertMany([][]float64{{6}, {7}, nil, {8}}, []float64{1, 2, 3, 4})
+				if n != 2 {
+					t.Errorf("InsertMany applied %d rows, want 2", n)
+				}
+				return err
+			})
+			step("SwapEngine", 0, false, func() error {
+				return tbl.SwapEngine(func(engine.Engine) (engine.Engine, error) {
+					if g := tbl.Gen(); g%2 != 1 {
+						t.Errorf("Gen read inside SwapEngine = %d, want odd", g)
+					}
+					if tbl.mu.TryRLock() {
+						tbl.mu.RUnlock()
+						t.Error("SwapEngine must hold the exclusive lock")
+					}
+					return tc.build(t), nil
+				})
+			})
+			step("SwapEngine failed", 0, true, func() error {
+				return tbl.SwapEngine(func(engine.Engine) (engine.Engine, error) { return nil, nil })
+			})
+		})
 	}
 }

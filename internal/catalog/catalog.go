@@ -13,13 +13,11 @@
 //
 // Two subsystems attach to a table through interfaces defined here, so
 // the catalog imports neither: a durable store journals updates through
-// Journal (write-ahead, under the update lock), and the
-// workload-adaptive layer observes queries and serves cached answers
-// through QueryRecorder/ResultCache, with soundness anchored on the
-// table's update-generation counter (see adaptive.go). SwapEngine
-// hot-swaps a table's serving engine under the exclusive lock — the
-// re-optimizer's path for replacing a synopsis with a workload-aligned
-// rebuild.
+// Journal (write-ahead, under the update lock), and the workload-adaptive
+// and audit layers observe served queries through QueryRecorder (see
+// adaptive.go). SwapEngine hot-swaps a table's serving engine under the
+// exclusive lock — the re-optimizer's path for replacing a synopsis with
+// a workload-aligned rebuild.
 package catalog
 
 import (
@@ -36,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/sqlfe"
 )
@@ -70,8 +67,8 @@ type Table struct {
 	rows    atomic.Int64
 	journal Journal
 	// gen is the update generation: bumped before and after every update
-	// and engine swap, read by queries under the read lock. It keys the
-	// result cache so stale answers are unreachable (see adaptive.go).
+	// and engine swap. The auditor reads it to tell whether an answer and
+	// its exact re-execution saw the same rows (see adaptive.go).
 	gen atomic.Uint64
 	// planGen is the plan generation: bumped only when the serving engine
 	// is swapped (SwapEngine), not on row updates — compiled plans resolve
@@ -80,10 +77,9 @@ type Table struct {
 	// is the table's identity), so prepared statements survive inserts and
 	// deletes but never outlive an engine swap.
 	planGen atomic.Uint64
-	// recorder and cache are the optional workload-adaptive hooks
-	// (AttachAdaptive); observer tracks applied updates (AttachObserver).
+	// recorder observes served queries (AttachAdaptive); observer tracks
+	// applied updates (AttachObserver). Both are optional.
 	recorder QueryRecorder
-	cache    ResultCache
 	observer UpdateObserver
 }
 
@@ -122,9 +118,8 @@ func (t *Table) Rows() int {
 	return int(t.rows.Load())
 }
 
-// Query answers one aggregate under the table's read lock, consulting
-// the result cache first when one is attached (AttachAdaptive) and
-// recording the served query with the workload collector.
+// Query answers one aggregate under the table's read lock and reports
+// the served query to the recorder, when one is attached (AttachAdaptive).
 func (t *Table) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
 	return t.QueryCtx(context.Background(), kind, q)
 }
@@ -132,98 +127,37 @@ func (t *Table) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error)
 // QueryCtx is Query with deadline propagation: a deadline-aware engine
 // (engine.ContextQuerier — the scatter-gather executor) observes ctx
 // mid-query and may return a partial Degraded answer; other engines get a
-// fail-fast admission check. Degraded answers are never stored in the
-// result cache — they are artifacts of this request's deadline, not facts
-// about the table.
+// fail-fast admission check.
 func (t *Table) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	sp := obs.SpanFrom(ctx)
-	rec, cache := t.recorder, t.cache
-	if rec == nil && cache == nil {
-		sp.Set("result_cache", "off")
-		return engine.QueryCtx(ctx, t.eng, kind, q)
-	}
-	gen := t.gen.Load()
-	if cache != nil {
-		if r, ok := cache.Lookup(t.name, gen, kind, q); ok {
-			sp.Set("result_cache", "hit")
-			if rec != nil {
-				rec.ObserveQuery(t.name, kind, q, r, t.Rows(), 0, true)
-			}
-			return r, nil
-		}
-		sp.Set("result_cache", "miss")
-	} else {
-		sp.Set("result_cache", "off")
-	}
 	start := time.Now()
 	r, err := engine.QueryCtx(ctx, t.eng, kind, q)
-	if err != nil {
-		return r, err
+	if rec := t.recorder; rec != nil && err == nil {
+		rec.ObserveQuery(t.name, kind, q, r, t.Rows(), time.Since(start))
 	}
-	elapsed := time.Since(start)
-	if cache != nil && !r.Degraded {
-		cache.Store(t.name, gen, kind, q, r)
-	}
-	if rec != nil {
-		rec.ObserveQuery(t.name, kind, q, r, t.Rows(), elapsed, false)
-	}
-	return r, nil
+	return r, err
 }
 
 // QueryBatch answers a whole workload under one read-lock acquisition;
-// engines with a parallel synopsis fan it across the worker pool. With a
-// result cache attached, hits are filled directly and only the misses go
-// to the engine (as one smaller batch); every served query is recorded
-// with the workload collector.
+// engines with a parallel synopsis fan it across the worker pool. Every
+// answered query is reported to the recorder, when one is attached.
 func (t *Table) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 	return t.QueryBatchCtx(context.Background(), qs)
 }
 
 // QueryBatchCtx is QueryBatch with deadline propagation, mirroring
-// QueryCtx: deadline-aware engines may mark individual results Degraded;
-// degraded results never enter the cache. An already-expired ctx fails
-// every query without touching the engine.
+// QueryCtx: deadline-aware engines may mark individual results Degraded.
+// An already-expired ctx fails every query without touching the engine.
 func (t *Table) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rec, cache := t.recorder, t.cache
-	if rec == nil && cache == nil {
-		return engine.QueryBatchCtx(ctx, t.eng, qs)
-	}
-	gen := t.gen.Load()
-	out := make([]core.BatchResult, len(qs))
-	hit := make([]bool, len(qs))
-	misses := make([]int, 0, len(qs))
-	for i, q := range qs {
-		if cache != nil {
-			if r, ok := cache.Lookup(t.name, gen, q.Kind, q.Rect); ok {
-				out[i] = core.BatchResult{Result: r}
-				hit[i] = true
-				continue
-			}
-		}
-		misses = append(misses, i)
-	}
-	if len(misses) > 0 {
-		sub := make([]core.BatchQuery, len(misses))
-		for j, i := range misses {
-			sub[j] = qs[i]
-		}
-		for j, br := range engine.QueryBatchCtx(ctx, t.eng, sub) {
-			i := misses[j]
-			out[i] = br
-			if br.Err == nil && cache != nil && !br.Result.Degraded {
-				cache.Store(t.name, gen, qs[i].Kind, qs[i].Rect, br.Result)
-			}
-		}
-	}
-	if rec != nil {
+	out := engine.QueryBatchCtx(ctx, t.eng, qs)
+	if rec := t.recorder; rec != nil {
 		n := t.Rows()
-		for i := range qs {
-			if out[i].Err == nil {
-				rec.ObserveQuery(t.name, qs[i].Kind, qs[i].Rect, out[i].Result, n, out[i].Elapsed, hit[i])
+		for i, br := range out {
+			if br.Err == nil {
+				rec.ObserveQuery(t.name, qs[i].Kind, qs[i].Rect, br.Result, n, br.Elapsed)
 			}
 		}
 	}
@@ -244,9 +178,10 @@ func (t *Table) GroupBy(kind dataset.AggKind, q dataset.Rect, dim int, groups []
 
 // SketchQuery answers a sketch-family aggregate (QUANTILE, COUNT
 // DISTINCT, TOPK) under the table's read lock, when the engine maintains
-// mergeable sketches (engine.Sketcher). Sketch answers bypass the
-// adaptive recorder and result cache — both speak core.Result over
-// rectangles, and sketch queries have no predicate to key on.
+// mergeable sketches (engine.Sketcher). Sketch answers reach only a
+// recorder that also implements SketchRecorder (the audit tap): the
+// workload collector speaks core.Result over rectangles, and sketch
+// queries have no predicate to observe.
 func (t *Table) SketchQuery(q sketch.Query) (sketch.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -303,7 +238,8 @@ func (t *Table) lockForUpdate() func() {
 func (t *Table) Insert(point []float64, value float64) error {
 	defer t.lockForUpdate()()
 	// generation discipline: bump before journaling/applying and again
-	// after, so cached results can never outlive this write (adaptive.go)
+	// after, so the auditor can tell a write overlapped its re-execution
+	// (adaptive.go)
 	t.gen.Add(1)
 	defer t.gen.Add(1)
 	u, ok := engine.Underlying(t.eng).(engine.Updatable)

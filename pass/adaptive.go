@@ -1,8 +1,7 @@
 package pass
 
 // Workload-adaptive serving: a Session with EnableAdaptive on collects
-// per-table query statistics (internal/adaptive.Collector), serves
-// repeated predicates from a semantic result cache (adaptive.Cache), and
+// per-table query statistics (internal/adaptive.Collector) and
 // re-optimizes drifted tables in the background — rebuilding the synopsis
 // with partition boundaries forced onto the workload's hot query
 // endpoints and hot-swapping it under the catalog's table lock, then
@@ -14,7 +13,7 @@ package pass
 // a rebuild always starts from exactly the rows the engine summarises.
 // Tables registered through the plain Register paths (and tables
 // warm-started from snapshots, whose rows exist only inside the synopsis)
-// still get statistics and caching, but skip re-optimization.
+// still get statistics, but skip re-optimization.
 
 import (
 	"errors"
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/adaptive"
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -33,25 +31,13 @@ import (
 )
 
 // AdaptiveConfig tunes the session's workload-adaptive layer. The zero
-// value enables statistics and a 64 MiB cache with manual-only
-// re-optimization; set ReoptInterval for the background loop.
+// value enables statistics with manual-only re-optimization; set
+// ReoptInterval for the background loop. The window size and the rebuild
+// gates keep adaptive.NewCollector's and adaptive.ReoptConfig's defaults.
 type AdaptiveConfig struct {
 	// ReoptInterval is the background re-optimization scan period;
 	// non-positive means manual triggering only (Session.Reoptimize).
 	ReoptInterval time.Duration
-	// Window is the per-table sliding-window size (default 2048).
-	Window int
-	// MinWindow gates automatic rebuilds until enough queries were
-	// observed (default 64).
-	MinWindow int
-	// DriftThreshold triggers a rebuild when the fraction of recent
-	// traffic hitting repeated-but-inexact ranges crosses it (default 0.25).
-	DriftThreshold float64
-	// MaxBoundaries caps forced boundaries per rebuild (default 16).
-	MaxBoundaries int
-	// CacheBytes bounds the semantic result cache; 0 defaults to 64 MiB,
-	// negative disables caching entirely (statistics still collected).
-	CacheBytes int
 	// Logf receives re-optimization diagnostics (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -59,21 +45,10 @@ type AdaptiveConfig struct {
 // adaptiveRuntime is the session's adaptive state.
 type adaptiveRuntime struct {
 	col   *adaptive.Collector
-	cache *adaptive.Cache // nil when disabled
 	reopt *adaptive.Reoptimizer
 
 	mu      sync.Mutex
 	sources map[string]*tableSource // key: lower-cased table name
-}
-
-// resultCache returns the cache as the catalog interface, or a true nil
-// when caching is disabled (a typed nil would still be a non-nil
-// interface and trip the catalog's nil checks).
-func (rt *adaptiveRuntime) resultCache() catalog.ResultCache {
-	if rt.cache == nil {
-		return nil
-	}
-	return rt.cache
 }
 
 // tableSource is the retained base data of one adaptive table, kept in
@@ -147,7 +122,7 @@ search:
 }
 
 // EnableAdaptive turns on the workload-adaptive layer: statistics
-// collection and result caching for every current and future table, and
+// collection for every current and future table, and
 // (with a positive ReoptInterval) background re-optimization of tables
 // registered through RegisterAdaptive. Enable before registering tables
 // or attaching a store; it cannot be enabled twice.
@@ -155,22 +130,13 @@ func (s *Session) EnableAdaptive(cfg AdaptiveConfig) error {
 	if s.adaptive != nil {
 		return fmt.Errorf("pass: session already has the adaptive layer enabled")
 	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = 64 << 20
-	}
 	rt := &adaptiveRuntime{
-		col:     adaptive.NewCollector(cfg.Window),
+		col:     adaptive.NewCollector(0),
 		sources: make(map[string]*tableSource),
 	}
-	if cfg.CacheBytes > 0 {
-		rt.cache = adaptive.NewCache(cfg.CacheBytes)
-	}
 	rt.reopt = adaptive.NewReoptimizer(rt.col, adaptive.ReoptConfig{
-		Interval:       cfg.ReoptInterval,
-		MinWindow:      cfg.MinWindow,
-		DriftThreshold: cfg.DriftThreshold,
-		MaxBoundaries:  cfg.MaxBoundaries,
-		Logf:           cfg.Logf,
+		Interval: cfg.ReoptInterval,
+		Logf:     cfg.Logf,
 	}, s.rebuildTable)
 	s.adaptive = rt
 	for _, tbl := range s.cat.List() {
@@ -179,6 +145,11 @@ func (s *Session) EnableAdaptive(cfg AdaptiveConfig) error {
 	rt.reopt.Start()
 	return nil
 }
+
+// ErrBuild tags a RegisterAdaptive call that could not build a synopsis
+// from the rows and options it was given — a caller's mistake, not a
+// serving fault — so serving layers can map it to a client error.
+var ErrBuild = errors.New("pass: cannot build synopsis")
 
 // Adaptive reports whether the adaptive layer is enabled.
 func (s *Session) Adaptive() bool { return s.adaptive != nil }
@@ -199,13 +170,13 @@ func (s *Session) RegisterAdaptive(name string, t *Table, opt Options, shards in
 		return false, fmt.Errorf("pass: RegisterAdaptive requires EnableAdaptive first")
 	}
 	if t == nil || t.Len() == 0 {
-		return false, fmt.Errorf("pass: RegisterAdaptive needs a non-empty table")
+		return false, fmt.Errorf("%w: RegisterAdaptive needs a non-empty table", ErrBuild)
 	}
 	persisted = s.store != nil
 	if shards > 1 {
 		eng, schema, berr := BuildShardedEngine(t, opt, shards)
 		if berr != nil {
-			return false, berr
+			return false, fmt.Errorf("%w: %w", ErrBuild, berr)
 		}
 		err = s.RegisterEngine(name, eng, schema)
 		if isNotSerializable(err) {
@@ -215,7 +186,7 @@ func (s *Session) RegisterAdaptive(name string, t *Table, opt Options, shards in
 	} else {
 		syn, berr := BuildAuto(t, opt)
 		if berr != nil {
-			return false, berr
+			return false, fmt.Errorf("%w: %w", ErrBuild, berr)
 		}
 		err = s.Register(name, syn)
 		if isNotSerializable(err) {
@@ -393,11 +364,6 @@ type AdaptiveInfo struct {
 	// MeanRelCI the mean relative CI half-width of the inexact ones.
 	ExactFrac float64 `json:"exact_frac"`
 	MeanRelCI float64 `json:"mean_rel_ci"`
-	// CacheHits/CacheMisses/CacheHitRate report semantic-cache traffic
-	// for this table (absent when caching is disabled).
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
 	// Rebuildable reports whether the table retains base data for
 	// workload-driven rebuilds (RegisterAdaptive, 1D only).
 	Rebuildable bool `json:"rebuildable"`
@@ -423,13 +389,6 @@ func (s *Session) adaptiveInfo(name string) *AdaptiveInfo {
 		info.ExactFrac = st.ExactFrac
 		info.MeanRelCI = st.MeanRelCI
 	}
-	if rt.cache != nil {
-		h, m := rt.cache.TableStats(name)
-		info.CacheHits, info.CacheMisses = h, m
-		if h+m > 0 {
-			info.CacheHitRate = float64(h) / float64(h+m)
-		}
-	}
 	rt.mu.Lock()
 	_, info.Rebuildable = rt.sources[strings.ToLower(name)]
 	rt.mu.Unlock()
@@ -441,15 +400,6 @@ func (s *Session) adaptiveInfo(name string) *AdaptiveInfo {
 	return info
 }
 
-// CacheStats reports the session-wide semantic-cache counters, ok=false
-// when the adaptive layer or its cache is off.
-func (s *Session) CacheStats() (adaptive.CacheStats, bool) {
-	if s.adaptive == nil || s.adaptive.cache == nil {
-		return adaptive.CacheStats{}, false
-	}
-	return s.adaptive.cache.Stats(), true
-}
-
 // adaptiveForget clears all adaptive state of a dropped table.
 func (s *Session) adaptiveForget(name string) {
 	rt := s.adaptive
@@ -457,9 +407,6 @@ func (s *Session) adaptiveForget(name string) {
 		return
 	}
 	rt.col.Forget(name)
-	if rt.cache != nil {
-		rt.cache.Forget(name)
-	}
 	rt.reopt.Forget(name)
 	rt.mu.Lock()
 	delete(rt.sources, strings.ToLower(name))

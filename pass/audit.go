@@ -10,10 +10,10 @@ package pass
 // optional SLO monitor turns coverage plus tail latency into error
 // budgets with breach alerts (see internal/audit).
 //
-// The tap composes with — not replaces — the adaptive hooks: the
+// The tap composes with — not replaces — the adaptive collector: the
 // catalog's single recorder slot receives a chain that forwards to the
 // workload collector first and the auditor second, so enabling the
-// auditor never perturbs statistics, caching, or answers.
+// auditor never perturbs statistics or answers.
 
 import (
 	"fmt"
@@ -179,24 +179,21 @@ func (s *Session) auditStop() {
 	s.audit.aud.Stop()
 }
 
-// attachHooks wires the catalog recorder/cache chain under a table: the
-// adaptive collector (statistics + caching) first, wrapped by the audit
-// tap when the audit layer is on. Both layers are optional; with neither
-// enabled this is a no-op.
+// attachHooks wires the catalog recorder chain under a table: the
+// adaptive collector first, wrapped by the audit tap when the audit layer
+// is on. Both layers are optional; with neither enabled this is a no-op.
 func (s *Session) attachHooks(tbl *catalog.Table) {
 	var rec catalog.QueryRecorder
-	var cache catalog.ResultCache
 	if s.adaptive != nil {
 		rec = s.adaptive.col
-		cache = s.adaptive.resultCache()
 	}
 	if s.audit != nil {
 		rec = &auditTap{aud: s.audit.aud, tbl: tbl, next: rec}
 	}
-	if rec == nil && cache == nil {
+	if rec == nil {
 		return
 	}
-	tbl.AttachAdaptive(rec, cache)
+	tbl.AttachAdaptive(rec)
 }
 
 // auditTap is the per-table recorder shim: it forwards every observation
@@ -211,9 +208,9 @@ type auditTap struct {
 	next catalog.QueryRecorder
 }
 
-func (t *auditTap) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration, cacheHit bool) {
+func (t *auditTap) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration) {
 	if t.next != nil {
-		t.next.ObserveQuery(table, kind, q, r, n, elapsed, cacheHit)
+		t.next.ObserveQuery(table, kind, q, r, n, elapsed)
 	}
 	t.aud.Observe(table, kind, q, r, t.tbl.Gen())
 }

@@ -111,44 +111,9 @@ func TestExplainAnalyzeTwin(t *testing.T) {
 		t.Errorf("root duration %dus, want > 0", root.DurationUS)
 	}
 
-	// result-cache outcome is recorded when the adaptive layer is off
-	if got := execute.Attrs["result_cache"]; got != "off" {
-		t.Errorf("result_cache = %v, want off (no adaptive layer)", got)
-	}
-
 	// the whole tree must survive a JSON round trip (the passd wire path)
 	if _, err := json.Marshal(traced.Trace); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestExplainAnalyzeResultCacheHit checks the execute span reports the
-// semantic result cache's outcome when the adaptive layer is on.
-func TestExplainAnalyzeResultCacheHit(t *testing.T) {
-	tbl, eng := shardedFixture(t, 2)
-	_ = tbl
-	sess := NewSession()
-	if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.RegisterEngine("sensors", eng, stubSchemaNamed("sensors", "hour", "light")); err != nil {
-		t.Fatal(err)
-	}
-	const q = "SELECT COUNT(*) FROM sensors WHERE hour BETWEEN 2 AND 9"
-	plain, err := sess.Exec(q) // miss + store
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := sess.Exec("EXPLAIN ANALYZE " + q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := collectSpans(traced.Trace)
-	if got := spans["execute"][0].Attrs["result_cache"]; got != "hit" {
-		t.Errorf("result_cache = %v, want hit", got)
-	}
-	if traced.Scalar != plain.Scalar {
-		t.Errorf("cached traced answer differs: %+v vs %+v", traced.Scalar, plain.Scalar)
 	}
 }
 

@@ -37,7 +37,7 @@ func (s *Session) AttachStore(st *store.Store) (int, error) {
 			return 0, fmt.Errorf("pass: warm start table %q: %w", lt.Name, err)
 		}
 		// warm-started tables join the adaptive and audit layers too
-		// (statistics + cache + tap; no rebuilds and no exact ground
+		// (statistics + tap; no rebuilds and no exact ground
 		// truth — the base rows live only in the synopsis)
 		s.attachHooks(tbl)
 		j, err := st.AttachSharded(tbl, nil, 0)

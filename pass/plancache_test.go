@@ -50,8 +50,8 @@ func comparePlans(t *testing.T, round string, cached, plain *Session, stmts []st
 // the engine swap a re-optimization performs (which bumps the table's
 // plan generation and must invalidate every cached skeleton).
 func TestPlanCacheTwinAcrossSwaps(t *testing.T) {
-	cached, _ := newAdaptiveSession(t, -1)
-	plain, _ := newAdaptiveSession(t, -1)
+	cached, _ := newAdaptiveSession(t)
+	plain, _ := newAdaptiveSession(t)
 	plain.SetPlanCacheSize(0)
 
 	stmts := planCacheStmts()
@@ -209,7 +209,7 @@ func hot(lo, hi float64) string {
 // prepared handle keeps answering correctly after an engine swap
 // (re-optimization) and after its table is dropped and re-registered.
 func TestPreparedSurvivesSwapAndReRegister(t *testing.T) {
-	sess, _ := newAdaptiveSession(t, -1)
+	sess, _ := newAdaptiveSession(t)
 	ps, err := sess.Prepare("SELECT SUM(v) FROM t WHERE x BETWEEN 100 AND 2000")
 	if err != nil {
 		t.Fatal(err)

@@ -45,8 +45,7 @@ var (
 // snapshotted to disk, updates are write-ahead journaled, and a restart
 // restores the catalog without rebuilding anything (see persist.go).
 // A session can further be made workload-adaptive with EnableAdaptive:
-// queries are then recorded into per-table sliding windows, repeated
-// predicates are served from a semantic result cache, and tables
+// queries are then recorded into per-table sliding windows, and tables
 // registered through RegisterAdaptive are re-optimized in the background
 // when the observed workload drifts from the partitioning (see
 // adaptive.go).
@@ -243,8 +242,8 @@ type TableInfo struct {
 	// ShardStreamed counts the per-shard partial results folded into
 	// answers.
 	ShardStreamed int64 `json:"shard_streamed,omitempty"`
-	// Adaptive carries workload statistics, cache effectiveness and
-	// re-optimization history when the session's adaptive layer is on.
+	// Adaptive carries workload statistics and re-optimization history
+	// when the session's adaptive layer is on.
 	Adaptive *AdaptiveInfo `json:"adaptive,omitempty"`
 	// Audit carries empirical accuracy statistics when the session's
 	// audit layer is on (EnableAudit).
@@ -319,7 +318,7 @@ func (s *Session) Exec(sql string) (SQLResult, error) {
 // attached: the answer is bitwise identical to the plain statement's
 // (the traced scatter folds shard partials in the same deterministic
 // order), and SQLResult.Trace carries the span tree — compile (plan-cache
-// outcome), execute (result-cache outcome, leaf scan counters), and the
+// outcome), execute (leaf scan counters), and the
 // per-shard scatter breakdown on sharded tables.
 func (s *Session) ExecCtx(ctx context.Context, sql string) (SQLResult, error) {
 	stmt, explain := sqlfe.StripExplain(sql)

@@ -103,7 +103,7 @@ func TestSessionSketchShardedTwin(t *testing.T) {
 	answers := map[int]map[string]*SketchAnswer{}
 	for _, shards := range []int{1, 4} {
 		sess := NewSession()
-		if err := sess.EnableAdaptive(AdaptiveConfig{CacheBytes: -1}); err != nil {
+		if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sess.RegisterAdaptive("sensors", sketchFixtureTable(),
