@@ -131,8 +131,9 @@ func NewCollector(window int) *Collector {
 
 // ObserveQuery records one served query. It satisfies the catalog's
 // QueryRecorder interface: the serving layer calls it for every scalar
-// query the engine answered, with the result it returned.
-func (c *Collector) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration) {
+// query the engine answered, with the result it returned. The generation
+// stamp is the auditor's and is ignored here.
+func (c *Collector) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration, _ uint64) {
 	o := Obs{
 		Kind:    kind,
 		Lo:      math.Inf(-1),

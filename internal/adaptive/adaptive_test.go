@@ -18,7 +18,7 @@ func obsRange(lo, hi float64, exact bool) Obs {
 
 func recordRange(c *Collector, table string, lo, hi float64, exact bool) {
 	c.ObserveQuery(table, dataset.Sum, dataset.Rect1(lo, hi),
-		core.Result{Exact: exact, MatchEst: 10}, 100, time.Microsecond)
+		core.Result{Exact: exact, MatchEst: 10}, 100, time.Microsecond, 0)
 }
 
 func TestCollectorWindowAndStats(t *testing.T) {

@@ -4,20 +4,23 @@
 // statements resolve against.
 //
 // Concurrency model: the catalog itself is guarded by one RWMutex for
-// registration lookups, and every table carries its own RWMutex. Queries
-// — single or batched — take the table's read lock, so any number of them
-// run concurrently and a batched workload still fans out across the
-// worker pool inside the engine; Insert/Delete take the write lock, so
-// updates serialise against each other and against in-flight queries
-// without blocking other tables.
+// registration lookups, and every table carries two locks of its own. The
+// state lock (an RWMutex) guards the in-memory engine: queries — single or
+// batched — share it, so any number of them run concurrently and a batched
+// workload still fans out across the worker pool inside the engine, while
+// writers hold it exclusively only for the in-memory apply. The write-order
+// lock orders journaled updates, checkpoints and engine swaps against each
+// other; journal appends (write + fsync) and checkpoint file I/O run under
+// it alone, so readers never wait for the disk and other tables are never
+// blocked.
 //
 // Two subsystems attach to a table through interfaces defined here, so
 // the catalog imports neither: a durable store journals updates through
-// Journal (write-ahead, under the update lock), and the workload-adaptive
-// and audit layers observe served queries through QueryRecorder (see
-// adaptive.go). SwapEngine hot-swaps a table's serving engine under the
-// exclusive lock — the re-optimizer's path for replacing a synopsis with
-// a workload-aligned rebuild.
+// Journal (write-ahead, under the write-order lock), and the
+// workload-adaptive and audit layers observe served queries through
+// QueryRecorder (see adaptive.go). SwapEngine hot-swaps a table's serving
+// engine under both locks — the re-optimizer's path for replacing a
+// synopsis with a workload-aligned rebuild.
 package catalog
 
 import (
@@ -42,7 +45,10 @@ import (
 // Insert/Delete are called BEFORE the in-memory apply (classic WAL
 // ordering — the update must be on disk before it is acknowledged), and
 // Rollback undoes the most recent append if that apply then fails, so log
-// and engine never diverge. All three run under the table's write lock.
+// and engine never diverge. Appends run under the table's write-order lock
+// only, so the log order is the apply order while queries proceed; a
+// Rollback (and InsertMany's re-journal) runs under the state lock too, so
+// readers never see rows the log is about to drop.
 // It is satisfied by store.ShardedTableLog; defining it here keeps the
 // catalog free of store imports.
 type Journal interface {
@@ -55,20 +61,25 @@ type Journal interface {
 	Rollback() error
 }
 
-// Table is one registered table: an engine, its schema, and the lock that
-// orders queries and updates. rows is atomic so the shared-lock update
+// Table is one registered table: an engine, its schema, and the locks that
+// order queries and updates. rows is atomic so the shared-lock update
 // path of internally synchronised engines (engine.ConcurrentUpdatable)
 // can maintain it without the exclusive lock.
 type Table struct {
-	name    string
+	name string
+	// wmu is the write-order lock: journaled updates, CheckpointShards,
+	// SwapEngine and AttachJournal take it before mu, so the journal and
+	// the engine are stable under either lock.
+	wmu     sync.Mutex
 	mu      sync.RWMutex
 	eng     engine.Engine
 	schema  sqlfe.Schema
 	rows    atomic.Int64
 	journal Journal
-	// gen is the update generation: bumped before and after every update
-	// and engine swap. The auditor reads it to tell whether an answer and
-	// its exact re-execution saw the same rows (see adaptive.go).
+	// gen is the update generation: bumped before and after the in-memory
+	// apply of every update and engine swap. The auditor reads it to tell
+	// whether an answer and its exact re-execution saw the same rows (see
+	// adaptive.go).
 	gen atomic.Uint64
 	// planGen is the plan generation: bumped only when the serving engine
 	// is swapped (SwapEngine), not on row updates — compiled plans resolve
@@ -131,10 +142,10 @@ func (t *Table) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error)
 func (t *Table) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	start := time.Now()
+	start, gen := time.Now(), t.gen.Load()
 	r, err := engine.QueryCtx(ctx, t.eng, kind, q)
 	if rec := t.recorder; rec != nil && err == nil {
-		rec.ObserveQuery(t.name, kind, q, r, t.Rows(), time.Since(start))
+		rec.ObserveQuery(t.name, kind, q, r, t.Rows(), time.Since(start), t.stamp(gen))
 	}
 	return r, err
 }
@@ -152,12 +163,13 @@ func (t *Table) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 func (t *Table) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	gen := t.gen.Load()
 	out := engine.QueryBatchCtx(ctx, t.eng, qs)
 	if rec := t.recorder; rec != nil {
-		n := t.Rows()
+		n, stamp := t.Rows(), t.stamp(gen)
 		for i, br := range out {
 			if br.Err == nil {
-				rec.ObserveQuery(t.name, qs[i].Kind, qs[i].Rect, br.Result, n, br.Elapsed)
+				rec.ObserveQuery(t.name, qs[i].Kind, qs[i].Rect, br.Result, n, br.Elapsed, stamp)
 			}
 		}
 	}
@@ -190,10 +202,11 @@ func (t *Table) SketchQuery(q sketch.Query) (sketch.Result, error) {
 		return sketch.Result{}, fmt.Errorf("catalog: engine %s of table %q does not support %s: %w",
 			t.eng.Name(), t.name, q.Kind, sketch.ErrUnavailable)
 	}
+	gen := t.gen.Load()
 	r, err := sk.SketchQuery(q)
 	if err == nil {
 		if rec, isSketch := t.recorder.(SketchRecorder); isSketch {
-			rec.ObserveSketch(t.name, q, r, t.gen.Load())
+			rec.ObserveSketch(t.name, q, r, t.stamp(gen))
 		}
 	}
 	return r, err
@@ -203,94 +216,97 @@ func (t *Table) SketchQuery(q sketch.Query) (sketch.Result, error) {
 // subsequent Insert/Delete is logged before the in-memory apply, making
 // updates crash-recoverable. Pass nil to detach.
 func (t *Table) AttachJournal(j Journal) {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	t.mu.Lock()
 	t.journal = j
 	t.mu.Unlock()
 }
 
-// lockForUpdate acquires the lock an update needs and returns its
-// release. The default is the exclusive lock: updates serialise against
-// each other and against queries. Engines that synchronise updates
-// internally (engine.ConcurrentUpdatable — e.g. a sharded engine with
-// per-shard locks) run under the shared lock instead, so an update to one
-// shard proceeds concurrently with queries on others — but only while no
-// journal is attached: write-ahead logging requires a total order of
-// updates, which only the exclusive lock provides. The journal check and
-// the lock acquisition are atomic: AttachJournal needs the exclusive
-// lock, so a journal cannot appear while a shared-lock update is in
-// flight.
-func (t *Table) lockForUpdate() func() {
+// update is the one body of Insert, Delete and InsertMany, when the engine
+// is updatable (engine.Updatable). journal appends the update to an
+// attached journal; apply changes the engine, notifies the observer and
+// returns the row delta.
+//
+// Engines that synchronise updates internally (engine.ConcurrentUpdatable
+// — e.g. a sharded engine with per-shard locks) run unjournaled updates
+// under the shared state lock, so an update to one shard proceeds beside
+// queries on others. Every other update takes the write-order lock,
+// journals (write + fsync) under it alone, and then holds the state lock
+// exclusively just for the apply: the log order is the apply order, and
+// an ack follows both durability and apply, but readers never wait for
+// the disk. The journal check and the shared lock are taken together, and
+// AttachJournal needs both locks, so a journal cannot appear while a
+// shared-lock update is in flight.
+func (t *Table) update(op string, journal func(Journal) error, apply func(engine.Updatable) (int, error)) (int, error) {
 	t.mu.RLock()
-	if t.journal == nil {
-		if _, ok := engine.Underlying(t.eng).(engine.ConcurrentUpdatable); ok {
-			return t.mu.RUnlock
-		}
+	_, concurrent := engine.Underlying(t.eng).(engine.ConcurrentUpdatable)
+	ordered := !concurrent || t.journal != nil
+	if ordered {
+		t.mu.RUnlock()
+		t.wmu.Lock()
+		defer t.wmu.Unlock()
+	} else {
+		defer t.mu.RUnlock()
 	}
-	t.mu.RUnlock()
-	t.mu.Lock()
-	return t.mu.Unlock
+	u, ok := engine.Underlying(t.eng).(engine.Updatable)
+	if !ok {
+		return 0, fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
+	}
+	if ordered {
+		if t.journal != nil {
+			if err := journal(t.journal); err != nil {
+				return 0, fmt.Errorf("catalog: journal %s %q: %w", op, t.name, err)
+			}
+		}
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
+	// generation discipline: bump before applying and again after, so the
+	// auditor can tell a write overlapped its re-execution (adaptive.go)
+	t.gen.Add(1)
+	defer t.gen.Add(1)
+	delta, err := apply(u)
+	t.resyncRows(delta)
+	return delta, err
 }
 
-// Insert adds one tuple under the table's update lock (see
-// lockForUpdate), when the engine is updatable (engine.Updatable). With a
-// journal attached the tuple is logged first; a failed in-memory apply
-// rolls the log entry back.
+// Insert adds one tuple (see update). With a journal attached the tuple is
+// logged first; a failed in-memory apply rolls the log entry back.
 func (t *Table) Insert(point []float64, value float64) error {
-	defer t.lockForUpdate()()
-	// generation discipline: bump before journaling/applying and again
-	// after, so the auditor can tell a write overlapped its re-execution
-	// (adaptive.go)
-	t.gen.Add(1)
-	defer t.gen.Add(1)
-	u, ok := engine.Underlying(t.eng).(engine.Updatable)
-	if !ok {
-		return fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
-	}
-	if t.journal != nil {
-		if err := t.journal.Insert(point, value); err != nil {
-			return fmt.Errorf("catalog: journal insert into %q: %w", t.name, err)
-		}
-	}
-	if err := u.Insert(point, value); err != nil {
-		return t.unjournal(err)
-	}
-	if t.observer != nil {
-		t.observer.ObserveInsert(point, value)
-	}
-	t.resyncRows(1)
-	return nil
+	_, err := t.update("insert into", func(j Journal) error { return j.Insert(point, value) },
+		func(u engine.Updatable) (int, error) {
+			if err := u.Insert(point, value); err != nil {
+				return 0, t.unjournal(err)
+			}
+			if t.observer != nil {
+				t.observer.ObserveInsert(point, value)
+			}
+			return 1, nil
+		})
+	return err
 }
 
-// Delete removes one tuple under the table's update lock, when the engine
-// is updatable. Journaling mirrors Insert.
+// Delete removes one tuple (see update). Journaling mirrors Insert.
 func (t *Table) Delete(point []float64, value float64) error {
-	defer t.lockForUpdate()()
-	t.gen.Add(1)
-	defer t.gen.Add(1)
-	u, ok := engine.Underlying(t.eng).(engine.Updatable)
-	if !ok {
-		return fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
-	}
-	if t.journal != nil {
-		if err := t.journal.Delete(point, value); err != nil {
-			return fmt.Errorf("catalog: journal delete from %q: %w", t.name, err)
-		}
-	}
-	if err := u.Delete(point, value); err != nil {
-		return t.unjournal(err)
-	}
-	if t.observer != nil {
-		t.observer.ObserveDelete(point, value)
-	}
-	t.resyncRows(-1)
-	return nil
+	_, err := t.update("delete from", func(j Journal) error { return j.Delete(point, value) },
+		func(u engine.Updatable) (int, error) {
+			if err := u.Delete(point, value); err != nil {
+				return 0, t.unjournal(err)
+			}
+			if t.observer != nil {
+				t.observer.ObserveDelete(point, value)
+			}
+			return -1, nil
+		})
+	return err
 }
 
-// InsertMany adds a batch of tuples under one write-lock acquisition with
-// one group-committed journal append (single fsync instead of one per
-// row). It returns how many tuples were applied; on a mid-batch engine
-// failure the journal is rewound to exactly the applied prefix, so log
-// and engine stay in step.
+// InsertMany adds a batch of tuples under one lock acquisition with one
+// group-committed journal append (single fsync instead of one per row).
+// It returns how many tuples were applied; on a mid-batch engine failure
+// the journal is rewound to exactly the applied prefix before the state
+// lock is released, so log and engine stay in step.
 func (t *Table) InsertMany(points [][]float64, values []float64) (int, error) {
 	if len(points) != len(values) {
 		return 0, fmt.Errorf("catalog: InsertMany got %d points for %d values", len(points), len(values))
@@ -298,46 +314,35 @@ func (t *Table) InsertMany(points [][]float64, values []float64) (int, error) {
 	if len(points) == 0 {
 		return 0, nil
 	}
-	defer t.lockForUpdate()()
-	t.gen.Add(1)
-	defer t.gen.Add(1)
-	u, ok := engine.Underlying(t.eng).(engine.Updatable)
-	if !ok {
-		return 0, fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
-	}
-	if t.journal != nil {
-		if err := t.journal.InsertMany(points, values); err != nil {
-			return 0, fmt.Errorf("catalog: journal batch insert into %q: %w", t.name, err)
-		}
-	}
-	for i := range points {
-		if err := u.Insert(points[i], values[i]); err != nil {
-			// rewind the whole group, then re-journal the applied prefix so
-			// the log matches the in-memory state exactly
-			if t.journal != nil {
-				if rerr := t.journal.Rollback(); rerr != nil {
-					return i, fmt.Errorf("catalog: apply failed at row %d (%v) and journal rollback failed for %q: %w", i, err, t.name, rerr)
-				}
-				if i > 0 {
-					if rerr := t.journal.InsertMany(points[:i], values[:i]); rerr != nil {
-						return i, fmt.Errorf("catalog: apply failed at row %d (%v) and re-journaling the applied prefix failed for %q: %w", i, err, t.name, rerr)
+	return t.update("batch insert into", func(j Journal) error { return j.InsertMany(points, values) },
+		func(u engine.Updatable) (int, error) {
+			for i := range points {
+				if err := u.Insert(points[i], values[i]); err != nil {
+					// rewind the whole group, then re-journal the applied prefix
+					// so the log matches the in-memory state exactly
+					if t.journal != nil {
+						if rerr := t.journal.Rollback(); rerr != nil {
+							return i, fmt.Errorf("catalog: apply failed at row %d (%v) and journal rollback failed for %q: %w", i, err, t.name, rerr)
+						}
+						if i > 0 {
+							if rerr := t.journal.InsertMany(points[:i], values[:i]); rerr != nil {
+								return i, fmt.Errorf("catalog: apply failed at row %d (%v) and re-journaling the applied prefix failed for %q: %w", i, err, t.name, rerr)
+							}
+						}
 					}
+					return i, fmt.Errorf("catalog: insert row %d into %q: %w", i, t.name, err)
+				}
+				if t.observer != nil {
+					t.observer.ObserveInsert(points[i], values[i])
 				}
 			}
-			t.resyncRows(i)
-			return i, fmt.Errorf("catalog: insert row %d into %q: %w", i, t.name, err)
-		}
-		if t.observer != nil {
-			t.observer.ObserveInsert(points[i], values[i])
-		}
-	}
-	t.resyncRows(len(points))
-	return len(points), nil
+			return len(points), nil
+		})
 }
 
 // unjournal rolls back the last journal append after a failed in-memory
 // apply, combining both errors if the rollback itself fails. Callers hold
-// the write lock.
+// both locks, so no reader sees the engine while the log is rewound.
 func (t *Table) unjournal(applyErr error) error {
 	if t.journal == nil {
 		return applyErr
@@ -349,7 +354,7 @@ func (t *Table) unjournal(applyErr error) error {
 }
 
 // resyncRows refreshes the cached cardinality after an update. Callers
-// hold the update lock (shared or exclusive). Engines on the shared-lock
+// hold the state lock (shared or exclusive). Engines on the shared-lock
 // path apply the atomic delta — re-reading Sized.N() there could store a
 // snapshot taken before a concurrent update's apply, losing its count;
 // the delta is exact for every applied update. Exclusive-lock engines
@@ -383,22 +388,27 @@ func (t *Table) Save(w io.Writer) error {
 	return s.Save(w)
 }
 
-// CheckpointShards captures a consistent cut of the table under the WRITE
-// lock and hands it to flush as N ≥ 1 serialised shards plus the routing
-// info for the manifest (engine.SnapshotShards: an unsharded engine is
-// the one-shard case). Journal appends also run under the write lock, and
-// it excludes the shared-lock update path too, so no update can slip
-// between the serialization and whatever flush does with it (write the
-// manifest and snapshots, truncate the WAL). This is the atomicity anchor
-// of the durable-store checkpoint protocol.
+// CheckpointShards captures a consistent cut of the table and hands it to
+// flush as N ≥ 1 serialised shards plus the routing info for the manifest
+// (engine.SnapshotShards: an unsharded engine is the one-shard case). The
+// cut is taken under the exclusive state lock, which also excludes the
+// shared-lock update path; flush then runs under the write-order lock
+// alone. Readers proceed during flush's file I/O, but journaled updates
+// wait for it, so no update can slip between the serialization and
+// whatever flush does with it (write the manifest and snapshots, truncate
+// the WAL). This is the atomicity anchor of the durable-store checkpoint
+// protocol.
 func (t *Table) CheckpointShards(flush func(info engine.ShardInfo, innerEngine string, schema sqlfe.Schema, payloads [][]byte, shardRows []int, rows int) error) error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	info, inner, payloads, shardRows, err := engine.SnapshotShards(t.eng)
+	schema, rows := t.schema, int(t.rows.Load())
+	t.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("catalog: table %q: %w", t.name, err)
 	}
-	return flush(info, inner, t.schema, payloads, shardRows, int(t.rows.Load()))
+	return flush(info, inner, schema, payloads, shardRows, rows)
 }
 
 // ShardStats reports a sharded table's partitioning, per-shard

@@ -86,8 +86,8 @@ type Loader func(r io.Reader) (Engine, error)
 // with per-shard locks, for example — so the serving layer may run updates
 // under a shared (read) table lock instead of the exclusive one, and an
 // update to one shard no longer blocks queries on the others. The catalog
-// still takes the exclusive lock when a write-ahead journal is attached:
-// journal ordering requires updates to serialise.
+// still serialises updates (write-order lock, exclusive apply) when a
+// write-ahead journal is attached: journal ordering requires it.
 type ConcurrentUpdatable interface {
 	Updatable
 	// ConcurrentUpdates is a marker asserting the internal

@@ -28,11 +28,12 @@ import (
 var ErrDegraded = errors.New("table is in read-only degraded mode")
 
 // ShardCheckpointable is the view of a live catalog table the store needs
-// to snapshot it: a name plus a CheckpointShards method that, under the
-// table's exclusive lock, hands the store a consistent cut of the engine
-// as N ≥ 1 shard payloads with the routing info for the manifest. It is
-// satisfied structurally by *catalog.Table, keeping the catalog free of
-// store imports.
+// to snapshot it: a name plus a CheckpointShards method that hands the
+// store a consistent cut of the engine as N ≥ 1 shard payloads with the
+// routing info for the manifest. The flush callback runs while the table
+// admits no journaled update (its write-order lock) but serves queries.
+// It is satisfied structurally by *catalog.Table, keeping the catalog
+// free of store imports.
 type ShardCheckpointable interface {
 	Name() string
 	CheckpointShards(flush func(info engine.ShardInfo, innerEngine string, schema sqlfe.Schema, payloads [][]byte, shardRows []int, rows int) error) error
@@ -284,10 +285,10 @@ func (s *Store) SaveSharded(t ShardCheckpointable) error {
 // with the file writes; a state Remove already won on is left untouched.
 //
 // The payloads are captured under the table's exclusive lock and stamped
-// with the WAL's generation + 1 (see publish). Holding the table lock
-// across the file writes trades some query tail latency during
-// checkpoints for a protocol with no lost-update windows; the WAL
-// threshold keeps checkpoints infrequent.
+// with the WAL's generation + 1 (see publish). The file writes then run
+// under the table's write-order lock only: queries proceed, while
+// journaled updates wait, so the protocol has no lost-update window; the
+// WAL threshold keeps checkpoints infrequent.
 //
 // Transient (ErrIO) write failures are retried with bounded backoff; if
 // the retries are exhausted the table degrades to read-only mode, and a
@@ -567,9 +568,10 @@ func (s *Store) run() {
 // ShardedTableLog is one table's journaling handle, satisfying the
 // catalog's Journal interface: appends happen before the in-memory apply,
 // and Rollback undoes the last append when that apply fails. The catalog
-// serializes all three behind the table's write lock. Whatever shards a
-// batch routes to, it is one group commit on the table's one WAL — one
-// write, one fsync, all-or-nothing across a crash.
+// serializes all three behind the table's write-order lock, which queries
+// do not take. Whatever shards a batch routes to, it is one group commit
+// on the table's one WAL — one write, one fsync, all-or-nothing across a
+// crash.
 //
 // An append that fails with an I/O error (as opposed to a validation
 // error) degrades the table to read-only mode — the WAL could not be

@@ -69,7 +69,7 @@ type Record struct {
 }
 
 // WAL is one table's append-only update journal. Appends and truncations
-// are already serialized by the catalog table's write lock, but the
+// are already serialized by the catalog table's write-order lock, but the
 // background checkpointer polls Records concurrently, so the WAL guards
 // its state with its own mutex.
 type WAL struct {

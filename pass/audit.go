@@ -188,7 +188,7 @@ func (s *Session) attachHooks(tbl *catalog.Table) {
 		rec = s.adaptive.col
 	}
 	if s.audit != nil {
-		rec = &auditTap{aud: s.audit.aud, tbl: tbl, next: rec}
+		rec = &auditTap{aud: s.audit.aud, next: rec}
 	}
 	if rec == nil {
 		return
@@ -198,27 +198,26 @@ func (s *Session) attachHooks(tbl *catalog.Table) {
 
 // auditTap is the per-table recorder shim: it forwards every observation
 // to the adaptive collector unchanged, then offers it to the auditor
-// stamped with the generation the query executed at. It runs under the
-// table's read lock — Gen() is one atomic load, the auditor's fast path
-// one atomic hash, and a selected sample a non-blocking enqueue — so the
-// tap never perturbs answers or contends with traffic.
+// under the generation stamp the catalog took around the engine call. It
+// runs under the table's read lock — the auditor's fast path is one
+// atomic hash, and a selected sample a non-blocking enqueue — so the tap
+// never perturbs answers or contends with traffic.
 type auditTap struct {
 	aud  *audit.Auditor
-	tbl  *catalog.Table
 	next catalog.QueryRecorder
 }
 
-func (t *auditTap) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration) {
+func (t *auditTap) ObserveQuery(table string, kind dataset.AggKind, q dataset.Rect, r core.Result, n int, elapsed time.Duration, gen uint64) {
 	if t.next != nil {
-		t.next.ObserveQuery(table, kind, q, r, n, elapsed)
+		t.next.ObserveQuery(table, kind, q, r, n, elapsed, gen)
 	}
-	t.aud.Observe(table, kind, q, r, t.tbl.Gen())
+	t.aud.Observe(table, kind, q, r, gen)
 }
 
 // ObserveSketch makes the tap a catalog.SketchRecorder: sketch-family
 // answers (QUANTILE, COUNT DISTINCT, TOPK) reach the auditor with the
-// generation stamped by the catalog under the same read lock the query
-// executed under.
+// generation stamp the catalog took around the engine call, as for
+// ObserveQuery.
 func (t *auditTap) ObserveSketch(table string, q sketch.Query, r sketch.Result, gen uint64) {
 	if next, ok := t.next.(catalog.SketchRecorder); ok {
 		next.ObserveSketch(table, q, r, gen)

@@ -5,6 +5,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/audit"
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/sqlfe"
 )
 
 // newAuditSession builds an adaptive session with the audit layer in
@@ -313,5 +321,79 @@ func TestAuditSketchAnswers(t *testing.T) {
 	}
 	if rep.SketchSkipped != 1 {
 		t.Fatalf("SketchSkipped = %d, want 1", rep.SketchSkipped)
+	}
+}
+
+// insertingEngine claims internal synchronisation (the shared-lock update
+// path) and, after answering each query, runs one complete insert on its
+// own table before returning: an update that completes beside a query,
+// made deterministic.
+type insertingEngine struct {
+	syn *core.Synopsis
+	tbl *catalog.Table
+}
+
+func (e *insertingEngine) Name() string     { return "inserting" }
+func (e *insertingEngine) MemoryBytes() int { return e.syn.MemoryBytes() }
+func (e *insertingEngine) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
+	return engine.SequentialBatch(e, qs)
+}
+func (e *insertingEngine) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
+	r, err := e.syn.Query(kind, q)
+	if err == nil {
+		err = e.tbl.Insert([]float64{1}, 1)
+	}
+	return r, err
+}
+func (e *insertingEngine) Insert(p []float64, v float64) error { return e.syn.Insert(p, v) }
+func (e *insertingEngine) Delete(p []float64, v float64) error { return e.syn.Delete(p, v) }
+func (e *insertingEngine) ConcurrentUpdates()                  {}
+
+// stampRecorder keeps the generation stamps it is handed.
+type stampRecorder struct{ gens []uint64 }
+
+func (r *stampRecorder) ObserveQuery(_ string, _ dataset.AggKind, _ dataset.Rect, _ core.Result, _ int, _ time.Duration, gen uint64) {
+	r.gens = append(r.gens, gen)
+}
+
+// TestAuditStampOddWhenUpdateCompletesBesideQuery: on the shared-lock
+// update path an insert can complete while a query runs. The answer
+// predates it, so the stamp the tap hands on must be odd and the auditor
+// must skip the sample, never score it against post-insert truth. Reading
+// the generation only after the engine call stamps it even.
+func TestAuditStampOddWhenUpdateCompletesBesideQuery(t *testing.T) {
+	d := dataset.New("t", 1)
+	for i := 0; i < 500; i++ {
+		d.Append([]float64{float64(i)}, float64(i%10))
+	}
+	syn, err := core.Build(d, core.Options{Partitions: 8, SampleRate: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &insertingEngine{syn: syn}
+	tbl, err := catalog.New().Register("t", eng, sqlfe.SchemaFromColNames([]string{"x", "v"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.tbl = tbl
+	aud := audit.New(audit.Config{SampleFraction: 1, Registry: obs.NewRegistry()})
+	aud.RegisterSource("t", func(dataset.AggKind, dataset.Rect) (float64, uint64, error) {
+		return 501, tbl.Gen(), nil
+	})
+	stamps := &stampRecorder{}
+	tbl.AttachAdaptive(&auditTap{aud: aud, next: stamps})
+	tbl.QueryBatch([]core.BatchQuery{{Kind: dataset.Count, Rect: dataset.Rect1(-1, 1e9)}})
+	if _, err := tbl.Query(dataset.Count, dataset.Rect1(-1, 1e9)); err != nil {
+		t.Fatal(err)
+	}
+	aud.Flush()
+	for i, g := range stamps.gens {
+		if g%2 != 1 {
+			t.Errorf("query %d stamped with even generation %d although an insert completed beside it", i, g)
+		}
+	}
+	if len(stamps.gens) != 2 || aud.Stale() != 2 || len(aud.Stats()) != 0 {
+		t.Errorf("stamps %v, stale %d, scored %v: pre-insert answers were scored against post-insert truth",
+			stamps.gens, aud.Stale(), aud.Stats())
 	}
 }

@@ -39,7 +39,9 @@ var (
 //
 // A Session is safe for concurrent use: queries against one table run
 // concurrently (batches fan out across the worker pool), while
-// Insert/Delete serialise behind the table's write lock.
+// Insert/Delete serialise on the table's write-order lock and hold its
+// exclusive lock only for the in-memory apply, never across the
+// journal's fsync.
 //
 // A session can be made durable with AttachStore: tables are then
 // snapshotted to disk, updates are write-ahead journaled, and a restart
@@ -482,8 +484,9 @@ func (s *Session) ExecScriptCtx(ctx context.Context, script string) []StmtResult
 }
 
 // Insert adds one tuple to a named table (engines with the Updatable
-// capability only). The update takes the table's write lock, serialising
-// against in-flight queries.
+// capability only). The update is journaled (with a store attached)
+// under the table's write-order lock, then applied under its exclusive
+// lock, which in-flight queries wait for only as long as the apply.
 func (s *Session) Insert(table string, pred []float64, agg float64) error {
 	tbl, err := s.cat.Lookup(table)
 	if err != nil {
