@@ -77,7 +77,7 @@ func NewKD(d *dataset.Dataset, opts Options) (*Engine, error) {
 	if err := validate(d, &opts); err != nil {
 		return nil, err
 	}
-	tr, err := kdtree.BuildUS(d, kdtree.Options{MaxLeaves: opts.Partitions, Seed: opts.Seed})
+	tr, _, err := kdtree.Build(d, kdtree.PolicyUniform, kdtree.Options{MaxLeaves: opts.Partitions, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func NewKDWithPoints(full, indexed *dataset.Dataset, opts Options) (*Engine, err
 	if err := validate(indexed, &opts); err != nil {
 		return nil, err
 	}
-	tr, err := kdtree.BuildUS(indexed, kdtree.Options{MaxLeaves: opts.Partitions, Seed: opts.Seed})
+	tr, _, err := kdtree.Build(indexed, kdtree.PolicyUniform, kdtree.Options{MaxLeaves: opts.Partitions, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}

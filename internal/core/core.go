@@ -176,13 +176,15 @@ type Synopsis struct {
 	// exactly when idxCols is.
 	indexed []bool
 	// store holds the stratified leaf samples in flat arrays with per-leaf
-	// prefix aggregates (see leafStore).
-	store  *leafStore
-	totalK int
-	n      int
-	dims   int
-	rng    *stats.RNG
-	res    *sample.Reservoir
+	// prefix aggregates (see leafStore). On a 1D synopsis it is also the
+	// reservoir that Insert maintains with Algorithm R: at most sampleCap
+	// rows, a uniform sample of the n rows seen, with sampleRNG drawing
+	// the accept/evict decisions.
+	store     *leafStore
+	sampleCap int
+	sampleRNG *stats.RNG
+	n         int
+	dims      int
 	// sk holds the mergeable sketches (KLL/HLL/Misra-Gries) over the
 	// aggregate column, maintained through Insert/Delete and persisted
 	// with the synopsis. Nil only for synopses restored from a pre-sketch
@@ -214,7 +216,7 @@ func Build(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 	var p partition.Partitioning
 	if len(opts.ForceBoundaries) > 0 {
 		p = partition.Forced(sorted, opts.Partitions, opts.ForceBoundaries)
-		return buildFromPartitioning(sorted, opts, p, rng, start)
+		return buildFromPartitioning(sorted, opts, p, start)
 	}
 	switch opts.Partitioner {
 	case PartitionEqualDepth:
@@ -228,12 +230,12 @@ func Build(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 		res := partition.ADP(sorted, opts.Partitions, opts.OptSamples, opts.Kind, opts.Delta, rng)
 		p = res.Partitioning
 	}
-	return buildFromPartitioning(sorted, opts, p, rng, start)
+	return buildFromPartitioning(sorted, opts, p, start)
 }
 
 // buildFromPartitioning finishes 1D construction from a chosen leaf
 // partitioning: partition tree, stratified samples, update reservoir.
-func buildFromPartitioning(sorted *dataset.Dataset, opts Options, p partition.Partitioning, rng *stats.RNG, start time.Time) (*Synopsis, error) {
+func buildFromPartitioning(sorted *dataset.Dataset, opts Options, p partition.Partitioning, start time.Time) (*Synopsis, error) {
 	fanout := opts.Fanout
 	if fanout <= 0 {
 		fanout = 2
@@ -244,13 +246,12 @@ func buildFromPartitioning(sorted *dataset.Dataset, opts Options, p partition.Pa
 	}
 	s := &Synopsis{
 		opts: opts, tr: tr, oneD: tr,
-		n: sorted.N(), dims: 1, rng: rng,
+		n: sorted.N(), dims: 1,
 		Partitioning: p,
 		sk:           sketchFromAgg(sorted.Agg),
 	}
 	s.drawSamples1D(sorted, tr)
-	s.res = sample.NewReservoir(maxInt(s.totalK, 1), stats.NewRNG(opts.Seed+0x51ed))
-	s.seedReservoir()
+	s.startReservoir()
 	s.BuildTime = time.Since(start)
 	return s, nil
 }
@@ -314,17 +315,16 @@ func BuildKD(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 		proj.Agg = d.Agg
 		indexed = proj
 	}
-	tr, err := kdtree.Build(indexed, opts.KDPolicy, kdOpts)
+	tr, leafItems, err := kdtree.Build(indexed, opts.KDPolicy, kdOpts)
 	if err != nil {
 		return nil, err
 	}
 	s := &Synopsis{
 		opts: opts, tr: tr, kd: tr, idxCols: idxCols, indexed: inIdxCols,
 		n: d.N(), dims: d.Dims(),
-		rng: stats.NewRNG(opts.Seed + 0x9e37),
-		sk:  sketchFromAgg(d.Agg),
+		sk: sketchFromAgg(d.Agg),
 	}
-	s.drawSamplesKD(d, tr)
+	s.drawSamplesKD(d, tr, leafItems)
 	s.BuildTime = time.Since(start)
 	return s, nil
 }
@@ -362,21 +362,22 @@ func (s *Synopsis) drawSamples1D(sorted *dataset.Dataset, tr *ptree.Tree) {
 		st.finishLeaf(i, 0)
 	})
 	s.store = st
-	s.totalK = st.totalLen()
 }
 
-func (s *Synopsis) drawSamplesKD(d *dataset.Dataset, tr *kdtree.Tree) {
+// drawSamplesKD fills the store from the k-d leaves' tuple lists, which
+// kdtree.Build returns beside the tree and nothing keeps afterwards.
+func (s *Synopsis) drawSamplesKD(d *dataset.Dataset, tr *kdtree.Tree, leafItems [][]int) {
 	b := tr.NumLeaves()
 	dims := d.Dims()
 	sizes := make([]int, b)
-	for i := 0; i < b; i++ {
-		sizes[i] = len(tr.LeafItems(i))
+	for i, items := range leafItems {
+		sizes[i] = len(items)
 	}
 	alloc := sample.Allocate(s.opts.SampleSize, sizes, s.opts.Proportional)
 	st := newLeafStore(dims, alloc)
 	parallel.For(b, func(i int) {
 		rng := s.leafRNG(i)
-		items := tr.LeafItems(i)
+		items := leafItems[i]
 		idx := sample.UniformIndices(rng, len(items), alloc[i])
 		base := st.offsets[i]
 		for j, off := range idx {
@@ -389,7 +390,6 @@ func (s *Synopsis) drawSamplesKD(d *dataset.Dataset, tr *kdtree.Tree) {
 		st.finishLeaf(i, s.kdSortDim(tr, i))
 	})
 	s.store = st
-	s.totalK = st.totalLen()
 }
 
 // kdSortDim picks the sample dimension a k-d leaf's store segment is
@@ -421,7 +421,7 @@ func (s *Synopsis) NumLeaves() int { return s.tr.NumLeaves() }
 func (s *Synopsis) Name() string { return "PASS" }
 
 // TotalSamples returns the total stored sample count K.
-func (s *Synopsis) TotalSamples() int { return s.totalK }
+func (s *Synopsis) TotalSamples() int { return s.store.totalLen() }
 
 // N returns the dataset size the synopsis was built over.
 func (s *Synopsis) N() int { return s.n }
@@ -433,11 +433,12 @@ func (s *Synopsis) Dims() int { return s.dims }
 // synopsis stores samples in flat arrays, see leafStore).
 func (s *Synopsis) LeafSamples(leaf int) []SampleTuple { return s.store.leafTuples(leaf) }
 
-// MemoryBytes estimates total synopsis storage: tree aggregates plus
-// samples (8 bytes per float64: point coordinates + value) plus the
-// mergeable sketches. The per-leaf prefix acceleration arrays are
-// derivable from the samples and excluded, matching the paper's
-// synopsis-size accounting.
+// MemoryBytes is the paper's synopsis size: tree aggregates plus samples
+// (8 bytes per float64: point coordinates + value) plus the mergeable
+// sketches. The per-leaf prefix acceleration arrays are derivable from the
+// samples and excluded. The synopsis keeps no build state, so its live
+// heap stays within a small factor of this figure (TestSynopsisFootprint
+// in internal/engine holds it to 2× plus 1 MiB).
 func (s *Synopsis) MemoryBytes() int {
 	return s.tr.MemoryBytes() + s.store.totalLen()*(s.dims+1)*8 + int(s.sk.MemoryBytes())
 }

@@ -9,9 +9,7 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/partition"
 	"repro/internal/ptree"
-	"repro/internal/sample"
 	"repro/internal/sketch"
-	"repro/internal/stats"
 )
 
 // Synopsis serialization: a compact binary format so a synopsis built
@@ -186,7 +184,6 @@ func Load(r io.Reader) (*Synopsis, error) {
 	s := &Synopsis{
 		opts: opts, tr: tr, oneD: tr,
 		n: n, dims: 1,
-		rng:          stats.NewRNG(opts.Seed + 0x9e37),
 		Partitioning: partition.Partitioning{Cuts: cuts},
 	}
 	st := &leafStore{
@@ -240,8 +237,6 @@ func Load(r io.Reader) (*Synopsis, error) {
 		st.finishLeaf(leaf, 0)
 	}
 	s.store = st
-	s.totalK = st.totalLen()
-	s.res = sample.NewReservoir(maxInt(s.totalK, 1), stats.NewRNG(opts.Seed+0x51ed))
-	s.seedReservoir()
+	s.startReservoir()
 	return s, nil
 }

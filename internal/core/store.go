@@ -25,11 +25,12 @@ import (
 // other dimension is constrained — its count/sum/sumSq come from two
 // prefix lookups instead of an O(k) scan.
 //
-// The store supports single-sample insertion and removal (the reservoir
-// maintenance path of Section 4.5): both keep the sort order, offsets and
-// prefix aggregates consistent. A mutation shifts the flat arrays and
-// rebuilds the touched leaf's prefixes, which is O(K) worst case — fine
-// for the reservoir path, where acceptances arrive at rate K/N.
+// On a 1D synopsis the store is the update reservoir of Section 4.5 (see
+// Synopsis.Insert): it supports single-sample insertion and removal, both
+// keeping the sort order, offsets and prefix aggregates consistent. A
+// mutation shifts the flat arrays and rebuilds the touched leaf's
+// prefixes, which is O(K) worst case — fine for the reservoir path, where
+// acceptances arrive at rate K/N.
 type leafStore struct {
 	dims    int
 	offsets []int     // len numLeaves+1; leaf i owns [offsets[i], offsets[i+1])
@@ -65,6 +66,11 @@ func newLeafStore(dims int, counts []int) *leafStore {
 func (st *leafStore) numLeaves() int       { return len(st.offsets) - 1 }
 func (st *leafStore) totalLen() int        { return len(st.values) }
 func (st *leafStore) leafLen(leaf int) int { return st.offsets[leaf+1] - st.offsets[leaf] }
+
+// leafOf returns the leaf owning global sample j.
+func (st *leafStore) leafOf(j int) int {
+	return sort.Search(st.numLeaves(), func(i int) bool { return st.offsets[i+1] > j })
+}
 
 // point returns a view of global sample j's coordinates.
 func (st *leafStore) point(j int) []float64 { return st.coords[j*st.dims : (j+1)*st.dims] }
@@ -241,41 +247,38 @@ func (st *leafStore) rangeAgg(leaf, a, b int) (n int, sum, sumSq float64) {
 }
 
 // insert adds one sample to leaf at its sorted position, keeping offsets
-// and the leaf's prefix aggregates consistent. Coordinates beyond
-// len(point) are stored as zero (1D synopses always pass at least one).
+// and the leaf's prefix aggregates consistent. point must carry at least
+// dims coordinates.
 func (st *leafStore) insert(leaf int, point []float64, value float64) {
 	d := st.dims
 	sd := st.sortDim[leaf]
 	o, e := st.offsets[leaf], st.offsets[leaf+1]
-	key := 0.0
-	if sd < len(point) {
-		key = point[sd]
-	}
+	key := point[sd]
 	pos := o + sort.Search(e-o, func(j int) bool { return st.coords[(o+j)*d+sd] > key })
 
 	st.values = slices.Insert(st.values, pos, value)
 	st.prefSum = slices.Insert(st.prefSum, pos, 0)
 	st.prefSumSq = slices.Insert(st.prefSumSq, pos, 0)
-	row := make([]float64, d)
-	copy(row, point)
-	st.coords = slices.Insert(st.coords, pos*d, row...)
+	st.coords = slices.Insert(st.coords, pos*d, point[:d]...)
 	for i := leaf + 1; i < len(st.offsets); i++ {
 		st.offsets[i]++
 	}
 	st.rebuildPrefix(leaf)
 }
 
-// remove deletes the first sample in leaf whose value equals value,
-// reporting whether one was found.
-func (st *leafStore) remove(leaf int, value float64) bool {
-	o, e := st.offsets[leaf], st.offsets[leaf+1]
-	for j := o; j < e; j++ {
+// removeRow deletes leaf's sample of the row (point, value), if the row is
+// sampled: among the samples whose sort coordinate equals point's, the
+// first with an equal value. On a 1D store the sort coordinate is the
+// whole point.
+func (st *leafStore) removeRow(leaf int, point []float64, value float64) {
+	key := point[st.sortDim[leaf]]
+	a, b := st.searchRange(leaf, key, key)
+	for j := a; j < b; j++ {
 		if st.values[j] == value {
 			st.removeAt(leaf, j)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // removeAt deletes the sample at global position pos inside leaf.

@@ -51,8 +51,8 @@ func TestStoreInvariantsUnderUpdates(t *testing.T) {
 	if err := s.store.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if s.totalK != s.store.totalLen() {
-		t.Fatalf("totalK %d != store length %d", s.totalK, s.store.totalLen())
+	if k := s.TotalSamples(); k > s.sampleCap {
+		t.Fatalf("store holds %d samples, over the reservoir capacity %d", k, s.sampleCap)
 	}
 }
 

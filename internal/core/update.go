@@ -3,27 +3,17 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/sample"
+	"repro/internal/stats"
 )
 
-// seedReservoir primes the reservoir with the samples drawn at build time:
-// they are already a uniform sample of the N dataset tuples, which is
-// exactly the reservoir invariant, so subsequent Offer calls continue the
-// stream with the correct acceptance probability K/N.
-func (s *Synopsis) seedReservoir() {
-	st := s.store
-	items := make([]sample.Item, 0, s.totalK)
-	for leaf := 0; leaf < st.numLeaves(); leaf++ {
-		o, e := st.offsets[leaf], st.offsets[leaf+1]
-		for j := o; j < e; j++ {
-			items = append(items, sample.Item{
-				Point: append([]float64(nil), st.point(j)...),
-				Value: st.values[j],
-				Leaf:  leaf,
-			})
-		}
-	}
-	s.res.Restore(items, s.n)
+// startReservoir makes the leaf store the reservoir of Vitter's Algorithm
+// R. The samples it holds — drawn at build time or restored by Load — are
+// a uniform sample of the n rows, which is exactly the reservoir
+// invariant, so Insert continues the stream with acceptance probability
+// K/n for capacity K = their count.
+func (s *Synopsis) startReservoir() {
+	s.sampleCap = maxInt(s.store.totalLen(), 1)
+	s.sampleRNG = stats.NewRNG(s.opts.Seed + 0x51ed)
 }
 
 // Insert adds one tuple (point, value) to a 1D synopsis: tree statistics
@@ -42,21 +32,24 @@ func (s *Synopsis) Insert(point []float64, value float64) error {
 	if s.sk != nil {
 		s.sk.Add(value)
 	}
-	accepted, evicted := s.res.Offer(sample.Item{Point: point, Value: value, Leaf: leaf})
-	if !accepted {
-		return nil
+	// Algorithm R: below capacity the row always enters; at capacity it
+	// enters with probability K/n, in place of global store row j — a
+	// uniform pick among the K rows the store holds
+	st := s.store
+	if st.totalLen() >= s.sampleCap {
+		j := s.sampleRNG.Intn(s.n)
+		if j >= s.sampleCap {
+			return nil
+		}
+		st.removeAt(st.leafOf(j), j)
 	}
-	if evicted.Leaf >= 0 {
-		s.store.remove(evicted.Leaf, evicted.Value)
-	}
-	s.store.insert(leaf, point, value)
-	s.totalK = s.store.totalLen()
+	st.insert(leaf, point, value)
 	return nil
 }
 
 // Delete removes one tuple with the given predicate point and value from a
 // 1D synopsis. SUM/COUNT statistics are updated exactly; MIN/MAX stay
-// conservative. If a matching sample exists it is dropped.
+// conservative. If the tuple is sampled, its sample is dropped.
 func (s *Synopsis) Delete(point []float64, value float64) error {
 	if s.oneD == nil {
 		return fmt.Errorf("core: dynamic updates are supported on 1D synopses only")
@@ -69,15 +62,6 @@ func (s *Synopsis) Delete(point []float64, value float64) error {
 	if s.sk != nil {
 		s.sk.Delete(value)
 	}
-	s.store.remove(leaf, value)
-	// keep the reservoir's view consistent
-	items := s.res.Items()
-	for i := range items {
-		if items[i].Leaf == leaf && items[i].Value == value {
-			s.res.Remove(i)
-			break
-		}
-	}
-	s.totalK = s.store.totalLen()
+	s.store.removeRow(leaf, point, value)
 	return nil
 }

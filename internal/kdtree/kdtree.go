@@ -2,15 +2,15 @@
 // Section 4.4 / 5.4 of the paper: k-d trees with fanout 2^d whose leaves
 // form the strata of the stratified sample.
 //
-// Two construction policies are provided:
+// Build takes one of two construction policies:
 //
-//   - BuildPASS (KD-PASS): greedy expansion — repeatedly split the leaf
+//   - PolicyPASS (KD-PASS): greedy expansion — repeatedly split the leaf
 //     whose approximate maximum query variance is largest, until the leaf
 //     budget is exhausted, keeping leaf depths within a band of 2 as in the
 //     paper's experiments.
-//   - BuildUS (KD-US): the paper's baseline — always expand the shallowest
-//     leaf (ties broken pseudo-randomly), producing a balanced partitioning
-//     with no variance awareness.
+//   - PolicyUniform (KD-US): the paper's baseline — always expand the
+//     shallowest leaf (ties broken pseudo-randomly), producing a balanced
+//     partitioning with no variance awareness.
 //
 // The max-variance score of a node uses the discretized estimators of
 // Appendix A: for SUM/COUNT the half-split bound, for AVG the best
@@ -28,17 +28,11 @@ import (
 	"repro/internal/stats"
 )
 
-// node holds the per-node fields no query reads. Leaves own the indices
-// of their tuples.
-type node struct {
-	items []int // tuple indices; nil for internal nodes
-	depth int
-}
-
-// Tree is a multi-dimensional PASS partition tree. What the MCF walk reads
-// lives in flat node-indexed arrays, so a walk touches no per-node pointer.
+// Tree is a multi-dimensional PASS partition tree. It holds only the
+// synopsis: what the MCF walk reads lives in flat node-indexed arrays, so a
+// walk touches no per-node pointer. The build dataset and the leaves'
+// tuple lists stay with the builder.
 type Tree struct {
-	nodes []node
 	// bounds is node-major: node i's bounding rectangle is Lo =
 	// bounds[2·dims·i : 2·dims·i+dims], Hi = the dims values after it
 	bounds []float64
@@ -48,10 +42,18 @@ type Tree struct {
 	// firstKid[i] … firstKid[i]+numKids[i]-1 (numKids 0 for a leaf)
 	firstKid []int32
 	numKids  []int32
+	depth    []int32
 	root     int
 	leaves   []int
 	dims     int
-	data     *dataset.Dataset
+}
+
+// builder is the construction state of a Tree: the dataset and, per node,
+// the indices of its tuples (nil once the node is split).
+type builder struct {
+	*Tree
+	data  *dataset.Dataset
+	items [][]int
 }
 
 // rect returns a view of node id's bounding rectangle.
@@ -88,13 +90,16 @@ type Options struct {
 	Seed uint64
 }
 
-// Build constructs a k-d partition tree over d with the given policy.
-func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
+// Build constructs a k-d partition tree over d with the given policy. It
+// also returns, per dense leaf id, the indices of the leaf's tuples in d —
+// the strata a caller samples from; the tree itself keeps neither them nor
+// d.
+func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, [][]int, error) {
 	if d.N() == 0 {
-		return nil, fmt.Errorf("kdtree: empty dataset")
+		return nil, nil, fmt.Errorf("kdtree: empty dataset")
 	}
 	if opt.MaxLeaves < 1 {
-		return nil, fmt.Errorf("kdtree: MaxLeaves must be positive, got %d", opt.MaxLeaves)
+		return nil, nil, fmt.Errorf("kdtree: MaxLeaves must be positive, got %d", opt.MaxLeaves)
 	}
 	if opt.Delta <= 0 {
 		opt.Delta = 0.05
@@ -102,7 +107,7 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
 	if opt.DepthBand <= 0 {
 		opt.DepthBand = 2
 	}
-	t := &Tree{dims: d.Dims(), data: d}
+	t := &builder{Tree: &Tree{dims: d.Dims()}, data: d}
 	all := make([]int, d.N())
 	for i := range all {
 		all[i] = i
@@ -120,7 +125,7 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
 		default:
 			// shallowest-first: lower depth = higher priority; jitter
 			// breaks ties pseudo-randomly
-			s = -float64(t.nodes[id].depth) + rng.Float64()*0.5
+			s = -float64(t.depth[id]) + rng.Float64()*0.5
 		}
 		heap.Push(pq, candHeapItem{id: id, score: s})
 	}
@@ -133,7 +138,7 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
 		var deferred []candHeapItem
 		for pq.Len() > 0 {
 			c := heap.Pop(pq).(candHeapItem)
-			if t.nodes[c.id].depth > minDepth+opt.DepthBand {
+			if int(t.depth[c.id]) > minDepth+opt.DepthBand {
 				deferred = append(deferred, c)
 				continue
 			}
@@ -151,7 +156,7 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
 			continue // unsplittable (all points identical); drop from queue
 		}
 		for _, ch := range children {
-			if len(t.nodes[ch].items) > 1 {
+			if len(t.items[ch]) > 1 {
 				push(ch)
 			}
 		}
@@ -160,17 +165,11 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, error) {
 		}
 	}
 	t.assignLeafIDs()
-	return t, nil
-}
-
-// BuildPASS builds a KD-PASS tree (greedy max-variance expansion).
-func BuildPASS(d *dataset.Dataset, opt Options) (*Tree, error) {
-	return Build(d, PolicyPASS, opt)
-}
-
-// BuildUS builds the KD-US baseline tree (balanced expansion).
-func BuildUS(d *dataset.Dataset, opt Options) (*Tree, error) {
-	return Build(d, PolicyUniform, opt)
+	leafItems := make([][]int, len(t.leaves))
+	for i, id := range t.leaves {
+		leafItems[i] = t.items[id]
+	}
+	return t.Tree, leafItems, nil
 }
 
 type candHeapItem struct {
@@ -192,9 +191,9 @@ func (h *candHeap) Pop() interface{} {
 	return x
 }
 
-func (t *Tree) newNode(items []int, depth int) int {
+func (t *builder) newNode(items []int, depth int32) int {
 	var a ptree.Agg
-	id := len(t.nodes)
+	id := len(t.aggs)
 	for c := 0; c < t.dims; c++ {
 		t.bounds = append(t.bounds, math.Inf(1))
 	}
@@ -215,7 +214,8 @@ func (t *Tree) newNode(items []int, depth int) int {
 			}
 		}
 	}
-	t.nodes = append(t.nodes, node{items: items, depth: depth})
+	t.items = append(t.items, items)
+	t.depth = append(t.depth, depth)
 	t.aggs = append(t.aggs, a)
 	t.leafOf = append(t.leafOf, -1)
 	t.firstKid = append(t.firstKid, 0)
@@ -227,8 +227,8 @@ func (t *Tree) newNode(items []int, depth int) int {
 // medians of its items (the paper's simultaneous split). Empty cells are
 // dropped; if every item lands in a single cell the node stays a leaf and
 // nil is returned.
-func (t *Tree) split(id int) []int {
-	items := t.nodes[id].items
+func (t *builder) split(id int) []int {
+	items := t.items[id]
 	if len(items) < 2 {
 		return nil
 	}
@@ -262,10 +262,10 @@ func (t *Tree) split(id int) []int {
 	sort.Ints(keys)
 	children := make([]int, 0, len(keys))
 	for _, k := range keys {
-		children = append(children, t.newNode(cells[k], t.nodes[id].depth+1))
+		children = append(children, t.newNode(cells[k], t.depth[id]+1))
 	}
 	t.firstKid[id], t.numKids[id] = int32(children[0]), int32(len(children))
-	t.nodes[id].items = nil
+	t.items[id] = nil
 	return children
 }
 
@@ -314,8 +314,8 @@ func selectKth(a []float64, k int) float64 {
 
 // nodeScore approximates the maximum query variance inside node id,
 // following Appendix A's discretizations adapted to d dimensions.
-func (t *Tree) nodeScore(id int, kind dataset.AggKind, delta float64) float64 {
-	items := t.nodes[id].items
+func (t *builder) nodeScore(id int, kind dataset.AggKind, delta float64) float64 {
+	items := t.items[id]
 	n := len(items)
 	if n < 2 {
 		return 0
@@ -359,7 +359,7 @@ func (t *Tree) nodeScore(id int, kind dataset.AggKind, delta float64) float64 {
 // maxChunkSumSq splits items into contiguous chunks of w along the
 // dimension with the widest spread and returns the largest chunk sum of
 // squares — the d-dimensional analogue of the δm-window index (A.4).
-func (t *Tree) maxChunkSumSq(items []int, w int) float64 {
+func (t *builder) maxChunkSumSq(items []int, w int) float64 {
 	// pick the dimension with the widest value range among the items
 	bestDim, bestSpread := 0, -1.0
 	for c := 0; c < t.dims; c++ {
@@ -409,7 +409,7 @@ func (t *Tree) countLeaves() int {
 func (t *Tree) minSplittableDepth(pq *candHeap) int {
 	min := 1 << 30
 	for _, c := range *pq {
-		if d := t.nodes[c.id].depth; d < min {
+		if d := int(t.depth[c.id]); d < min {
 			min = d
 		}
 	}
@@ -433,7 +433,7 @@ func (t *Tree) assignLeafIDs() {
 func (t *Tree) NumLeaves() int { return len(t.leaves) }
 
 // NumNodes returns the total node count.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
+func (t *Tree) NumNodes() int { return len(t.aggs) }
 
 // Dims returns the tree's predicate dimensionality.
 func (t *Tree) Dims() int { return t.dims }
@@ -451,9 +451,6 @@ func (t *Tree) Aggs() []ptree.Agg { return t.aggs }
 // LeafIDs maps node id to dense leaf id (-1 for internal nodes); read-only.
 func (t *Tree) LeafIDs() []int32 { return t.leafOf }
 
-// LeafItems returns the dataset tuple indices of leaf id (a view).
-func (t *Tree) LeafItems(leaf int) []int { return t.nodes[t.leaves[leaf]].items }
-
 // LeafRect returns the bounding rectangle of leaf id.
 func (t *Tree) LeafRect(leaf int) dataset.Rect { return t.rect(t.leaves[leaf]) }
 
@@ -461,7 +458,7 @@ func (t *Tree) LeafRect(leaf int) dataset.Rect { return t.rect(t.leaves[leaf]) }
 func (t *Tree) MaxLeafDepth() int {
 	max := 0
 	for _, id := range t.leaves {
-		if d := t.nodes[id].depth; d > max {
+		if d := int(t.depth[id]); d > max {
 			max = d
 		}
 	}
@@ -472,7 +469,7 @@ func (t *Tree) MaxLeafDepth() int {
 func (t *Tree) MinLeafDepth() int {
 	min := 1 << 30
 	for _, id := range t.leaves {
-		if d := t.nodes[id].depth; d < min {
+		if d := int(t.depth[id]); d < min {
 			min = d
 		}
 	}
@@ -480,10 +477,9 @@ func (t *Tree) MinLeafDepth() int {
 }
 
 // MemoryBytes estimates the synopsis storage of the tree's aggregates and
-// rectangles (excluding leaf item lists, which belong to the construction
-// phase, and samples, which are accounted separately by the engine).
+// rectangles (samples are accounted separately by the engine).
 func (t *Tree) MemoryBytes() int {
-	return len(t.nodes) * (5 + 2*t.dims + 3) * 8
+	return len(t.aggs) * (5 + 2*t.dims + 3) * 8
 }
 
 // Walk runs the MCF over a rectangular query and leaves the frontier's
@@ -568,18 +564,11 @@ func (t *Tree) Frontier(q dataset.Rect, zeroVarAsCovered bool) ptree.Frontier {
 	return f
 }
 
-// CheckInvariants verifies that children partition their parent's items and
-// aggregates merge consistently.
+// CheckInvariants verifies that every internal node's aggregates merge
+// consistently from its children's.
 func (t *Tree) CheckInvariants() error {
-	for id := range t.nodes {
-		n, agg := &t.nodes[id], t.aggs[id]
+	for id, agg := range t.aggs {
 		if t.numKids[id] == 0 {
-			if n.items == nil && agg.N > 0 {
-				return fmt.Errorf("kdtree: leaf %d lost its items", id)
-			}
-			if len(n.items) != agg.N {
-				return fmt.Errorf("kdtree: leaf %d item count %d != agg N %d", id, len(n.items), agg.N)
-			}
 			continue
 		}
 		var merged ptree.Agg

@@ -8,18 +8,18 @@ import (
 	"repro/internal/stats"
 )
 
-func buildTaxi(t *testing.T, dims, leaves int, policy Policy) (*dataset.Dataset, *Tree) {
+func buildTaxi(t *testing.T, dims, leaves int, policy Policy) (*dataset.Dataset, *Tree, [][]int) {
 	t.Helper()
 	d := dataset.GenNYCTaxi(4000, dims, 1)
-	tr, err := Build(d, policy, Options{MaxLeaves: leaves, Kind: dataset.Sum})
+	tr, items, err := Build(d, policy, Options{MaxLeaves: leaves, Kind: dataset.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, tr
+	return d, tr, items
 }
 
 func TestBuildPASSBasic(t *testing.T) {
-	d, tr := buildTaxi(t, 2, 32, PolicyPASS)
+	d, tr, _ := buildTaxi(t, 2, 32, PolicyPASS)
 	if tr.NumLeaves() > 40 {
 		t.Errorf("leaves = %d, want <= ~32 + fanout slack", tr.NumLeaves())
 	}
@@ -35,7 +35,7 @@ func TestBuildPASSBasic(t *testing.T) {
 }
 
 func TestBuildUSBalanced(t *testing.T) {
-	_, tr := buildTaxi(t, 2, 32, PolicyUniform)
+	_, tr, _ := buildTaxi(t, 2, 32, PolicyUniform)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBuildUSBalanced(t *testing.T) {
 
 func TestDepthBandRespected(t *testing.T) {
 	d := dataset.GenNYCTaxi(4000, 3, 2)
-	tr, err := BuildPASS(d, Options{MaxLeaves: 64, Kind: dataset.Sum, DepthBand: 2})
+	tr, _, err := Build(d, PolicyPASS, Options{MaxLeaves: 64, Kind: dataset.Sum, DepthBand: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,14 @@ func TestDepthBandRespected(t *testing.T) {
 }
 
 func TestLeavesPartitionItems(t *testing.T) {
-	d, tr := buildTaxi(t, 3, 64, PolicyPASS)
+	d, tr, items := buildTaxi(t, 3, 64, PolicyPASS)
 	seen := make([]bool, d.N())
 	total := 0
 	for leaf := 0; leaf < tr.NumLeaves(); leaf++ {
-		for _, it := range tr.LeafItems(leaf) {
+		if n := tr.LeafAgg(leaf).N; len(items[leaf]) != n {
+			t.Fatalf("leaf %d holds %d tuples, its aggregate counts %d", leaf, len(items[leaf]), n)
+		}
+		for _, it := range items[leaf] {
 			if seen[it] {
 				t.Fatalf("tuple %d appears in two leaves", it)
 			}
@@ -74,10 +77,10 @@ func TestLeavesPartitionItems(t *testing.T) {
 }
 
 func TestLeafRectsContainItems(t *testing.T) {
-	d, tr := buildTaxi(t, 2, 32, PolicyPASS)
+	d, tr, items := buildTaxi(t, 2, 32, PolicyPASS)
 	for leaf := 0; leaf < tr.NumLeaves(); leaf++ {
 		r := tr.LeafRect(leaf)
-		for _, it := range tr.LeafItems(leaf) {
+		for _, it := range items[leaf] {
 			if !r.Contains(d.Point(it)) {
 				t.Fatalf("leaf %d rect %v does not contain its item %d", leaf, r, it)
 			}
@@ -86,7 +89,7 @@ func TestLeafRectsContainItems(t *testing.T) {
 }
 
 func TestFrontierAccountsAllMatching(t *testing.T) {
-	d, tr := buildTaxi(t, 2, 64, PolicyPASS)
+	d, tr, items := buildTaxi(t, 2, 64, PolicyPASS)
 	rng := stats.NewRNG(5)
 	for trial := 0; trial < 100; trial++ {
 		q := randomRect(rng, 2)
@@ -102,7 +105,7 @@ func TestFrontierAccountsAllMatching(t *testing.T) {
 		}
 		// cover nodes must be genuinely covered: their items all match
 		for _, c := range f.Cover {
-			for _, it := range coverItems(tr, c.Node) {
+			for _, it := range coverItems(tr, items, c.Node) {
 				if !d.Matches(it, q) {
 					t.Fatalf("trial %d: cover node contains non-matching tuple", trial)
 				}
@@ -111,14 +114,14 @@ func TestFrontierAccountsAllMatching(t *testing.T) {
 	}
 }
 
-func coverItems(t *Tree, id int) []int {
+func coverItems(t *Tree, items [][]int, id int) []int {
 	if t.numKids[id] == 0 {
-		return t.nodes[id].items
+		return items[t.leafOf[id]]
 	}
 	var out []int
 	first := int(t.firstKid[id])
 	for ch := first; ch < first+int(t.numKids[id]); ch++ {
-		out = append(out, coverItems(t, ch)...)
+		out = append(out, coverItems(t, items, ch)...)
 	}
 	return out
 }
@@ -137,7 +140,7 @@ func randomRect(rng *stats.RNG, dims int) dataset.Rect {
 func TestFrontierWorkloadShiftNoCover(t *testing.T) {
 	// 2D tree queried with a 3D rectangle: no node can be certified
 	// covered, everything intersecting must be partial
-	_, tr := buildTaxi(t, 2, 32, PolicyPASS)
+	_, tr, _ := buildTaxi(t, 2, 32, PolicyPASS)
 	q := dataset.Rect{Lo: []float64{0, 0, 0}, Hi: []float64{24, 31, 263}}
 	f := tr.Frontier(q, false)
 	if len(f.Cover) != 0 {
@@ -151,7 +154,7 @@ func TestFrontierWorkloadShiftNoCover(t *testing.T) {
 func TestFrontierFewerDimsThanTree(t *testing.T) {
 	// 1D query on a 2D tree: unconstrained second dimension, so a query
 	// covering the full first-dimension range covers the root
-	_, tr := buildTaxi(t, 2, 32, PolicyPASS)
+	_, tr, _ := buildTaxi(t, 2, 32, PolicyPASS)
 	q := dataset.Rect{Lo: []float64{-1}, Hi: []float64{25}}
 	f := tr.Frontier(q, false)
 	if len(f.Cover) != 1 || f.Visited != 1 {
@@ -160,7 +163,7 @@ func TestFrontierFewerDimsThanTree(t *testing.T) {
 }
 
 func TestFrontierSkipsDisjoint(t *testing.T) {
-	_, tr := buildTaxi(t, 2, 64, PolicyPASS)
+	_, tr, _ := buildTaxi(t, 2, 64, PolicyPASS)
 	q := dataset.Rect{Lo: []float64{100, 100}, Hi: []float64{200, 200}}
 	f := tr.Frontier(q, false)
 	if len(f.Cover)+len(f.Partial) != 0 {
@@ -181,11 +184,11 @@ func TestPASSBeatsUSOnScore(t *testing.T) {
 		}
 		d.Append([]float64{x, y}, v)
 	}
-	pass, err := BuildPASS(d, Options{MaxLeaves: 32, Kind: dataset.Sum})
+	pass, _, err := Build(d, PolicyPASS, Options{MaxLeaves: 32, Kind: dataset.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := BuildUS(d, Options{MaxLeaves: 32, Kind: dataset.Sum})
+	us, _, err := Build(d, PolicyUniform, Options{MaxLeaves: 32, Kind: dataset.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +208,11 @@ func TestPASSBeatsUSOnScore(t *testing.T) {
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(dataset.New("e", 1), PolicyPASS, Options{MaxLeaves: 4}); err == nil {
+	if _, _, err := Build(dataset.New("e", 1), PolicyPASS, Options{MaxLeaves: 4}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	d := dataset.GenUniform(10, 1, 1, 1)
-	if _, err := Build(d, PolicyPASS, Options{MaxLeaves: 0}); err == nil {
+	if _, _, err := Build(d, PolicyPASS, Options{MaxLeaves: 0}); err == nil {
 		t.Error("zero leaf budget accepted")
 	}
 }
@@ -219,7 +222,7 @@ func TestUnsplittableIdenticalPoints(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Append([]float64{1, 1}, float64(i))
 	}
-	tr, err := BuildPASS(d, Options{MaxLeaves: 8, Kind: dataset.Sum})
+	tr, _, err := Build(d, PolicyPASS, Options{MaxLeaves: 8, Kind: dataset.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +233,7 @@ func TestUnsplittableIdenticalPoints(t *testing.T) {
 
 func TestAvgKindBuild(t *testing.T) {
 	d := dataset.GenNYCTaxi(3000, 2, 3)
-	tr, err := BuildPASS(d, Options{MaxLeaves: 16, Kind: dataset.Avg, Delta: 0.05})
+	tr, _, err := Build(d, PolicyPASS, Options{MaxLeaves: 16, Kind: dataset.Avg, Delta: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +258,7 @@ func TestZeroVarianceRuleKD(t *testing.T) {
 		}
 		d.Append([]float64{x, y}, v)
 	}
-	tr, err := BuildUS(d, Options{MaxLeaves: 64, Kind: dataset.Avg})
+	tr, _, err := Build(d, PolicyUniform, Options{MaxLeaves: 64, Kind: dataset.Avg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +271,7 @@ func TestZeroVarianceRuleKD(t *testing.T) {
 }
 
 func TestMemoryBytes(t *testing.T) {
-	_, tr := buildTaxi(t, 2, 16, PolicyPASS)
+	_, tr, _ := buildTaxi(t, 2, 16, PolicyPASS)
 	if tr.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes must be positive")
 	}

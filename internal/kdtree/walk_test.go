@@ -48,7 +48,7 @@ func refWalk(t *Tree, id int, q dataset.Rect, extra, zeroVar bool, f *ptree.Fron
 // the 0-variance rule and the forced-partial flag, on one reused
 // FrontierIDs; and Frontier to the expansion of those ids.
 func TestWalkMatchesRecursiveReference(t *testing.T) {
-	_, tr := buildTaxi(t, 3, 64, PolicyPASS)
+	_, tr, _ := buildTaxi(t, 3, 64, PolicyPASS)
 	rng := stats.NewRNG(17)
 	var got ptree.FrontierIDs
 	for trial := 0; trial < 400; trial++ {

@@ -1,7 +1,7 @@
 // Package sample implements the sampling machinery used by PASS and its
-// baselines: uniform sampling without replacement, stratified samples with
-// per-stratum bookkeeping, and reservoir sampling (Vitter's Algorithm R)
-// for maintaining samples under dynamic inserts.
+// baselines: uniform sampling without replacement and the allocation of a
+// sample budget across strata. Reservoir maintenance under inserts lives
+// with the samples it maintains, in core's leaf store.
 package sample
 
 import (
@@ -57,16 +57,6 @@ func UniformIndices(rng *stats.RNG, n, k int) []int {
 		swaps[j] = vi
 	}
 	sort.Ints(out)
-	return out
-}
-
-// UniformValues draws k values uniformly without replacement from values.
-func UniformValues(rng *stats.RNG, values []float64, k int) []float64 {
-	idx := UniformIndices(rng, len(values), k)
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = values[j]
-	}
 	return out
 }
 

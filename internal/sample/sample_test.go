@@ -59,22 +59,6 @@ func TestUniformIndicesUnbiased(t *testing.T) {
 	}
 }
 
-func TestUniformValues(t *testing.T) {
-	rng := stats.NewRNG(4)
-	vals := []float64{10, 20, 30, 40, 50}
-	got := UniformValues(rng, vals, 3)
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-	seen := map[float64]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate value drawn without replacement: %v", got)
-		}
-		seen[v] = true
-	}
-}
-
 func TestAllocateEqual(t *testing.T) {
 	sizes := []int{100, 100, 100, 100}
 	out := Allocate(40, sizes, false)
@@ -149,83 +133,4 @@ func TestAllocateProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestReservoirFillPhase(t *testing.T) {
-	r := NewReservoir(5, stats.NewRNG(1))
-	for i := 0; i < 5; i++ {
-		acc, ev := r.Offer(Item{Value: float64(i)})
-		if !acc || ev.Leaf != -1 {
-			t.Fatalf("fill phase offer %d: acc=%v ev=%v", i, acc, ev)
-		}
-	}
-	if r.Len() != 5 || r.Seen() != 5 {
-		t.Fatalf("Len=%d Seen=%d", r.Len(), r.Seen())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// stream 1000 items through a size-100 reservoir; each should end up
-	// retained with probability ~0.1
-	const k, n, trials = 100, 1000, 300
-	counts := make([]int, n)
-	for trial := 0; trial < trials; trial++ {
-		r := NewReservoir(k, stats.NewRNG(uint64(trial)+1))
-		for i := 0; i < n; i++ {
-			r.Offer(Item{Value: float64(i)})
-		}
-		for _, it := range r.Items() {
-			counts[int(it.Value)]++
-		}
-	}
-	expect := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-expect) > 6*math.Sqrt(expect) {
-			t.Errorf("item %d retained %d times, expected ~%.0f", i, c, expect)
-		}
-	}
-}
-
-func TestReservoirEviction(t *testing.T) {
-	r := NewReservoir(2, stats.NewRNG(7))
-	r.Offer(Item{Value: 1, Leaf: 10})
-	r.Offer(Item{Value: 2, Leaf: 20})
-	evictions := 0
-	for i := 0; i < 100; i++ {
-		acc, ev := r.Offer(Item{Value: float64(i + 3), Leaf: 30})
-		if acc {
-			if ev.Leaf == -1 {
-				t.Fatal("accepted offer past capacity must evict")
-			}
-			evictions++
-		} else if ev.Leaf != -1 {
-			t.Fatal("rejected offer must not evict")
-		}
-	}
-	if evictions == 0 {
-		t.Error("expected some evictions over 100 offers")
-	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
-	}
-}
-
-func TestReservoirRemove(t *testing.T) {
-	r := NewReservoir(3, stats.NewRNG(1))
-	r.Offer(Item{Value: 1})
-	r.Offer(Item{Value: 2})
-	r.Offer(Item{Value: 3})
-	r.Remove(0)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d after Remove", r.Len())
-	}
-}
-
-func TestReservoirPanicsOnZeroCap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero capacity should panic")
-		}
-	}()
-	NewReservoir(0, stats.NewRNG(1))
 }
