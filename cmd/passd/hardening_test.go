@@ -71,6 +71,10 @@ func TestMalformedJSONReturns400(t *testing.T) {
 		{"/query", `{"sql": "SELECT 1"} trailing garbage`},
 		{"/tables", `[1,2,`},
 		{"/tables/x/rows", `"rows"`},
+		// a closing bracket after the body is trailing data too
+		{"/query", `{"sql":"SELECT 1"}}`},
+		{"/tables", `{"name":"t","csv":"a,b\n1,2\n"}]`},
+		{"/tables/x/rows", `{"rows":[{"point":[1],"value":2}]}]`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -85,6 +89,24 @@ func TestMalformedJSONReturns400(t *testing.T) {
 		if decodeErr != nil || body["error"] == "" {
 			t.Errorf("POST %s with %q: error body = %v (%v), want a JSON error", tc.path, tc.body, body, decodeErr)
 		}
+	}
+}
+
+// TestNonFiniteCSVReturns400: a table load whose CSV holds a NaN is the
+// client's mistake, answered 400 naming the row and column, and no table
+// is built from it (one NaN would make every SUM over the table a 500).
+func TestNonFiniteCSVReturns400(t *testing.T) {
+	ts := testServer(t)
+	csv := sensorCSV(100) + "5,NaN\n"
+	resp, body := postJSON(t, ts.URL+"/tables", map[string]any{"name": "sensors", "csv": csv, "partitions": 8})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with a NaN aggregate = %d %v, want 400", resp.StatusCode, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, `row 101 aggregate column "light"`) {
+		t.Fatalf("error = %q, want it to name row 101 and column light", msg)
+	}
+	if tables := getJSON(t, ts.URL+"/tables")["tables"].([]any); len(tables) != 0 {
+		t.Fatalf("tables after a refused load = %v, want none", tables)
 	}
 }
 

@@ -175,13 +175,7 @@ func (s *server) logRequests(next http.Handler) http.Handler {
 			httpErrors.Inc()
 		}
 		httpDuration.ObserveDuration(d)
-		s.reqLog.Emit("http_request", map[string]any{
-			"method":      r.Method,
-			"path":        r.URL.Path,
-			"status":      rec.status,
-			"duration_ms": float64(d.Microseconds()) / 1000,
-			"bytes":       rec.bytes,
-		})
+		s.reqLog.EmitHTTPRequest(r.Method, r.URL.Path, rec.status, float64(d.Microseconds())/1000, rec.bytes)
 	})
 }
 

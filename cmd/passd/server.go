@@ -1,14 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +13,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/jsonout"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/pass"
@@ -185,45 +181,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// decodeJSON reads and decodes a JSON request body under the body-size
-// cap, mapping failures to the right client error: 413 when the cap was
-// exceeded, 400 for malformed JSON or trailing garbage. A false return
-// means the response has been written.
-func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	err := dec.Decode(v)
-	if err == nil {
-		// reject trailing garbage after the JSON document: the request is
-		// malformed even though a prefix parsed
-		if dec.More() {
-			err = fmt.Errorf("unexpected data after JSON body")
-		} else {
-			return true
-		}
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		return false
-	}
-	httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-	return false
-}
-
-// jsonStmtResult is one statement's outcome in a /query response.
-type jsonStmtResult struct {
-	SQL     string          `json:"sql"`
-	Error   string          `json:"error,omitempty"`
-	NoMatch bool            `json:"no_match,omitempty"`
-	Scalar  *jsonout.Answer `json:"scalar,omitempty"`
-	Groups  []jsonout.Group `json:"groups,omitempty"`
-	Sketch  *jsonout.Sketch `json:"sketch,omitempty"`
-	// Trace is the execution span tree of an EXPLAIN ANALYZE statement.
-	Trace *obs.SpanJSON `json:"trace,omitempty"`
-}
-
 type queryRequest struct {
 	SQL string `json:"sql"`
 	// Statements is an alternative to SQL for pre-split batches.
@@ -235,13 +192,9 @@ type queryRequest struct {
 	Params   []any  `json:"params,omitempty"`
 }
 
-type queryResponse struct {
-	Results []jsonStmtResult `json:"results"`
-}
-
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !readBody(s, w, r, &req, decodeQuery) {
 		return
 	}
 	// the request context already ends on client disconnect or server
@@ -284,35 +237,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf(`"sql" (or "statements", or "prepared") is required`))
 		return
 	}
-	resp := queryResponse{Results: make([]jsonStmtResult, len(results))}
-	for i, sr := range results {
-		out := jsonStmtResult{SQL: sr.SQL, Trace: sr.Result.Trace}
-		switch {
-		case errors.Is(sr.Err, pass.ErrNoMatch):
-			out.NoMatch = true
-		case sr.Err != nil:
-			out.Error = sr.Err.Error()
-		case sr.Result.Groups != nil:
-			out.Groups = jsonout.FromGroups(sr.Result.Groups)
-		case sr.Result.Sketch != nil:
-			out.Sketch = jsonout.FromSketch(sr.Result.Sketch)
-		default:
-			out.Scalar = jsonout.FromAnswer(sr.Result.Scalar)
-		}
-		resp.Results[i] = out
-	}
-	writeEncoded(w, http.StatusOK, resp, true)
+	respond(w, http.StatusOK, true, func(b []byte) ([]byte, error) { return appendQueryAnswer(b, results) })
+}
+
+type prepareRequest struct {
+	Name string `json:"name"`
+	SQL  string `json:"sql"`
 }
 
 // handlePrepare registers a named prepared statement: normalized and
 // compiled once, then executable through POST /query with
 // {"prepared": name, "params": [...]}. Re-preparing a name replaces it.
 func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name string `json:"name"`
-		SQL  string `json:"sql"`
-	}
-	if !s.decodeJSON(w, r, &req) {
+	var req prepareRequest
+	if !readBody(s, w, r, &req, decodePrepare) {
 		return
 	}
 	if strings.TrimSpace(req.Name) == "" || strings.TrimSpace(req.SQL) == "" {
@@ -411,7 +349,7 @@ type createTableRequest struct {
 
 func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 	req := createTableRequest{buildOptions: s.buildDefaults}
-	if !s.decodeJSON(w, r, &req) {
+	if !readBody(s, w, r, &req, decodeCreateTable) {
 		return
 	}
 	if strings.TrimSpace(req.Name) == "" || strings.TrimSpace(req.CSV) == "" {
@@ -518,18 +456,20 @@ type createTableResponse struct {
 
 // insertRowsRequest carries tuples for POST /tables/{name}/rows.
 type insertRowsRequest struct {
-	Rows []struct {
-		// Point holds the predicate column values, in schema order.
-		Point []float64 `json:"point"`
-		// Value is the aggregate column value.
-		Value float64 `json:"value"`
-	} `json:"rows"`
+	Rows []insertRow `json:"rows"`
+}
+
+type insertRow struct {
+	// Point holds the predicate column values, in schema order.
+	Point []float64 `json:"point"`
+	// Value is the aggregate column value.
+	Value float64 `json:"value"`
 }
 
 func (s *server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req insertRowsRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !readBody(s, w, r, &req, decodeInsertRows) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -557,7 +497,7 @@ func (s *server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"inserted": n})
+	respond(w, http.StatusOK, false, func(b []byte) ([]byte, error) { return appendInserted(b, n), nil })
 }
 
 func (s *server) handleDropTable(w http.ResponseWriter, r *http.Request) {
@@ -582,48 +522,8 @@ func tableErrStatus(err error) int {
 
 // writeJSON answers v as two-space indented JSON, the form of every
 // endpoint but /query.
-func writeJSON(w http.ResponseWriter, status int, v any) { writeEncoded(w, status, v, false) }
-
-// respBufs pools response buffers. A response is encoded whole before its
-// header goes out, so an encoding failure still becomes a 500, and every
-// body leaves in one write with a Content-Length instead of chunked.
-var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledResp bounds the buffers kept in respBufs: one huge response
-// must not pin its buffer for the life of the process.
-const maxPooledResp = 1 << 20
-
-// writeEncoded answers v through a pooled buffer. compact drops the
-// indentation and the HTML escaping: /query answers that way, because its
-// batch answers are the largest and hottest bodies the server sends,
-// indentation roughly doubled their encoding cost, and every "<=" in an
-// echoed statement would otherwise cost "\u003c=".
-func writeEncoded(w http.ResponseWriter, status int, v any, compact bool) {
-	buf := respBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledResp {
-			respBufs.Put(buf)
-		}
-	}()
-	enc := json.NewEncoder(buf)
-	if compact {
-		enc.SetEscapeHTML(false)
-	} else {
-		enc.SetIndent("", "  ")
-	}
-	if err := enc.Encode(v); err != nil {
-		// e.g. a non-finite float: the value cannot be sent, so say so
-		// rather than answer the original status with an empty body
-		buf.Reset()
-		status = http.StatusInternalServerError
-		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()})
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	respond(w, status, false, func(b []byte) ([]byte, error) { return encodeJSON(b, v, false) })
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

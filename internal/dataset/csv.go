@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -56,17 +57,27 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: row %d has %d fields, want %d", rowNum, len(rec), dims+1)
 		}
 		for c := 0; c < dims; c++ {
-			pred[c], err = strconv.ParseFloat(rec[c], 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: row %d col %d: %w", rowNum, c, err)
+			if pred[c], err = parseField(rec[c]); err != nil {
+				return nil, fmt.Errorf("dataset: row %d column %q: %w", rowNum, header[c], err)
 			}
 		}
-		agg, err := strconv.ParseFloat(rec[dims], 64)
+		agg, err := parseField(rec[dims])
 		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d aggregate: %w", rowNum, err)
+			return nil, fmt.Errorf("dataset: row %d aggregate column %q: %w", rowNum, header[dims], err)
 		}
 		d.Append(pred, agg)
 		rowNum++
 	}
 	return d, nil
+}
+
+// parseField reads one CSV field as a finite number. A NaN or an
+// infinity is refused: one in a table makes every aggregate over it
+// non-finite, and no answer with it can be sent as JSON.
+func parseField(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return v, err
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -206,6 +207,21 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("a,b\nfoo,2\n"), "x"); err == nil {
 		t.Error("non-numeric input should fail")
+	}
+}
+
+// TestReadCSVRejectsNonFinite: NaN and infinities, which strconv
+// accepts, are refused with the row and column they sit in.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ csv, want string }{
+		{"hour,light\n1,2\n3,NaN\n", `row 2 aggregate column "light": non-finite value "NaN"`},
+		{"hour,light\n-Inf,2\n", `row 1 column "hour": non-finite value "-Inf"`},
+		{"hour,day,light\n1,+infinity,2\n", `row 1 column "day": non-finite value "+infinity"`},
+	} {
+		_, err := ReadCSV(bytes.NewBufferString(tc.csv), "x")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadCSV(%q) = %v, want an error containing %s", tc.csv, err, tc.want)
+		}
 	}
 }
 
