@@ -49,6 +49,10 @@ func putBuf(p *[]byte, b []byte) {
 // included. A false return means the response has been written.
 func readBody[T any](s *server, w http.ResponseWriter, r *http.Request, v *T, decode func(*jsonReader, *T)) bool {
 	p := getBuf()
+	if want := min(r.ContentLength, s.maxBody) + 1; want > int64(cap(*p)) {
+		// room for the declared body and the read that finds its end
+		*p = make([]byte, 0, want)
+	}
 	body, err := readAll(http.MaxBytesReader(w, r.Body, s.maxBody), *p)
 	if err == nil {
 		err = decodeJSON(body, v, decode)
@@ -514,6 +518,11 @@ func (d *jsonReader) stringBytes() []byte {
 // escapes resolved, a lone or misordered UTF-16 surrogate and every
 // invalid UTF-8 byte replaced by U+FFFD.
 func (d *jsonReader) unescape(start int) []byte {
+	if rest := len(d.data) - start; cap(d.scratch) < rest {
+		// the rest of the body bounds the string, but for the few bytes
+		// a U+FFFD adds: one allocation for a 15 MB csv, not twenty
+		d.scratch = make([]byte, 0, rest)
+	}
 	b := append(d.scratch[:0], d.data[start:d.pos]...)
 	for d.pos < len(d.data) {
 		c := d.data[d.pos]
@@ -569,8 +578,14 @@ func (d *jsonReader) unescape(start int) []byte {
 			d.fail("in string literal")
 			return nil
 		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.pos++
+			// the run of plain bytes up to the next quote, backslash,
+			// control or non-ASCII byte goes over in one append
+			end := d.pos + 1
+			for end < len(d.data) && plainByte[d.data[end]] {
+				end++
+			}
+			b = append(b, d.data[d.pos:end]...)
+			d.pos = end
 		default:
 			r, n := utf8.DecodeRune(d.data[d.pos:])
 			if r == utf8.RuneError && n == 1 {
@@ -584,6 +599,15 @@ func (d *jsonReader) unescape(start int) []byte {
 	d.fail("")
 	return nil
 }
+
+// plainByte marks the bytes a string carries through as they are:
+// printable ASCII but the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // utf16At decodes the \uXXXX escape at offset i, or returns -1.
 func (d *jsonReader) utf16At(i int) rune {

@@ -111,6 +111,30 @@ func createBody() []byte {
 	return append(strconv.AppendQuote(b, sensorCSV(48)), '}')
 }
 
+// BenchmarkReadCreateBody reads and decodes a POST /tables body shaped
+// like the benchmark's 1M-row load: 15 MB whose csv string carries a \n
+// escape per row. go test -run '^$' -bench ReadCreateBody -benchmem
+// ./cmd/passd/
+func BenchmarkReadCreateBody(b *testing.B) {
+	csv := []byte("pickup_time,trip_distance\n")
+	for i := 0; i < 1_000_000; i++ {
+		csv = strconv.AppendFloat(csv, float64(i*7919%240000)/1e4, 'f', -1, 64)
+		csv = append(csv, ',')
+		csv = strconv.AppendFloat(csv, float64(i*104729%800000)/1e4, 'f', -1, 64)
+		csv = append(csv, '\n')
+	}
+	body := append(strconv.AppendQuote([]byte(`{"name":"trips","shards":4,"csv":`), string(csv)), '}')
+	s := newServer(pass.NewSession())
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var req createTableRequest
+		if !readBody(s, httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/tables", bytes.NewReader(body)), &req, decodeCreateTable) {
+			b.Fatal("body refused")
+		}
+	}
+}
+
 // seedBodies seeds the reader fuzz corpus: the benchmark's bodies, the
 // bodies of the HTTP tests, and the corners of encoding/json's decoding.
 func seedBodies() [][]byte {

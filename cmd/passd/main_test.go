@@ -12,6 +12,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -493,6 +495,64 @@ func TestCreateTableReservedNameRejectedUpfront(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("reserved name: HTTP %d (%v), want 400", resp.StatusCode, body)
+	}
+}
+
+// TestCreateTableHeaderNames: a header with a byte order mark loads with
+// its first column queryable by name, and one with a repeated or an empty
+// column name, which no statement could name unambiguously, is a 400.
+func TestCreateTableHeaderNames(t *testing.T) {
+	ts := testServer(t)
+	resp, body := postJSON(t, ts.URL+"/tables", map[string]any{"name": "bom", "csv": "\ufeffx,v\n0.5,1\n0.75,2\n3,4\n"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("BOM header: HTTP %d (%v), want 201", resp.StatusCode, body)
+	}
+	if got := queryScalars(t, ts.URL, "SELECT COUNT(*) FROM bom WHERE x BETWEEN 0 AND 1")[0]["estimate"]; got != float64(2) {
+		t.Errorf("COUNT over the BOM-prefixed column = %v, want 2", got)
+	}
+	for _, tc := range []struct{ csv, want string }{
+		{"x,x,v\n0.5,5,1\n0.75,6,2\n3,0.5,4\n", `column name "x" is used twice, at positions 1 and 2`},
+		{"x,,v\n1,2,3\n", "column 2 has an empty name"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/tables", map[string]any{"name": "t", "csv": tc.csv})
+		if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("header of %q: HTTP %d (%v), want 400 with %s", tc.csv, resp.StatusCode, body, tc.want)
+		}
+	}
+}
+
+// TestCreateTableLineEndingsAndQuoting: the same rows sent with LF line
+// ends, with CRLF, and with every field quoted load to identical answers
+// on a 3-shard table. At 40 000 rows the CSV is parsed in chunks.
+func TestCreateTableLineEndingsAndQuoting(t *testing.T) {
+	ts := testServer(t)
+	forms := map[string]func(fields []string) string{
+		"lf":     func(f []string) string { return strings.Join(f, ",") + "\n" },
+		"crlf":   func(f []string) string { return strings.Join(f, ",") + "\r\n" },
+		"quoted": func(f []string) string { return `"` + strings.Join(f, `","`) + "\"\n" },
+	}
+	const script = "SELECT COUNT(*) FROM %[1]s; SELECT SUM(light) FROM %[1]s WHERE hour BETWEEN 5.5 AND 17.25; " +
+		"SELECT AVG(light) FROM %[1]s WHERE hour >= 20; SELECT MAX(light) FROM %[1]s WHERE hour < 3"
+	var want []map[string]any
+	for _, name := range []string{"lf", "crlf", "quoted"} {
+		var sb strings.Builder
+		sb.WriteString(forms[name]([]string{"hour", "light"}))
+		for i := 0; i < 40000; i++ {
+			sb.WriteString(forms[name]([]string{
+				strconv.FormatFloat(float64(i%24)+float64(i%8)/8, 'f', -1, 64),
+				strconv.FormatFloat(float64(i*37%1000)/10, 'f', -1, 64),
+			}))
+		}
+		resp, body := postJSON(t, ts.URL+"/tables", map[string]any{"name": name, "csv": sb.String(), "shards": 3, "partitions": 16})
+		if resp.StatusCode != http.StatusCreated || body["rows"] != float64(40000) || body["shards"] != float64(3) {
+			t.Fatalf("%s: HTTP %d (%v), want 40000 rows in 3 shards", name, resp.StatusCode, body)
+		}
+		got := queryScalars(t, ts.URL, fmt.Sprintf(script, name))
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s answers %v, want the LF table's %v", name, got, want)
+		}
 	}
 }
 

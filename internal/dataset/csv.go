@@ -1,11 +1,15 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+
+	"repro/internal/parallel"
 )
 
 // WriteCSV writes the dataset with a header row (predicate columns, then
@@ -29,46 +33,195 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// parallelCSVBytes is the input size from which ReadCSV parses on every
+// CPU; a smaller input is one chunk, where starting workers would cost
+// more than they save.
+const parallelCSVBytes = 256 << 10
+
 // ReadCSV reads a dataset written by WriteCSV: a header row followed by
-// numeric rows where the last column is the aggregate.
+// numeric rows where the last column is the aggregate. One leading UTF-8
+// byte order mark is dropped; a header with an empty or a repeated column
+// name is refused, since no statement could name that column.
+//
+// encoding/csv is the tokenizer. An input of parallelCSVBytes or more is
+// cut at record boundaries into parallel.Workers() chunks that are parsed
+// concurrently; if any chunk fails, the input is parsed again as one
+// chunk, so every error names the row, line and column it would on one
+// reader.
 func ReadCSV(r io.Reader, name string) (*Dataset, error) {
-	cr := csv.NewReader(r)
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("dataset: read csv: %w", err)
+	}
+	chunks := 1
+	if buf.Len() >= parallelCSVBytes {
+		chunks = parallel.Workers()
+	}
+	return readCSV(buf.Bytes(), name, chunks)
+}
+
+// readCSV is ReadCSV over data cut into at most chunks chunks.
+func readCSV(data []byte, name string, chunks int) (*Dataset, error) {
+	data = bytes.TrimPrefix(data, []byte("\ufeff"))
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read header: %w", err)
 	}
-	if len(header) < 2 {
-		return nil, fmt.Errorf("dataset: need at least 2 columns, got %d", len(header))
+	header = slices.Clone(header)
+	if err := checkHeader(header); err != nil {
+		return nil, err
 	}
-	dims := len(header) - 1
-	d := New(name, dims)
-	d.ColNames = header
-	rowNum := 1
-	pred := make([]float64, dims)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+	body := data[cr.InputOffset():]
+	if cuts := recordCuts(body, chunks); len(cuts) > 2 {
+		readers := make([]*csv.Reader, len(cuts)-1)
+		for i := range readers {
+			readers[i] = csv.NewReader(bytes.NewReader(body[cuts[i]:cuts[i+1]]))
+			readers[i].ReuseRecord = true
+			readers[i].FieldsPerRecord = len(header)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read row %d: %w", rowNum, err)
+		if d, err := readChunks(name, header, body, cuts, readers); err == nil {
+			return d, nil
 		}
-		if len(rec) != dims+1 {
-			return nil, fmt.Errorf("dataset: row %d has %d fields, want %d", rowNum, len(rec), dims+1)
+	}
+	// One chunk: the header's reader goes on (it took the header's width
+	// as FieldsPerRecord), so an error carries the file's row, line and
+	// column.
+	return readChunks(name, header, body, []int{0, len(body)}, []*csv.Reader{cr})
+}
+
+// checkHeader refuses a header a statement cannot query by: fewer than
+// two columns, or a column with an empty or an already used name.
+func checkHeader(header []string) error {
+	if len(header) < 2 {
+		return fmt.Errorf("dataset: need at least 2 columns, got %d", len(header))
+	}
+	for i, name := range header {
+		if name == "" {
+			return fmt.Errorf("dataset: column %d has an empty name", i+1)
 		}
-		for c := 0; c < dims; c++ {
-			if pred[c], err = parseField(rec[c]); err != nil {
-				return nil, fmt.Errorf("dataset: row %d column %q: %w", rowNum, header[c], err)
+		if j := slices.Index(header[:i], name); j >= 0 {
+			return fmt.Errorf("dataset: column name %q is used twice, at positions %d and %d", name, j+1, i+1)
+		}
+	}
+	return nil
+}
+
+// recordCuts cuts body into at most n chunks that each start at a record
+// and returns their offsets, 0 first and len(body) last. A cut lies just
+// past a newline outside quotes, which is one with an even number of '"'
+// before it: on input encoding/csv accepts, every '"' opens or closes a
+// quoted field or is half of a "" inside one. On input it rejects, a cut
+// may land inside a record; the chunk around it then fails too.
+func recordCuts(body []byte, n int) []int {
+	cuts := []int{0}
+	if n > 1 {
+		seg := func(i int) int { return i * len(body) / n }
+		quotes := make([]int, n)
+		parallel.For(n, func(i int) { quotes[i] = bytes.Count(body[seg(i):seg(i+1)], []byte{'"'}) })
+		before := 0 // '"' in body[:seg(i)]
+		for i := 1; i < n; i++ {
+			before += quotes[i-1]
+			if at := recordStart(body, seg(i), before%2 == 1); at > cuts[len(cuts)-1] && at < len(body) {
+				cuts = append(cuts, at)
 			}
 		}
-		agg, err := parseField(rec[dims])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d aggregate column %q: %w", rowNum, header[dims], err)
+	}
+	return append(cuts, len(body))
+}
+
+// recordStart returns the offset just past the first newline outside
+// quotes at or after from, or len(body); quoted says whether from lies
+// inside a quoted field.
+func recordStart(body []byte, from int, quoted bool) int {
+	for i := from; i < len(body); i++ {
+		switch body[i] {
+		case '"':
+			quoted = !quoted
+		case '\n':
+			if !quoted {
+				return i + 1
+			}
 		}
-		d.Append(pred, agg)
-		rowNum++
+	}
+	return len(body)
+}
+
+// readChunks parses body[cuts[i]:cuts[i+1]] with readers[i], all chunks
+// at once, into columns shared by the chunks, then closes the gaps
+// between them. Chunk i owns as many slots as it has newlines (the last
+// one more), never fewer than its records, so no chunk outgrows its
+// slots and, on input with no blank line or quoted newline, no row moves.
+func readChunks(name string, header []string, body []byte, cuts []int, readers []*csv.Reader) (*Dataset, error) {
+	n := len(readers)
+	slots := make([]int, n)
+	parallel.For(n, func(i int) { slots[i] = bytes.Count(body[cuts[i]:cuts[i+1]], []byte{'\n'}) })
+	slots[n-1]++ // the last record may lack its newline
+	total := 0
+	for _, s := range slots {
+		total += s
+	}
+	cols := make([][]float64, len(header))
+	for c := range cols {
+		cols[c] = make([]float64, total)
+	}
+	parts := make([][][]float64, n)
+	errs := make([]error, n)
+	parallel.For(n, func(i int) {
+		lo := 0
+		for _, s := range slots[:i] {
+			lo += s
+		}
+		part := make([][]float64, len(cols))
+		for c := range part {
+			part[c] = cols[c][lo : lo : lo+slots[i]]
+		}
+		errs[i] = readRows(readers[i], header, part)
+		parts[i] = part
+	})
+	rows := 0
+	for i, part := range parts {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		for c := range cols {
+			copy(cols[c][rows:], part[c])
+		}
+		rows += len(part[0])
+	}
+	dims := len(header) - 1
+	d := &Dataset{Name: name, ColNames: header, Pred: make([][]float64, dims), Agg: cols[dims][:rows]}
+	for c := range d.Pred {
+		d.Pred[c] = cols[c][:rows]
 	}
 	return d, nil
+}
+
+// readRows appends the records cr yields to cols, one column per field,
+// numbering rows from 1. cr must refuse a record whose width is not the
+// header's.
+func readRows(cr *csv.Reader, header []string, cols [][]float64) error {
+	agg := len(header) - 1
+	for row := 1; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("dataset: read row %d: %w", row, err)
+		}
+		for c, field := range rec {
+			v, err := parseField(field)
+			if err != nil {
+				if c == agg {
+					return fmt.Errorf("dataset: row %d aggregate column %q: %w", row, header[c], err)
+				}
+				return fmt.Errorf("dataset: row %d column %q: %w", row, header[c], err)
+			}
+			cols[c] = append(cols[c], v)
+		}
+	}
 }
 
 // parseField reads one CSV field as a finite number. A NaN or an

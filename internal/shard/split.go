@@ -111,7 +111,9 @@ func Split(d *dataset.Dataset, policy Policy, dim, n int) ([]*dataset.Dataset, e
 	info := engine.ShardInfo{Policy: policy.String(), Dim: dim}
 	switch policy {
 	case Range:
-		sorted := d.Clone()
+		// a view: SortByPred gives it new columns and leaves d's alone,
+		// and each shard below is a copy
+		sorted := d.Slice(0, d.N())
 		sorted.SortByPred(dim)
 		key := sorted.Pred[dim]
 		lo := 0

@@ -1,10 +1,16 @@
 package shard
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/stats"
 )
 
 func splitData(n int) *dataset.Dataset {
@@ -130,5 +136,120 @@ func TestParsePolicyRoundTrips(t *testing.T) {
 	}
 	if _, err := ParsePolicy("mod"); err == nil {
 		t.Error("unknown policy name must fail")
+	}
+}
+
+// referenceSplit is Split as it was before SortByPred became a radix
+// sort: a deep copy of d sorted by a stable comparator sort, which leaves
+// the permutation the (key, index) comparator did. TestSplitUnchanged
+// holds Split to it.
+func referenceSplit(d *dataset.Dataset, policy Policy, dim, n int) ([]*dataset.Dataset, engine.ShardInfo, error) {
+	if n > d.N() {
+		n = d.N()
+	}
+	var shards []*dataset.Dataset
+	info := engine.ShardInfo{Policy: policy.String(), Dim: dim}
+	switch policy {
+	case Range:
+		sorted := d.Clone()
+		idx := make([]int, sorted.N())
+		for i := range idx {
+			idx[i] = i
+		}
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(d.Pred[dim][a], d.Pred[dim][b]) })
+		sorted.Permute(idx)
+		key := sorted.Pred[dim]
+		lo := 0
+		for i := 1; i <= n && lo < sorted.N(); i++ {
+			hi := i * sorted.N() / n
+			if i == n {
+				hi = sorted.N()
+			}
+			for hi < sorted.N() && hi > 0 && key[hi] == key[hi-1] {
+				hi++
+			}
+			if hi <= lo {
+				continue
+			}
+			shards = append(shards, sorted.Slice(lo, hi).Clone())
+			if hi < sorted.N() {
+				info.Cuts = append(info.Cuts, key[hi])
+			}
+			lo = hi
+		}
+	case Hash:
+		shards = make([]*dataset.Dataset, n)
+		for i := range shards {
+			shards[i] = dataset.New(d.Name, d.Dims())
+			shards[i].ColNames = append([]string(nil), d.ColNames...)
+		}
+		for i := 0; i < d.N(); i++ {
+			shards[hashKey(d.Pred[dim][i], n)].Append(d.Point(i), d.Agg[i])
+		}
+		for i, p := range shards {
+			if p.N() == 0 {
+				return nil, engine.ShardInfo{}, fmt.Errorf("shard: hash shard %d of %d is empty (too many shards for %d distinct keys?)", i, n, d.N())
+			}
+		}
+	}
+	info.Shards = len(shards)
+	info.Bounds = make([]dataset.Rect, len(shards))
+	for i, sd := range shards {
+		info.Bounds[i] = sd.Bounds()
+	}
+	return shards, info, nil
+}
+
+// TestSplitUnchanged: on tables with heavy ties, signed zeros, negative
+// keys and keys already in order, both policies give the reference's
+// shards bit for bit, and its cuts and bounds.
+func TestSplitUnchanged(t *testing.T) {
+	rng := stats.NewRNG(11)
+	negZero := math.Copysign(0, -1)
+	keys := map[string]func(i int) float64{
+		"ties":   func(i int) float64 { return float64(rng.Intn(9)) - 4 },
+		"zeros":  func(i int) float64 { return []float64{0, negZero, 1, -1}[rng.Intn(4)] },
+		"hours":  func(i int) float64 { return math.Round(rng.Float64()*24e3) / 1e3 },
+		"sorted": func(i int) float64 { return float64(i / 5) },
+	}
+	bits := func(x []float64) []uint64 {
+		out := make([]uint64, len(x))
+		for i, v := range x {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for name, key := range keys {
+		for _, dims := range []int{1, 3} {
+			d := dataset.New("t", dims)
+			for i := 0; i < 5000; i++ {
+				p := []float64{key(i), rng.Float64(), rng.NormMS(0, 1)}
+				d.Append(p[:dims], rng.Float64()*100)
+			}
+			for _, policy := range []Policy{Range, Hash} {
+				for _, dim := range []int{0, dims - 1} {
+					for _, n := range []int{1, 3, 4, 7} {
+						parts, info, err := Split(d, policy, dim, n)
+						wantParts, wantInfo, wantErr := referenceSplit(d, policy, dim, n)
+						if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s %v dim %d n %d: error %v, want %v", name, policy, dim, n, err, wantErr)
+						}
+						if !reflect.DeepEqual(info, wantInfo) {
+							t.Fatalf("%s %v dim %d n %d: info %+v, want %+v", name, policy, dim, n, info, wantInfo)
+						}
+						for i := range parts {
+							got, want := parts[i], wantParts[i]
+							same := slices.Equal(got.ColNames, want.ColNames) && slices.Equal(bits(got.Agg), bits(want.Agg))
+							for c := 0; c < dims; c++ {
+								same = same && slices.Equal(bits(got.Pred[c]), bits(want.Pred[c]))
+							}
+							if !same {
+								t.Fatalf("%s %v dim %d n %d: shard %d differs from the reference's", name, policy, dim, n, i)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

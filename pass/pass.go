@@ -131,7 +131,9 @@ func (t *Table) Len() int { return t.inner.N() }
 func (t *Table) Dims() int { return t.inner.Dims() }
 
 // ReadCSV loads a table from CSV: a header row, then numeric rows whose
-// last column is the aggregate.
+// last column is the aggregate. One leading byte order mark is dropped;
+// an empty or a repeated column name is an error. A large input is
+// parsed on every CPU.
 func ReadCSV(r io.Reader) (*Table, error) {
 	d, err := dataset.ReadCSV(r, "table")
 	if err != nil {
