@@ -18,7 +18,7 @@ package catalog
 // in-memory state. No answer depends on the counter; its readers are the
 // accuracy auditor's two sides:
 //
-//   - the stamp: QueryCtx, QueryBatchCtx and SketchQuery read the
+//   - the stamp: QueryBatchCtx and SketchQuery read the
 //     generation before and after the engine call, under the query's
 //     read lock, and hand the recorder the second reading, forced odd
 //     when the two differ;

@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -135,19 +134,10 @@ func (t *Table) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error)
 	return t.QueryCtx(context.Background(), kind, q)
 }
 
-// QueryCtx is Query with deadline propagation: a deadline-aware engine
-// (engine.ContextQuerier — the scatter-gather executor) observes ctx
-// mid-query and may return a partial Degraded answer; other engines get a
-// fail-fast admission check.
+// QueryCtx is Query with deadline propagation, answered as a batch of
+// one (QueryBatchCtx).
 func (t *Table) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start, gen := time.Now(), t.gen.Load()
-	r, err := engine.QueryCtx(ctx, t.eng, kind, q)
-	if rec := t.recorder; rec != nil && err == nil {
-		rec.ObserveQuery(t.name, kind, q, r, t.Rows(), time.Since(start), t.stamp(gen))
-	}
-	return r, err
+	return t.QueryBatchCtx(ctx, []core.BatchQuery{{Kind: kind, Rect: q}})[0].Unpack()
 }
 
 // QueryBatch answers a whole workload under one read-lock acquisition;
@@ -157,9 +147,11 @@ func (t *Table) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 	return t.QueryBatchCtx(context.Background(), qs)
 }
 
-// QueryBatchCtx is QueryBatch with deadline propagation, mirroring
-// QueryCtx: deadline-aware engines may mark individual results Degraded.
-// An already-expired ctx fails every query without touching the engine.
+// QueryBatchCtx is QueryBatch with deadline propagation, and the table's
+// one read body: a deadline-aware engine (engine.ContextQuerier — the
+// scatter-gather executor) observes ctx mid-query and may mark individual
+// results Degraded; other engines get a fail-fast admission check, so an
+// already-expired ctx fails every query without touching the engine.
 func (t *Table) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -75,7 +75,12 @@ func (a *applyLog) ObserveDelete(_ []float64, v float64) {
 	a.mu.Unlock()
 }
 
-var lockWait = regexp.MustCompile(`^goroutine \d+ \[(sync\.(RW)?Mutex\.R?Lock|semacquire)`)
+// lockWait matches a goroutine parked on a sync.Mutex or sync.RWMutex —
+// the table locks. On the Go this module requires, those waits report
+// their own reasons; a bare "semacquire" is a runtime semaphore (a GC
+// start, or the stop-the-world of this file's own runtime.Stack dumps)
+// that any allocating reader can pass through, not a table lock.
+var lockWait = regexp.MustCompile(`^goroutine \d+ \[sync\.(RW)?Mutex\.R?Lock`)
 
 // parkedIn counts the goroutines with frame on their stack that are
 // parked on a lock.

@@ -23,6 +23,10 @@ type BatchResult struct {
 	Elapsed time.Duration
 }
 
+// Unpack returns the answer and error, so a single query read as a batch
+// of one returns as Query does.
+func (r BatchResult) Unpack() (Result, error) { return r.Result, r.Err }
+
 // QueryBatch answers a workload of queries, fanning them across a bounded
 // worker pool (one worker per CPU, see package parallel). Each worker
 // takes one query scratch for its whole share of the batch and claims

@@ -5,8 +5,8 @@
 // optional capability interfaces that expose mutation (Updatable,
 // ConcurrentUpdatable), persistence (Serializable), grouping (Grouper),
 // sketches (Sketcher), cardinality (Sized), deadline-aware execution
-// (ContextQuerier — one capability for single and batched queries, reached
-// through the QueryCtx/QueryBatchCtx adapters) and sharding (Sharded —
+// (ContextQuerier — one batched method, since a single query is a batch of
+// one, reached through the QueryBatchCtx adapter) and sharding (Sharded —
 // topology, routing, executor statistics and the strict-scatter switch)
 // where an engine supports them.
 //
@@ -104,33 +104,21 @@ type Grouper interface {
 // ContextQuerier is the optional deadline-aware query capability: engines
 // that can observe a context's deadline/cancellation mid-query — today the
 // scatter-gather shard engine, which drops shards that exceed the deadline
-// and merges the rest into a degraded partial answer. Engines without the
+// and merges the rest into a degraded partial answer. It has one method
+// because a single query is a batch of one. Engines without the
 // capability run to completion once admitted.
 type ContextQuerier interface {
-	// QueryCtx answers one aggregate, observing ctx. Implementations may
-	// return a partial (Result.Degraded) answer when ctx expires mid-query,
-	// or an error wrapping ctx.Err() when nothing useful was computed.
-	QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error)
-	// QueryBatchCtx is the batched companion, results in input order.
+	// QueryBatchCtx answers a workload, observing ctx, results in input
+	// order. Implementations may return a partial (Result.Degraded) answer
+	// when ctx expires mid-query, or an error wrapping ctx.Err() when
+	// nothing useful was computed.
 	QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult
 }
 
-// QueryCtx runs one query on e under ctx. An already-done context is
-// refused before any work starts, so every engine gets fail-fast
-// admission; past that, a ContextQuerier observes ctx mid-flight and any
-// other engine runs a plain Query to completion.
-func QueryCtx(ctx context.Context, e Engine, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Result{}, err
-	}
-	if cq, ok := Underlying(e).(ContextQuerier); ok {
-		return cq.QueryCtx(ctx, kind, q)
-	}
-	return e.Query(kind, q)
-}
-
-// QueryBatchCtx is the batched companion of QueryCtx; an already-done
-// context fails every query with ctx.Err().
+// QueryBatchCtx runs a workload on e under ctx. An already-done context
+// fails every query with ctx.Err() before any work starts, so every engine
+// gets fail-fast admission; past that, a ContextQuerier observes ctx
+// mid-flight and any other engine runs QueryBatch to completion.
 func QueryBatchCtx(ctx context.Context, e Engine, qs []core.BatchQuery) []core.BatchResult {
 	if err := ctx.Err(); err != nil {
 		out := make([]core.BatchResult, len(qs))
@@ -141,6 +129,16 @@ func QueryBatchCtx(ctx context.Context, e Engine, qs []core.BatchQuery) []core.B
 	}
 	if cq, ok := Underlying(e).(ContextQuerier); ok {
 		return cq.QueryBatchCtx(ctx, qs)
+	}
+	return QueryBatch(e, qs)
+}
+
+// QueryBatch answers qs on e. A batch of one goes straight to Query, which
+// answers identically without the engine's batch set-up (PASS's worker
+// pool), so a single query read as a batch costs what Query costs.
+func QueryBatch(e Engine, qs []core.BatchQuery) []core.BatchResult {
+	if len(qs) == 1 {
+		return SequentialBatch(e, qs)
 	}
 	return e.QueryBatch(qs)
 }

@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/engine/factory"
 	"repro/internal/merge"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // BenchmarkShardedQueryBatch measures the scatter-gather batch path with
@@ -43,20 +43,15 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 	b.ReportMetric(float64(acquires-allocated), "pool-reuses")
 }
 
-// benchCtxEngine builds the standard 4-shard fixture and returns its
-// context-aware surface.
-func benchCtxEngine(b *testing.B) engine.ContextQuerier {
+// benchCtxEngine builds the standard 4-shard fixture.
+func benchCtxEngine(b *testing.B) *shard.Engine {
 	b.Helper()
 	d := dataset.GenIntelWireless(20000, 13)
 	eng, err := factory.Build("sharded:pass:4", d, factory.Spec{Partitions: 32, SampleSize: d.N() / 10, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cq, ok := eng.(engine.ContextQuerier)
-	if !ok {
-		b.Fatalf("%T does not implement engine.ContextQuerier", eng)
-	}
-	return cq
+	return eng.(*shard.Engine)
 }
 
 // BenchmarkShardedQueryCtxNoTrace measures the instrumented query path
@@ -98,7 +93,7 @@ func BenchmarkShardedQueryCtxTracingOff(b *testing.B) {
 }
 
 // BenchmarkShardedQuery measures the undeadlined single-query entry point:
-// Query is QueryCtx under context.Background(), so this is the same
+// Query is a batch of one under context.Background(), so this is the same
 // goroutine-per-shard scatter and shard-order fold the served path runs.
 func BenchmarkShardedQuery(b *testing.B) {
 	d := dataset.GenIntelWireless(20000, 13)

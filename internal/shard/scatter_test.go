@@ -241,14 +241,53 @@ func TestTracedBatchUnderDeadlineCarriesSpan(t *testing.T) {
 	}
 	root.End()
 	tree := root.Export()
-	if len(tree.Children) != 1 || tree.Children[0].Name != "scatter_batch" {
-		t.Fatalf("trace = %+v, want one scatter_batch child", tree)
+	if len(tree.Children) != 1 || tree.Children[0].Name != "scatter" {
+		t.Fatalf("trace = %+v, want one scatter child", tree)
 	}
 	attrs := tree.Children[0].Attrs
 	if attrs["queries"] != int64(len(qs)) || attrs["shards_total"] != int64(4) ||
 		attrs["partials_folded"] != int64(folded) ||
 		attrs["shards_pruned"] != int64(4*len(qs)-folded) {
-		t.Fatalf("scatter_batch attrs = %v (folded %d of %d pairs)", attrs, folded, 4*len(qs))
+		t.Fatalf("scatter attrs = %v (folded %d of %d pairs)", attrs, folded, 4*len(qs))
+	}
+}
+
+// TestTracedDropMarksShardSpan: under a trace, a shard dropped because it
+// errored or because it missed the deadline carries "dropped" on its own
+// span, and the scatter span counts it — whether the shard's task ended
+// the span or was abandoned with it still open.
+func TestTracedDropMarksShardSpan(t *testing.T) {
+	d := twinData(t)
+	for _, tc := range []struct {
+		name    string
+		eng     *shard.Engine
+		timeout time.Duration
+	}{
+		{"erroring shard", buildWithFailingShards(t, d, 1), time.Minute},
+		{"straggler", buildWithSlowShard(t, d, 3, map[int]bool{1: true}, 500*time.Millisecond), 60 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := obs.StartTrace("test")
+			ctx, cancel := context.WithTimeout(obs.WithSpan(context.Background(), root), tc.timeout)
+			defer cancel()
+			res, err := tc.eng.QueryCtx(ctx, dataset.Count, fullSpan(tc.eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Degraded || res.ShardsAnswered != 2 {
+				t.Skipf("want shard 1 alone dropped, got %d/%d answered", res.ShardsAnswered, res.ShardsTotal)
+			}
+			root.End()
+			scatter := root.Export().Children[0]
+			if scatter.Attrs["shards_dropped"] != int64(1) || scatter.Attrs["shards_answered"] != int64(2) {
+				t.Fatalf("scatter attrs = %v, want 1 dropped and 2 answered", scatter.Attrs)
+			}
+			for _, c := range scatter.Children {
+				if dropped := c.Attrs["dropped"] == true; dropped != (c.Name == "shard[1]") {
+					t.Errorf("%s: dropped = %v, attrs %v", c.Name, dropped, c.Attrs)
+				}
+			}
+		})
 	}
 }
 
@@ -295,8 +334,11 @@ func TestDegradedMatchesHandFold(t *testing.T) {
 // 3-D batch on four shards — routing arenas, one clip buffer and one
 // result slice per shard sub-batch, the scatter's goroutines, and nothing
 // per statement (it was 2 slices per statement and shard for the clipped
-// rectangle plus ~11 per core query). The count is deterministic for a
-// GOMAXPROCS; AllocsPerRun measures at 1.
+// rectangle plus ~11 per core query) — and of a batch of one, the body
+// every single query runs. Each input must also allocate exactly as much
+// with tracing enabled but no span attached as with tracing off: the
+// per-shard spans exist only under a trace. The count is deterministic
+// for a GOMAXPROCS; AllocsPerRun measures at 1.
 func TestShardedBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -315,17 +357,35 @@ func TestShardedBatchAllocations(t *testing.T) {
 			Hi: []float64{lo + 9.5, 25.5, 220},
 		}}
 	}
-	scanned := 0
-	for _, br := range eng.QueryBatch(qs) {
-		if br.Err != nil {
-			t.Fatal(br.Err)
+	for _, tc := range []struct {
+		name    string
+		qs      []core.BatchQuery
+		ceiling float64
+	}{
+		{"64 statements", qs, 60},     // measured 50
+		{"one statement", qs[:1], 30}, // measured 30
+	} {
+		scanned := 0
+		for _, br := range eng.QueryBatch(tc.qs) {
+			if br.Err != nil {
+				t.Fatal(br.Err)
+			}
+			scanned += br.Result.TuplesRead
 		}
-		scanned += br.Result.TuplesRead
-	}
-	if scanned == 0 {
-		t.Fatal("no statement reached a leaf scan")
-	}
-	if n := testing.AllocsPerRun(50, func() { eng.QueryBatch(qs) }); n > 60 {
-		t.Errorf("%v allocs per 64-statement sharded batch, want at most 60", n)
+		if scanned == 0 {
+			t.Fatalf("%s: no statement reached a leaf scan", tc.name)
+		}
+		allocs := func(tracing bool) float64 {
+			defer obs.SetTracingEnabled(obs.SetTracingEnabled(tracing))
+			return testing.AllocsPerRun(50, func() { eng.QueryBatch(tc.qs) })
+		}
+		on, off := allocs(true), allocs(false)
+		t.Logf("%s: %v allocs per sharded batch (tracing off: %v)", tc.name, on, off)
+		if on > tc.ceiling {
+			t.Errorf("%s: %v allocs per sharded batch, want at most %v", tc.name, on, tc.ceiling)
+		}
+		if on != off {
+			t.Errorf("%s: %v allocs with tracing enabled and no span attached, %v with tracing off", tc.name, on, off)
+		}
 	}
 }

@@ -207,31 +207,6 @@ func (e *Engine) MemoryBytes() int {
 	return total
 }
 
-// route lists the shards whose bounding rectangle intersects q —
-// comparing only the dimensions both constrain — and counts the rest as
-// pruned; an unconstrained dimension never disqualifies a shard. Under the
-// same read of the bounds it clips q to each listed shard (appendClipped):
-// clipped[j] is the rectangle shard rel[j] scans, all of them views into
-// one buffer.
-func (e *Engine) route(q dataset.Rect) (rel []int, clipped []dataset.Rect) {
-	rel = make([]int, 0, len(e.inner))
-	e.boundsMu.RLock()
-	defer e.boundsMu.RUnlock()
-	for i, b := range e.info.Bounds {
-		if disjoint(q, b) {
-			e.pruned.Add(1)
-			continue
-		}
-		rel = append(rel, i)
-	}
-	clipped = make([]dataset.Rect, len(rel))
-	buf := make([]float64, 0, 2*q.Dims()*len(rel))
-	for j, i := range rel {
-		buf, clipped[j] = appendClipped(buf, q, e.info.Bounds[i])
-	}
-	return rel, clipped
-}
-
 // disjoint reports whether q excludes every point of bounds.
 func disjoint(q, bounds dataset.Rect) bool {
 	n := q.Dims()
@@ -308,72 +283,58 @@ func appendRect(buf []float64, r dataset.Rect) ([]float64, dataset.Rect) {
 	return buf, dataset.Rect{Lo: tail[:n:n], Hi: tail[n:]}
 }
 
-// queryShard executes one query on one shard under that shard's read
-// lock; q is already clipped to the shard (route).
-func (e *Engine) queryShard(i int, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	e.scattered[i].Add(1)
-	e.locks[i].RLock()
-	defer e.locks[i].RUnlock()
-	return e.inner[i].Query(kind, q)
-}
-
 // SetStrict switches the drop rule (see settle) between graceful
 // degradation (default: shards that error or miss the deadline are
 // dropped from the merge and the result is marked Degraded) and strict
 // mode (any dropped shard fails the query) (engine.Sharded).
 func (e *Engine) SetStrict(strict bool) { e.strict.Store(strict) }
 
-// scatter is the one executor under both query front-ends: it runs
-// task(j) for every j in [0, n) on a goroutine of its own and collects
-// until every task has delivered or ctx is done. A context without a
-// deadline has a nil Done channel, which never fires, so an undeadlined
-// call simply waits for every shard. errs[j] is nil when out[j] arrived,
-// task j's own error when it failed, and ctx.Err() when it was still
-// running at the deadline; such stragglers are abandoned — they finish in
-// the background and deliver into the buffered channel nobody reads. An
-// already-expired ctx launches nothing.
-func scatter[T any](ctx context.Context, n int, task func(j int) (T, error)) (out []T, errs []error) {
+// scatter is the executor under the query path: it runs task(k) for
+// every k in [0, n) on a goroutine of its own and collects until every
+// task has delivered or ctx is done. A context without a deadline has a
+// nil Done channel, which never fires, so an undeadlined call simply
+// waits for every shard. errs[k] is nil when out[k] arrived and ctx.Err()
+// when task k was still running at the deadline; such stragglers are
+// abandoned — they finish in the background and deliver into the
+// buffered channel nobody reads. An already-expired ctx launches nothing.
+func scatter(ctx context.Context, n int, task func(k int) []core.BatchResult) (out [][]core.BatchResult, errs []error) {
 	type answer struct {
-		j   int
-		v   T
-		err error
+		k int
+		v []core.BatchResult
 	}
-	out, errs = make([]T, n), make([]error, n)
+	out, errs = make([][]core.BatchResult, n), make([]error, n)
 	answered := make([]bool, n)
 	if ctx.Err() == nil {
 		ch := make(chan answer, n) // one send per task, so none ever blocks
-		for j := 0; j < n; j++ {
-			go func(j int) {
-				v, err := task(j)
-				ch <- answer{j, v, err}
-			}(j)
+		for k := 0; k < n; k++ {
+			go func(k int) { ch <- answer{k, task(k)} }(k)
 		}
 	collect:
 		for pending := n; pending > 0; pending-- {
 			select {
 			case a := <-ch:
-				out[a.j], errs[a.j], answered[a.j] = a.v, a.err, true
+				out[a.k], answered[a.k] = a.v, true
 			case <-ctx.Done():
 				break collect
 			}
 		}
 	}
-	for j := range errs {
-		if !answered[j] {
-			errs[j] = ctx.Err()
+	for k := range errs {
+		if !answered[k] {
+			errs[k] = ctx.Err()
 		}
 	}
 	return out, errs
 }
 
-// settle finalizes one query's merge and is the drop rule, stated once
-// for both front-ends: a relevant shard whose partial is missing for the
-// query — it errored, or had not answered when ctx expired — is dropped.
-// The merge over the shards that did answer is widened by merge.Degrade
-// with the dropped shards' cardinalities so the reported uncertainty still
-// covers the unseen data; in strict mode, or when no shard answered, the
-// query fails with the first dropped shard's error instead. m holds the
-// answered partials, folded in relevant-shard order.
+// settle finalizes one query's merge and is the drop rule: a relevant
+// shard whose partial is missing for the query — it errored, or had not
+// answered when ctx expired — is dropped. The merge over the shards that
+// did answer is widened by merge.Degrade with the dropped shards'
+// cardinalities so the reported uncertainty still covers the unseen data;
+// in strict mode, or when no shard answered, the query fails with the
+// first dropped shard's error instead. m holds the answered partials,
+// folded in relevant-shard order.
 func (e *Engine) settle(kind dataset.AggKind, m *merge.Merger, relevant int, droppedRows []int, cause error) (core.Result, error) {
 	answered := relevant - len(droppedRows)
 	e.streamed.Add(int64(answered))
@@ -396,75 +357,39 @@ func (e *Engine) Query(kind dataset.AggKind, q dataset.Rect) (core.Result, error
 	return e.QueryCtx(context.Background(), kind, q)
 }
 
-// QueryCtx answers one aggregate by scatter-gather
-// (engine.ContextQuerier): prune, run every relevant shard on its own
-// goroutine until ctx is done, then fold the partials in relevant-shard
-// order — so the answer is bitwise independent of which shard finished
-// first, traced or not, degraded or complete — and settle. With a trace
-// attached it records a "scatter" span with one child per relevant shard.
+// QueryCtx answers one aggregate as a batch of one.
 func (e *Engine) QueryCtx(ctx context.Context, kind dataset.AggKind, q dataset.Rect) (core.Result, error) {
-	sp := obs.SpanFrom(ctx).Child("scatter")
-	defer sp.End()
-	rel, clipped := e.route(q)
-	sp.Set("shards_total", int64(len(e.inner)))
-	sp.Set("shards_relevant", int64(len(rel)))
-	sp.Set("shards_pruned", int64(len(e.inner)-len(rel)))
-	if len(rel) == 0 {
-		return emptyResult(kind, q, e.N())
-	}
-	// Per-shard child spans are created up front so each goroutine touches
-	// only its own span; stragglers ending spans after the parent exported
-	// are safe (Span methods are mutex-guarded).
-	var shardSpans []*obs.Span
-	if sp != nil {
-		shardSpans = make([]*obs.Span, len(rel))
-		for j, si := range rel {
-			shardSpans[j] = sp.Child(fmt.Sprintf("shard[%d]", si))
-		}
-	}
-	parts, errs := scatter(ctx, len(rel), func(j int) (core.Result, error) {
-		res, err := e.queryShard(rel[j], kind, clipped[j])
-		if shardSpans != nil {
-			recordShardSpan(shardSpans[j], res, err)
-		}
-		return res, err
-	})
-	m := merge.Get(kind)
-	defer merge.Put(m)
-	var droppedRows []int
-	var cause error
-	for j, si := range rel {
-		if errs[j] == nil {
-			m.Add(parts[j])
-			continue
-		}
-		droppedRows = append(droppedRows, int(e.rows[si].Load()))
-		if cause == nil {
-			cause = errs[j]
-		}
-		if shardSpans != nil {
-			shardSpans[j].Set("dropped", true)
-		}
-	}
-	answered := int64(len(rel) - len(droppedRows))
-	sp.Set("shards_answered", answered)
-	sp.Set("shards_dropped", int64(len(droppedRows)))
-	sp.Set("partials_folded", answered)
-	return e.settle(kind, m, len(rel), droppedRows, cause)
+	return e.QueryBatchCtx(ctx, []core.BatchQuery{{Kind: kind, Rect: q}})[0].Unpack()
 }
 
-// recordShardSpan attaches one shard partial's diagnostics to its span
-// and ends it. Runs on the shard goroutine; safe against a concurrent
-// export of the parent tree.
-func recordShardSpan(sp *obs.Span, r core.Result, err error) {
-	if err != nil {
-		sp.Set("error", err.Error())
-	} else {
-		sp.Set("tuples_read", int64(r.TuplesRead))
-		sp.Set("tuples_skipped", int64(r.SkippedTuples))
-		sp.Set("leaf_exact", int64(r.CoveredParts))
-		sp.Set("leaf_sampled", int64(r.PartialParts))
-		sp.Set("exact", r.Exact)
+// recordShardSpan attaches one shard's sub-batch diagnostics to its span
+// and ends it: leaf and tuple counters summed over the answered queries,
+// exact when all of them were, and the first error with a dropped mark
+// when any query failed there. Runs on the shard goroutine; safe against
+// a concurrent export of the parent tree.
+func recordShardSpan(sp *obs.Span, res []core.BatchResult) {
+	var read, skipped, covered, partial int64
+	exact, answered, failed := true, false, false
+	for _, br := range res {
+		if br.Err != nil {
+			if !failed {
+				sp.Set("error", br.Err.Error())
+				sp.Set("dropped", true)
+				failed = true
+			}
+			continue
+		}
+		r := br.Result
+		read, skipped = read+int64(r.TuplesRead), skipped+int64(r.SkippedTuples)
+		covered, partial = covered+int64(r.CoveredParts), partial+int64(r.PartialParts)
+		exact, answered = exact && r.Exact, true
+	}
+	if answered {
+		sp.Set("tuples_read", read)
+		sp.Set("tuples_skipped", skipped)
+		sp.Set("leaf_exact", covered)
+		sp.Set("leaf_sampled", partial)
+		sp.Set("exact", exact)
 	}
 	sp.End()
 }
@@ -552,26 +477,43 @@ func (e *Engine) QueryBatch(qs []core.BatchQuery) []core.BatchResult {
 	return e.QueryBatchCtx(context.Background(), qs)
 }
 
-// QueryBatchCtx answers a workload shard-first (engine.ContextQuerier):
-// each relevant shard executes its whole sub-batch in one pass (cache
-// locality — the shard's synopsis stays hot while it answers every query
-// routed to it), clipped to the shard's bounding rectangle, on the same
-// scatter as QueryCtx; each query's partials then fold through one pooled
-// accumulator in relevant-shard order and settle under the same drop rule,
-// so only the queries that touched a dropped shard degrade (or, strict,
-// fail). Per-query Elapsed is the slowest answering shard's execution
-// time, the critical path of the scatter. With a trace attached it records
-// a "scatter_batch" span.
+// QueryBatchCtx is the one read body of the sharded engine
+// (engine.ContextQuerier): a single query is a batch of one. It answers a
+// workload shard-first: each relevant shard executes its whole sub-batch
+// in one pass (cache locality — the shard's synopsis stays hot while it
+// answers every query routed to it), clipped to the shard's bounding
+// rectangle, on a goroutine of its own (scatter); each query's partials
+// then fold through one pooled accumulator in relevant-shard order — so
+// an answer is bitwise independent of which shard finished first, traced
+// or not, degraded or complete — and settle under the drop rule, so only
+// the queries that touched a dropped shard degrade (or, strict, fail).
+// Per-query Elapsed is the slowest answering shard's execution time, the
+// critical path of the scatter.
+//
+// With a trace attached it records a "scatter" span whose counters run
+// over (query, shard) pairs — a batch of one reports shards — and one
+// "shard[i]" child per active shard, made by that shard's task.
 func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.BatchResult {
 	out := make([]core.BatchResult, len(qs))
 	if len(qs) == 0 {
 		return out
 	}
-	sp := obs.SpanFrom(ctx).Child("scatter_batch")
+	sp := obs.SpanFrom(ctx).Child("scatter")
 	defer sp.End()
 	r := e.routeBatch(qs)
-	parts, errs := scatter(ctx, len(r.active), func(k int) ([]core.BatchResult, error) {
+	// shardSpans[k] is published by task k so the collector can mark a
+	// straggler dropped; allocated only under a trace.
+	var shardSpans []atomic.Pointer[obs.Span]
+	if sp != nil {
+		shardSpans = make([]atomic.Pointer[obs.Span], len(r.active))
+	}
+	parts, errs := scatter(ctx, len(r.active), func(k int) []core.BatchResult {
 		si := r.active[k]
+		var ssp *obs.Span
+		if sp != nil {
+			ssp = sp.Child(fmt.Sprintf("shard[%d]", si))
+			shardSpans[k].Store(ssp)
+		}
 		qis := r.sub(si)
 		sub := make([]core.BatchQuery, len(qis))
 		width := 0
@@ -586,12 +528,19 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core
 		e.scattered[si].Add(int64(len(sub)))
 		e.locks[si].RLock()
 		defer e.locks[si].RUnlock()
-		return e.inner[si].QueryBatch(sub), nil
+		res := engine.QueryBatch(e.inner[si], sub)
+		if ssp != nil {
+			recordShardSpan(ssp, res)
+		}
+		return res
 	})
 	partial := make([][]core.BatchResult, len(e.inner))
 	missed := make([]error, len(e.inner))
 	for k, si := range r.active {
 		partial[si], missed[si] = parts[k], errs[k]
+		if errs[k] != nil && shardSpans != nil {
+			shardSpans[k].Load().Set("dropped", true) // nil-safe: a task that never started
+		}
 	}
 	m := merge.Get(dataset.Count)
 	defer merge.Put(m)
@@ -631,10 +580,20 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core
 		folded += len(rel) - len(droppedRows)
 		out[qi].Result, out[qi].Err = e.settle(qs[qi].Kind, m, len(rel), droppedRows, cause)
 	}
-	sp.Set("queries", int64(len(qs)))
-	sp.Set("shards_total", int64(len(e.inner)))
-	sp.Set("shards_pruned", int64(len(qs)*len(e.inner)-len(r.touchFlat)))
-	sp.Set("partials_folded", int64(folded))
+	if sp != nil {
+		if len(qs) > 1 {
+			sp.Set("queries", int64(len(qs)))
+		}
+		relevant := int64(len(r.touchFlat))
+		sp.Set("shards_total", int64(len(e.inner)))
+		sp.Set("shards_relevant", relevant)
+		sp.Set("shards_pruned", int64(len(qs)*len(e.inner))-relevant)
+		if relevant > 0 { // a fully pruned scatter reports no fold
+			sp.Set("shards_answered", int64(folded))
+			sp.Set("shards_dropped", relevant-int64(folded))
+			sp.Set("partials_folded", int64(folded))
+		}
+	}
 	return out
 }
 
@@ -642,7 +601,8 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core
 // predicate and merges each group's partials (engine.Grouper). Every
 // inner engine must support grouping.
 func (e *Engine) GroupBy(kind dataset.AggKind, q dataset.Rect, dim int, groups []float64) ([]core.GroupResult, error) {
-	rel, _ := e.route(q)
+	r := e.routeBatch([]core.BatchQuery{{Kind: kind, Rect: q}})
+	rel := r.touched(0)
 	if len(rel) == 0 {
 		if len(groups) == 0 {
 			return nil, fmt.Errorf("shard: GroupBy requires a non-empty group list")

@@ -11,14 +11,14 @@
 // deterministic hard bounds carry the same guarantees as a single
 // synopsis over the whole table.
 //
-// There is one query path. QueryCtx and QueryBatchCtx are two front-ends
-// over one executor (scatter: a goroutine per relevant shard, collect
-// until the context is done) and one drop rule (settle: a shard whose
-// partial is missing, by deadline or by error, is dropped — the answer
-// degrades, or fails when strict or when nothing answered); partials fold
-// in shard order after collection, so answers are bitwise independent of
-// completion order. Query and QueryBatch are the same calls under
-// context.Background().
+// There is one read body, QueryBatchCtx: a single query is a batch of
+// one. It runs one executor (scatter: a goroutine per active shard,
+// collect until the context is done) and one drop rule (settle: a shard
+// whose partial is missing, by deadline or by error, is dropped — the
+// answer degrades, or fails when strict or when nothing answered);
+// partials fold in shard order after collection, so answers are bitwise
+// independent of completion order. Query, QueryCtx and QueryBatch are
+// one-line wrappers over it.
 package shard
 
 import (

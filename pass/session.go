@@ -596,7 +596,7 @@ func (s *Session) execPlanCtx(ctx context.Context, tbl *catalog.Table, plan *sql
 		return SQLResult{Sketch: sketchAnswerFromResult(r)}, nil
 	}
 	if plan.GroupDim < 0 {
-		r, err := tbl.QueryCtx(ctx, plan.Agg, plan.Rect)
+		r, err := tbl.QueryBatchCtx(ctx, []core.BatchQuery{{Kind: plan.Agg, Rect: plan.Rect}})[0].Unpack()
 		if err != nil {
 			return SQLResult{}, err
 		}

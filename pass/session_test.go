@@ -1,10 +1,12 @@
 package pass
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func sessionFixture(t *testing.T) (*Session, *Table) {
@@ -95,36 +97,121 @@ func TestSessionRegisterDropTables(t *testing.T) {
 	}
 }
 
+// kdShardedSession serves a 4-shard 3-D table "trips" (hour, day, zone →
+// dist).
+func kdShardedSession(t *testing.T) *Session {
+	t.Helper()
+	tbl := NewTable([]string{"hour", "day", "zone"}, "dist")
+	for i := 0; i < 6000; i++ {
+		tbl.Append([]float64{float64(i % 24), float64(i % 7), float64(i % 31)}, float64(i%113)/8)
+	}
+	eng, schema, err := BuildShardedEngine(tbl, Options{Partitions: 32, SampleRate: 0.05, Seed: 9}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession()
+	if err := sess.RegisterEngine("trips", eng, schema); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// TestSessionExecBatchMatchesExec runs one statement through every
+// session entry point — Exec, ExecCtx under a far deadline, EXPLAIN
+// ANALYZE, PreparedStmt.Exec, and ExecBatch both alone and mixed with
+// other statements — for all five aggregates and one fully pruned
+// predicate, on an unsharded 1-D table, a 4-shard 1-D table and a 4-shard
+// 3-D table. A single statement is a batch of one at every layer below
+// the session, so every answer must be bitwise equal to Exec's; the
+// statements mixed in fail alone.
 func TestSessionExecBatchMatchesExec(t *testing.T) {
-	sess, _ := sessionFixture(t)
-	stmts := []string{
-		"SELECT SUM(light) FROM sensors WHERE time BETWEEN 6 AND 18",
-		"SELECT COUNT(*) FROM sensors WHERE time <= 12",
-		"SELECT AVG(light) FROM sensors WHERE time >= 20",
+	oneD := func(col string) []string {
+		return []string{
+			"SELECT SUM(light) FROM sensors WHERE " + col + " BETWEEN 6 AND 18",
+			"SELECT COUNT(*) FROM sensors WHERE " + col + " <= 12",
+			"SELECT AVG(light) FROM sensors WHERE " + col + " >= 20",
+			"SELECT MIN(light) FROM sensors WHERE " + col + " BETWEEN 3 AND 9",
+			"SELECT MAX(light) FROM sensors WHERE " + col + " < 7",
+			"SELECT COUNT(*) FROM sensors WHERE " + col + " > 100", // fully pruned
+		}
+	}
+	cases := []struct {
+		name  string
+		sess  func(t *testing.T) *Session
+		stmts []string
+	}{
+		{"unsharded 1-D", func(t *testing.T) *Session { sess, _ := sessionFixture(t); return sess }, oneD("time")},
+		{"4-shard 1-D", func(t *testing.T) *Session {
+			_, eng := shardedFixture(t, 4)
+			sess := NewSession()
+			if err := sess.RegisterEngine("sensors", eng, stubSchemaNamed("sensors", "hour", "light")); err != nil {
+				t.Fatal(err)
+			}
+			return sess
+		}, oneD("hour")},
+		{"4-shard 3-D", kdShardedSession, []string{
+			"SELECT SUM(dist) FROM trips WHERE hour BETWEEN 6 AND 18 AND day <= 4",
+			"SELECT COUNT(*) FROM trips WHERE hour >= 3 AND zone BETWEEN 5 AND 20",
+			"SELECT AVG(dist) FROM trips WHERE day BETWEEN 1 AND 5 AND zone < 17",
+			"SELECT MIN(dist) FROM trips WHERE hour <= 10 AND day >= 2 AND zone >= 4",
+			"SELECT MAX(dist) FROM trips WHERE hour BETWEEN 12 AND 23 AND zone <= 9",
+			"SELECT COUNT(*) FROM trips WHERE hour > 100 AND day <= 3", // fully pruned
+		}},
+	}
+	noise := []string{
 		"SELECT SUM(light) FROM missing",               // unknown table: per-statement error
-		"SELECT SUM(light) FROM sensors GROUP BY time", // numeric group-by: error
+		"SELECT SUM(light) FROM sensors GROUP BY time", // numeric GROUP BY, unknown column or table: error
 	}
-	batch := sess.ExecBatch(stmts)
-	if len(batch) != len(stmts) {
-		t.Fatalf("len = %d", len(batch))
-	}
-	for i, sr := range batch[:3] {
-		if sr.Err != nil {
-			t.Fatalf("stmt %d: %v", i, sr.Err)
-		}
-		single, err := sess.Exec(stmts[i])
-		if err != nil {
-			t.Fatalf("Exec %d: %v", i, err)
-		}
-		if sr.Result.Scalar != single.Scalar {
-			t.Errorf("stmt %d: batch %+v != exec %+v", i, sr.Result.Scalar, single.Scalar)
-		}
-	}
-	if batch[3].Err == nil || !strings.Contains(batch[3].Err.Error(), "missing") {
-		t.Errorf("unknown table in batch: %v", batch[3].Err)
-	}
-	if batch[4].Err == nil {
-		t.Error("numeric GROUP BY in batch should error")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := tc.sess(t)
+			var mixed []string
+			for i, sql := range tc.stmts {
+				mixed = append(mixed, noise[i%len(noise)], sql)
+			}
+			batch := sess.ExecBatch(mixed)
+			for i, sql := range tc.stmts {
+				want, err := sess.Exec(sql)
+				if err != nil {
+					t.Fatalf("Exec %q: %v", sql, err)
+				}
+				ps, err := sess.Prepare(sql)
+				if err != nil {
+					t.Fatalf("Prepare %q: %v", sql, err)
+				}
+				entry := map[string]func() (SQLResult, error){
+					"ExecCtx(far deadline)": func() (SQLResult, error) {
+						ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+						defer cancel()
+						return sess.ExecCtx(ctx, sql)
+					},
+					"EXPLAIN ANALYZE":   func() (SQLResult, error) { return sess.Exec("EXPLAIN ANALYZE " + sql) },
+					"PreparedStmt.Exec": func() (SQLResult, error) { return ps.Exec() },
+					"ExecBatch(alone)": func() (SQLResult, error) {
+						sr := sess.ExecBatch([]string{sql})[0]
+						return sr.Result, sr.Err
+					},
+					"ExecBatch(mixed)": func() (SQLResult, error) { return batch[2*i+1].Result, batch[2*i+1].Err },
+				}
+				for name, run := range entry {
+					got, err := run()
+					if err != nil {
+						t.Fatalf("%s %q: %v", name, sql, err)
+					}
+					if got.Scalar != want.Scalar {
+						t.Errorf("%s %q:\n got %+v\nwant %+v", name, sql, got.Scalar, want.Scalar)
+					}
+				}
+			}
+			for i := 0; i < len(mixed); i += 2 {
+				if batch[i].Err == nil {
+					t.Errorf("mixed-in statement %q must fail", mixed[i])
+				}
+			}
+			if err := batch[0].Err; err == nil || !strings.Contains(err.Error(), "missing") {
+				t.Errorf("unknown table in batch: %v", err)
+			}
+		})
 	}
 }
 
