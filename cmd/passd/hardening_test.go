@@ -220,7 +220,7 @@ func TestQueryTimeoutDegradedOverHTTP(t *testing.T) {
 	}
 	sess := pass.NewSession()
 	schema := sqlfe.SchemaFromColNames(d.ColNames)
-	if err := sess.RegisterEngineEphemeral("sensors", eng, schema); err != nil {
+	if err := sess.RegisterEngine("sensors", eng, schema); err != nil {
 		t.Fatal(err)
 	}
 	srv := newServer(sess)

@@ -68,7 +68,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -78,7 +77,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vfs"
@@ -281,9 +279,8 @@ func main() {
 	}
 }
 
-// loadDemo builds and registers the -demo table, sharded when -shards > 1.
-// A demo whose synopsis cannot be persisted (multi-dimensional) is served
-// ephemerally rather than aborting startup.
+// loadDemo builds and registers the -demo table, sharded when -shards > 1;
+// with -data-dir it is persisted like any other table.
 func loadDemo(sess *pass.Session, name string, rows, partitions int, rate float64, seed uint64, shards int) error {
 	if existing := sess.Tables(); len(existing) > 0 {
 		for _, t := range existing {
@@ -300,11 +297,10 @@ func loadDemo(sess *pass.Session, name string, rows, partitions int, rate float6
 	opt := pass.Options{Partitions: partitions, SampleRate: rate, Seed: seed}
 	if sess.Adaptive() {
 		// retain the demo rows so the re-optimizer can rebuild the table
-		persisted, err := sess.RegisterAdaptive("demo", tbl, opt, shards)
-		if err != nil {
+		if err := sess.RegisterAdaptive("demo", tbl, opt, shards); err != nil {
 			return err
 		}
-		log.Printf("passd: loaded demo table %q (%d rows, adaptive, persisted=%v)", name, tbl.Len(), persisted)
+		log.Printf("passd: loaded demo table %q (%d rows, adaptive, persisted=%v)", name, tbl.Len(), sess.Persistent())
 		return nil
 	}
 	if shards > 1 {
@@ -312,12 +308,7 @@ func loadDemo(sess *pass.Session, name string, rows, partitions int, rate float6
 		if err != nil {
 			return err
 		}
-		err = sess.RegisterEngine("demo", eng, schema)
-		if errors.Is(err, engine.ErrNotSerializable) {
-			log.Printf("passd: demo table %q is not serializable; serving without persistence", name)
-			err = sess.RegisterEngineEphemeral("demo", eng, schema)
-		}
-		if err != nil {
+		if err := sess.RegisterEngine("demo", eng, schema); err != nil {
 			return err
 		}
 		log.Printf("passd: loaded demo table %q (%d rows, %d shards)", name, tbl.Len(), shards)
@@ -327,12 +318,7 @@ func loadDemo(sess *pass.Session, name string, rows, partitions int, rate float6
 	if err != nil {
 		return err
 	}
-	err = sess.Register("demo", syn)
-	if errors.Is(err, engine.ErrNotSerializable) {
-		log.Printf("passd: demo table %q is not serializable; serving without persistence", name)
-		err = sess.RegisterEphemeral("demo", syn)
-	}
-	if err != nil {
+	if err := sess.Register("demo", syn); err != nil {
 		return err
 	}
 	log.Printf("passd: loaded demo table %q (%d rows)", name, tbl.Len())

@@ -474,14 +474,64 @@ func TestShardedTableOverHTTP(t *testing.T) {
 	ts2, _ := newPersistentServer(t, dir)
 	after := queryScalars(t, ts2.URL, script)
 	for i := range before {
-		wantEst := before[i]["estimate"].(float64)
-		gotEst := after[i]["estimate"].(float64)
-		if math.Abs(gotEst-wantEst) > 1e-6*math.Max(1, math.Abs(wantEst)) {
-			t.Errorf("statement %d: estimate %v after restart, want %v", i, gotEst, wantEst)
+		if !reflect.DeepEqual(after[i], before[i]) {
+			t.Errorf("statement %d: %v after restart, want %v", i, after[i], before[i])
 		}
 	}
 	if before[0]["estimate"].(float64) != 3002 {
 		t.Errorf("COUNT before crash = %v, want 3002", before[0]["estimate"])
+	}
+}
+
+// TestThreeDimTablePersists: on a durable server a 3-D table — unsharded
+// or sharded — is persisted like any other, answers bitwise the same after
+// a crash and warm start, and refuses writes with 422 before they reach
+// its write-ahead log.
+func TestThreeDimTablePersists(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("hour,zone,dist,fare\n")
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&sb, "%d,%d,%0.2f,%0.1f\n", i%24, i%31, float64(i%263)/7, float64(i%97)/3)
+	}
+	const script = "SELECT COUNT(*) FROM trips WHERE hour BETWEEN 3 AND 17 AND zone <= 20; " +
+		"SELECT SUM(fare) FROM trips WHERE dist >= 5 AND zone BETWEEN 4 AND 9; " +
+		"SELECT AVG(fare) FROM trips WHERE hour >= 12 AND dist <= 30; SELECT MAX(fare) FROM trips WHERE zone = 7"
+	for _, shards := range []int{1, 3} {
+		dir := t.TempDir()
+		ts, st := newPersistentServer(t, dir)
+		resp, body := postJSON(t, ts.URL+"/tables", map[string]any{
+			"name": "trips", "csv": sb.String(), "partitions": 32, "shards": shards,
+		})
+		if resp.StatusCode != http.StatusCreated || body["persisted"] != true {
+			t.Fatalf("%d shards: create: HTTP %d (%v), want 201 and persisted", shards, resp.StatusCode, body)
+		}
+		before := queryScalars(t, ts.URL, script)
+
+		wal := filepath.Join(dir, "trips.wal")
+		walBefore, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body = postJSON(t, ts.URL+"/tables/trips/rows", map[string]any{
+			"rows": []map[string]any{{"point": []float64{5, 6, 7}, "value": 8}},
+		})
+		if resp.StatusCode != http.StatusUnprocessableEntity || body["inserted"] != float64(0) {
+			t.Fatalf("%d shards: insert into a 3-D table: HTTP %d (%v), want 422 and none inserted", shards, resp.StatusCode, body)
+		}
+		if walAfter, err := os.ReadFile(wal); err != nil || !bytes.Equal(walAfter, walBefore) {
+			t.Fatalf("%d shards: a refused insert changed the WAL (%v)", shards, err)
+		}
+
+		// crash: no checkpoint, then a warm start on the same directory
+		ts.Close()
+		st.Close()
+		ts2, _ := newPersistentServer(t, dir)
+		after := queryScalars(t, ts2.URL, script)
+		for i := range before {
+			if !reflect.DeepEqual(after[i], before[i]) {
+				t.Errorf("%d shards, statement %d: %v after restart, want %v", shards, i, after[i], before[i])
+			}
+		}
 	}
 }
 

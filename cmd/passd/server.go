@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/pass"
@@ -375,7 +374,6 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		SampleSize: req.SampleSize,
 		Seed:       req.Seed,
 	}
-	persisted := s.sess.Persistent()
 	if s.sess.Adaptive() {
 		// the adaptive path retains the rows so the re-optimizer can
 		// rebuild the table against the observed workload
@@ -383,8 +381,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		if shards < 1 {
 			shards = 1
 		}
-		persisted, err := s.sess.RegisterAdaptive(req.Name, tbl, opt, shards)
-		s.respondCreated(w, req.Name, err, persisted)
+		s.respondCreated(w, req.Name, s.sess.RegisterAdaptive(req.Name, tbl, opt, shards))
 		return
 	}
 	if req.Shards > 1 {
@@ -393,12 +390,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		err = s.sess.RegisterEngine(req.Name, eng, schema)
-		if errors.Is(err, engine.ErrNotSerializable) {
-			persisted = false
-			err = s.sess.RegisterEngineEphemeral(req.Name, eng, schema)
-		}
-		s.respondCreated(w, req.Name, err, persisted)
+		s.respondCreated(w, req.Name, s.sess.RegisterEngine(req.Name, eng, schema))
 		return
 	}
 	syn, err := pass.BuildAuto(tbl, opt)
@@ -406,22 +398,14 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	err = s.sess.Register(req.Name, syn)
-	if errors.Is(err, engine.ErrNotSerializable) {
-		// the synopsis cannot be snapshotted (e.g. multi-dimensional):
-		// serve it without durability and say so, rather than failing the
-		// load or skipping persistence silently
-		persisted = false
-		err = s.sess.RegisterEphemeral(req.Name, syn)
-	}
-	s.respondCreated(w, req.Name, err, persisted)
+	s.respondCreated(w, req.Name, s.sess.Register(req.Name, syn))
 }
 
 // respondCreated maps a registration outcome to the create-table response:
 // name collisions are conflicts, build failures are client mistakes,
 // persistence failures are server faults, and success returns the
 // registered table's info (shard stats included).
-func (s *server) respondCreated(w http.ResponseWriter, name string, err error, persisted bool) {
+func (s *server) respondCreated(w http.ResponseWriter, name string, err error) {
 	if err != nil {
 		// persistence failures (disk full, I/O errors) are server-side
 		// faults; a name collision or options no synopsis can be built
@@ -438,7 +422,7 @@ func (s *server) respondCreated(w http.ResponseWriter, name string, err error, p
 	}
 	for _, ti := range s.sess.Tables() {
 		if strings.EqualFold(ti.Name, name) {
-			writeJSON(w, http.StatusCreated, createTableResponse{TableInfo: ti, Persisted: persisted})
+			writeJSON(w, http.StatusCreated, createTableResponse{TableInfo: ti, Persisted: s.sess.Persistent()})
 			return
 		}
 	}
@@ -449,8 +433,7 @@ func (s *server) respondCreated(w http.ResponseWriter, name string, err error, p
 type createTableResponse struct {
 	pass.TableInfo
 	// Persisted reports whether the table was snapshotted into the data
-	// directory (false when the server is ephemeral or the engine is not
-	// serializable).
+	// directory: false only on a server without -data-dir.
 	Persisted bool `json:"persisted"`
 }
 

@@ -88,7 +88,7 @@ func wireSession(t *testing.T) *pass.Session {
 	schema := sqlfe.SchemaFromColNames(d.ColNames)
 	schema.Dicts = map[string]*dataset.Dict{"zone": dict}
 	sess := pass.NewSession()
-	if err := sess.RegisterEngineEphemeral("sensors", eng, schema); err != nil {
+	if err := sess.RegisterEngine("sensors", eng, schema); err != nil {
 		t.Fatal(err)
 	}
 	return sess

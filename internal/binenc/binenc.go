@@ -152,8 +152,9 @@ func (r *Reader) Str() string {
 func (r *Reader) Bytes() []byte { return r.BytesCap(maxBlob) }
 
 // BytesCap reads a length-prefixed byte blob whose length the format
-// bounds more tightly than the global blob limit, so a corrupt length
-// field fails before allocating anything near the claimed size.
+// bounds more tightly than the global blob limit. The blob grows as its
+// bytes arrive, so a corrupt length field costs at most about twice the
+// input actually present, never the claimed size.
 func (r *Reader) BytesCap(limit uint64) []byte {
 	n := r.U64()
 	if r.err != nil {
@@ -163,12 +164,83 @@ func (r *Reader) BytesCap(limit uint64) []byte {
 		r.err = fmt.Errorf("binenc: blob length %d exceeds limit (corrupt data?)", n)
 		return nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	buf, err := io.ReadAll(io.LimitReader(r.r, int64(n)))
+	if err == nil && uint64(len(buf)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		r.err = fmt.Errorf("binenc: read blob body: %w", err)
 		return nil
 	}
 	return buf
+}
+
+// F64s writes a float64 slice as one blob of little-endian IEEE-754 bit
+// patterns, 8 bytes each, so every value round-trips to the bit.
+func (w *Writer) F64s(v []float64) {
+	w.U64(uint64(8 * len(v)))
+	var b [8]byte
+	for _, x := range v {
+		if w.err != nil {
+			return
+		}
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		_, w.err = w.w.Write(b[:])
+	}
+}
+
+// F64s reads a slice written by Writer.F64s.
+func (r *Reader) F64s() []float64 {
+	b := r.Bytes()
+	if r.err != nil {
+		return nil
+	}
+	if len(b)%8 != 0 {
+		r.err = fmt.Errorf("binenc: float64 blob of %d bytes (corrupt data?)", len(b))
+		return nil
+	}
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
+}
+
+// WriteInts writes an integer slice as one blob of signed varints.
+func WriteInts[T ~int | ~int32](w *Writer, v []T) {
+	b := make([]byte, 0, 2*len(v))
+	for _, x := range v {
+		b = binary.AppendVarint(b, int64(x))
+	}
+	w.Bytes(b)
+}
+
+// ReadInts reads a slice written by WriteInts; a value T cannot hold is
+// corrupt data.
+func ReadInts[T ~int | ~int32](r *Reader) []T {
+	b := r.Bytes()
+	if r.err != nil {
+		return nil
+	}
+	var out []T
+	for len(b) > 0 {
+		x, n := binary.Varint(b)
+		if n <= 0 || int64(T(x)) != x {
+			r.err = fmt.Errorf("binenc: bad varint in integer blob (corrupt data?)")
+			return nil
+		}
+		out = append(out, T(x))
+		b = b[n:]
+	}
+	return out
+}
+
+// Fail records err as the reader's error unless it already has one, so a
+// format's own consistency checks share the sticky-error path.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
 // Err returns the first error encountered, if any.

@@ -216,7 +216,7 @@ func (t *Table) AttachJournal(j Journal) {
 }
 
 // update is the one body of Insert, Delete and InsertMany, when the engine
-// is updatable (engine.Updatable). journal appends the update to an
+// takes updates (engine.Updater). journal appends the update to an
 // attached journal; apply changes the engine, notifies the observer and
 // returns the row delta.
 //
@@ -241,7 +241,8 @@ func (t *Table) update(op string, journal func(Journal) error, apply func(engine
 	} else {
 		defer t.mu.RUnlock()
 	}
-	u, ok := engine.Underlying(t.eng).(engine.Updatable)
+	// asked before the journal: a write the engine refuses is never logged
+	u, ok := engine.Updater(t.eng)
 	if !ok {
 		return 0, fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
 	}

@@ -187,13 +187,10 @@ type Synopsis struct {
 	dims      int
 	// sk holds the mergeable sketches (KLL/HLL/Misra-Gries) over the
 	// aggregate column, maintained through Insert/Delete and persisted
-	// with the synopsis. Nil only for synopses restored from a pre-sketch
-	// (v1) snapshot; sketch queries then return sketch.ErrUnavailable.
+	// with the synopsis; never nil.
 	sk *sketch.Set
 	// BuildTime records wall-clock construction cost.
 	BuildTime time.Duration
-	// Partitioning is the chosen 1D leaf partitioning (1D synopses only).
-	Partitioning partition.Partitioning
 }
 
 // Build constructs a 1D PASS synopsis over d. The dataset is not retained;
@@ -247,8 +244,7 @@ func buildFromPartitioning(sorted *dataset.Dataset, opts Options, p partition.Pa
 	s := &Synopsis{
 		opts: opts, tr: tr, oneD: tr,
 		n: sorted.N(), dims: 1,
-		Partitioning: p,
-		sk:           sketchFromAgg(sorted.Agg),
+		sk: sketchFromAgg(sorted.Agg),
 	}
 	s.drawSamples1D(sorted, tr)
 	s.startReservoir()
@@ -456,18 +452,13 @@ func sketchFromAgg(agg []float64) *sketch.Set {
 
 // SketchQuery answers one mergeable-sketch aggregate (QUANTILE, COUNT
 // DISTINCT, TOPK) from the synopsis's sketch set; with SketchSet it
-// provides the engine.Sketcher capability. Synopses restored from a
-// pre-sketch (v1) snapshot return sketch.ErrUnavailable.
+// provides the engine.Sketcher capability.
 func (s *Synopsis) SketchQuery(q sketch.Query) (sketch.Result, error) {
-	if s.sk == nil {
-		return sketch.Result{}, sketch.ErrUnavailable
-	}
 	return s.sk.Answer(q)
 }
 
 // SketchSet exposes the synopsis's sketch state for merging by composite
-// engines. Callers must treat it as read-only; nil for pre-sketch
-// snapshots.
+// engines. Callers must treat it as read-only.
 func (s *Synopsis) SketchSet() *sketch.Set { return s.sk }
 
 func maxInt(a, b int) int {

@@ -147,8 +147,8 @@ func TestScanLeafMatchesReference(t *testing.T) {
 }
 
 // TestColumnarSerializeRoundTrip saves and reloads a synopsis and verifies
-// the restored columnar layout: invariants hold, leaf sample multisets
-// match up to delta-encoding precision, and query answers agree.
+// the restored columnar layout: invariants hold, leaf samples match to the
+// bit, and query answers agree.
 func TestColumnarSerializeRoundTrip(t *testing.T) {
 	d := dataset.GenNYCTaxi(6000, 1, 8)
 	s := build1D(t, d, 16, 0.05)
@@ -180,7 +180,7 @@ func TestColumnarSerializeRoundTrip(t *testing.T) {
 			if a[j].Point[0] != b[j].Point[0] {
 				t.Fatalf("leaf %d sample %d: point %v, want %v", leaf, j, b[j].Point[0], a[j].Point[0])
 			}
-			if math.Abs(a[j].Value-b[j].Value) > defaultSerPrecision {
+			if a[j].Value != b[j].Value {
 				t.Fatalf("leaf %d sample %d: value %v, want %v", leaf, j, b[j].Value, a[j].Value)
 			}
 		}

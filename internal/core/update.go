@@ -7,14 +7,21 @@ import (
 )
 
 // startReservoir makes the leaf store the reservoir of Vitter's Algorithm
-// R. The samples it holds — drawn at build time or restored by Load — are
-// a uniform sample of the n rows, which is exactly the reservoir
-// invariant, so Insert continues the stream with acceptance probability
-// K/n for capacity K = their count.
+// R. The samples it holds — drawn at build time, or restored from a
+// version-2 synopsis, which kept no reservoir state — are a uniform sample
+// of the n rows, which is exactly the reservoir invariant, so Insert
+// continues the stream with acceptance probability K/n for capacity K =
+// their count. Load of the current format restores the capacity and the
+// stream's position instead, so a restart draws what the saved process
+// would have drawn.
 func (s *Synopsis) startReservoir() {
 	s.sampleCap = maxInt(s.store.totalLen(), 1)
 	s.sampleRNG = stats.NewRNG(s.opts.Seed + 0x51ed)
 }
+
+// TakesUpdates reports whether Insert and Delete can succeed: true for a
+// 1D synopsis, false for a k-d one.
+func (s *Synopsis) TakesUpdates() bool { return s.oneD != nil }
 
 // Insert adds one tuple (point, value) to a 1D synopsis: tree statistics
 // are updated along the leaf-to-root path in O(log k), and the stratified
@@ -29,9 +36,7 @@ func (s *Synopsis) Insert(point []float64, value float64) error {
 	leaf := s.oneD.LocateLeaf(point[0])
 	s.oneD.ApplyInsert(leaf, value)
 	s.n++
-	if s.sk != nil {
-		s.sk.Add(value)
-	}
+	s.sk.Add(value)
 	// Algorithm R: below capacity the row always enters; at capacity it
 	// enters with probability K/n, in place of global store row j — a
 	// uniform pick among the K rows the store holds
@@ -59,9 +64,7 @@ func (s *Synopsis) Delete(point []float64, value float64) error {
 		return err
 	}
 	s.n--
-	if s.sk != nil {
-		s.sk.Delete(value)
-	}
+	s.sk.Delete(value)
 	s.store.removeRow(leaf, point, value)
 	return nil
 }

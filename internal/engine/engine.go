@@ -23,6 +23,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -33,13 +34,10 @@ import (
 )
 
 // ErrNotSerializable is returned (wrapped, with engine and table context)
-// when persistence is requested of an engine that cannot provide it —
-// one without the Serializable capability, or a multi-dimensional PASS
-// synopsis whose Save fails at runtime (it aliases core.ErrNotSerializable
-// so both cases match one sentinel). Callers that can degrade gracefully
-// (serve the table without durability) detect it with errors.Is;
-// everything else should surface it, never skip it silently.
-var ErrNotSerializable = core.ErrNotSerializable
+// when persistence is requested of an engine without the Serializable
+// capability — one of the comparator engines. Every PASS synopsis, 1D or
+// k-d, sharded or not, is serializable.
+var ErrNotSerializable = errors.New("engine is not serializable")
 
 // Engine is the interface every AQP system implements: single queries
 // plus whole-workload batched execution. Engines with an internally
@@ -66,6 +64,28 @@ type Engine interface {
 type Updatable interface {
 	Insert(point []float64, value float64) error
 	Delete(point []float64, value float64) error
+}
+
+// Updater returns e's update capability: its Underlying engine as
+// Updatable, or false when e takes no updates. A multi-dimensional PASS
+// synopsis has the methods but no maintenance path for its k-d tree, so
+// neither it nor a sharded engine over such synopses counts; the catalog
+// asks before it journals a write, so a write such a table refuses never
+// reaches its log.
+func Updater(e Engine) (Updatable, bool) {
+	e = Underlying(e)
+	u, ok := e.(Updatable)
+	if !ok {
+		return nil, false
+	}
+	inner := e
+	if sh, ok := e.(Sharded); ok {
+		inner = Underlying(sh.Shard(0)) // every shard has its engine's kind
+	}
+	if syn, ok := inner.(*core.Synopsis); ok && !syn.TakesUpdates() {
+		return nil, false
+	}
+	return u, true
 }
 
 // Serializable is the optional persistence capability: engines whose
@@ -247,15 +267,15 @@ func SnapshotShards(e Engine) (info ShardInfo, inner string, payloads [][]byte, 
 // engine, merged at gather time) — so the capability sits beside Query
 // rather than extending it.
 type Sketcher interface {
-	// SketchQuery answers one sketch aggregate. Engines restored from a
-	// snapshot that predates sketch maintenance return
+	// SketchQuery answers one sketch aggregate. An engine without sketch
+	// state (a sharded engine over comparator shards) returns
 	// sketch.ErrUnavailable.
 	SketchQuery(q sketch.Query) (sketch.Result, error)
 	// SketchSet exposes the engine's sketch state for merging by
 	// composite engines (scatter-gather). Callers must treat the returned
 	// set as read-only and must not retain it across updates; composite
 	// engines clone before merging. Nil when the engine carries no
-	// sketches (pre-sketch snapshot).
+	// sketches.
 	SketchSet() *sketch.Set
 }
 

@@ -422,6 +422,7 @@ func (t *Tree) minSplittableDepth(pq *candHeap) int {
 func (t *Tree) assignLeafIDs() {
 	t.leaves = t.leaves[:0]
 	for i, k := range t.numKids {
+		t.leafOf[i] = -1
 		if k == 0 {
 			t.leafOf[i] = int32(len(t.leaves))
 			t.leaves = append(t.leaves, i)

@@ -25,9 +25,9 @@ type SketchMerger struct {
 func (m *SketchMerger) Reset() { m.acc = nil }
 
 // Absorb folds one shard's sketch set into the accumulator. Nil sets
-// (engines restored from pre-sketch snapshots) contribute nothing and
-// are reported back, so the caller can surface the gap instead of
-// silently undercounting.
+// (engines that maintain no sketches) contribute nothing and are
+// reported back, so the caller can surface the gap instead of silently
+// undercounting.
 func (m *SketchMerger) Absorb(s *sketch.Set) bool {
 	if s == nil {
 		return false

@@ -652,7 +652,7 @@ func (e *Engine) SketchQuery(q sketch.Query) (sketch.Result, error) {
 // KLL/Misra-Gries state deterministic from run to run (sketch merges are
 // commutative at the answer level, but only a fixed fold order is
 // byte-reproducible). Nil when any shard's inner engine lacks the
-// capability or predates sketch maintenance.
+// capability or carries no sketch state.
 func (e *Engine) SketchSet() *sketch.Set {
 	m := merge.GetSketch()
 	defer merge.PutSketch(m)
@@ -690,7 +690,7 @@ func (e *Engine) update(point []float64, apply func(engine.Updatable) error) err
 	if err != nil {
 		return err
 	}
-	u, ok := engine.Underlying(e.inner[i]).(engine.Updatable)
+	u, ok := engine.Updater(e.inner[i])
 	if !ok {
 		return fmt.Errorf("shard: inner engine %s of shard %d does not support updates", e.inner[i].Name(), i)
 	}

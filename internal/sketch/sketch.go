@@ -84,10 +84,10 @@ type Result struct {
 // decoder never panics on hostile input; it returns this.
 var ErrCorrupt = errors.New("sketch: corrupt serialized state")
 
-// ErrUnavailable is returned when a table's engine predates sketch
-// maintenance (a v1 snapshot warm start): the capability exists but the
-// state was never built. Rebuilding the table from base rows fixes it.
-var ErrUnavailable = errors.New("sketch: sketches unavailable (snapshot predates sketch support; rebuild the table)")
+// ErrUnavailable is returned when a table's engine carries no sketch
+// state: a comparator engine, or a sharded engine over such shards. Every
+// PASS synopsis, built or loaded, carries its sketches.
+var ErrUnavailable = errors.New("sketch: sketches unavailable (the table's engine maintains none)")
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))

@@ -8,7 +8,10 @@
 // a seed.
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded through splitmix64). It is not safe for concurrent
@@ -40,6 +43,21 @@ func NewRNG(seed uint64) *RNG {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
+}
+
+// State returns the generator's position in its stream: RestoreRNG(State())
+// draws what r draws next. The cached second normal variate of Norm is not
+// part of it, so a generator that has drawn an odd number of them does not
+// restore exactly.
+func (r *RNG) State() [4]uint64 { return r.s }
+
+// RestoreRNG returns a generator at a position State reported. The
+// all-zero state, which no generator reaches, is an error.
+func RestoreRNG(s [4]uint64) (*RNG, error) {
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		return nil, fmt.Errorf("stats: all-zero generator state")
+	}
+	return &RNG{s: s}, nil
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -3,12 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -42,8 +39,7 @@ func TestWALSyncFailureDegradesAndRecoversOnRestart(t *testing.T) {
 	tbl, _ := buildTable(t, "sensors", 2500, 11)
 	persist(t, st, tbl)
 
-	// the twin starts from the same snapshot bytes the recovery will read,
-	// so the comparison is exact (delta-encoded samples included)
+	// the twin starts from the same snapshot bytes the recovery will read
 	snap, err := ReadSnapshotFileFS(vfs.OS(), st.shardSnapPath("sensors", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -356,32 +352,58 @@ func TestCrashDuringCheckpointRecovers(t *testing.T) {
 // outside every shard's bounds, so they grow them — and checkpointed or
 // loaded with the k-th filesystem operation crashing, for every k. What
 // the crash left behind must then settle to the answers of a twin that
-// did the same without crashing.
+// did the same without crashing, to the bit. A multi-dimensional table
+// takes no updates: its batches are refused before they touch a file, and
+// the sweeps crash its checkpoints and loads all the same.
 
-// sweepBatch is the i-th batch of rows the sweeps insert.
-func sweepBatch(i int) ([][]float64, []float64) {
+// sweepBatch is the i-th batch of rows the sweeps insert into a table with
+// dims predicate columns.
+func sweepBatch(i, dims int) ([][]float64, []float64) {
 	keys := []float64{-50, 3, 101.5, 250, 399, 420.25, 610, 799, 900}
 	points := make([][]float64, 0, 2*len(keys))
 	values := make([]float64, 0, 2*len(keys))
 	for r := 0; r < 2; r++ {
 		for j, k := range keys {
-			points = append(points, []float64{k + float64(r)/4})
+			pt := make([]float64, dims)
+			pt[0] = k + float64(r)/4
+			points = append(points, pt)
 			values = append(values, float64(10*i+j)+0.5)
 		}
 	}
 	return points, values
 }
 
+// insertSweepBatch journals sweepBatch(i) into tbl: all of it on a 1D
+// table; nothing, with the refusal, on a multi-dimensional one.
+func insertSweepBatch(t *testing.T, tbl *catalog.Table, i int) {
+	t.Helper()
+	dims := len(tbl.Schema().PredColumns)
+	points, values := sweepBatch(i, dims)
+	n, err := tbl.InsertMany(points, values)
+	switch {
+	case dims == 1 && (err != nil || n != len(points)):
+		t.Fatalf("journaled insert: %d, %v", n, err)
+	case dims > 1 && (err == nil || n != 0):
+		t.Fatalf("insert into a %d-D table: %d applied, %v; want it refused", dims, n, err)
+	}
+}
+
 // probeAll answers a fixed probe set through the table, one line per
-// probe carrying every field of the core.Result.
+// probe carrying every field of the core.Result. On a multi-dimensional
+// table each probe also constrains the other columns.
 func probeAll(t *testing.T, tbl *catalog.Table) []string {
 	t.Helper()
+	dims := len(tbl.Schema().PredColumns)
 	var out []string
 	for _, kind := range []dataset.AggKind{dataset.Sum, dataset.Count, dataset.Avg, dataset.Min, dataset.Max} {
 		for _, q := range []dataset.Rect{
 			dataset.Rect1(-1e18, 1e18), dataset.Rect1(-100, 50), dataset.Rect1(37.5, 412.25),
 			dataset.Rect1(150, 151), dataset.Rect1(580, 1000), dataset.Rect1(850, 950), dataset.Rect1(-80, -10),
+			dataset.Rect1(2, 19.5),
 		} {
+			for c := 1; c < dims; c++ {
+				q.Lo, q.Hi = append(q.Lo, 3*float64(c)), append(q.Hi, 20*float64(c))
+			}
 			r, err := tbl.Query(kind, q)
 			if err != nil {
 				t.Fatalf("probe %v %v: %v", kind, q, err)
@@ -392,26 +414,14 @@ func probeAll(t *testing.T, tbl *catalog.Table) []string {
 	return out
 }
 
-// sameWithinCodec compares two probeAll outputs up to the snapshot
-// codec's fixed-point sample encoding (1e-6 of a value unit): the state a
-// load serves from memory and the same state after one more trip through
-// a snapshot differ by that much and no more. Counts, flags and exact-path
-// answers must match to the bit.
-func sameWithinCodec(t *testing.T, want, got []string, context string) {
+// sameProbes holds two probeAll outputs equal to the bit.
+func sameProbes(t *testing.T, want, got []string, context string) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d answers, want %d", context, len(got), len(want))
 	}
-	num := regexp.MustCompile(`:(-?[0-9][0-9.e+-]*)`)
 	for i := range want {
-		w, g := num.FindAllStringSubmatch(want[i], -1), num.FindAllStringSubmatch(got[i], -1)
-		ok := num.ReplaceAllString(want[i], ":#") == num.ReplaceAllString(got[i], ":#") && len(w) == len(g)
-		for j := 0; ok && j < len(w); j++ {
-			a, _ := strconv.ParseFloat(w[j][1], 64)
-			b, _ := strconv.ParseFloat(g[j][1], 64)
-			ok = math.Abs(a-b) <= 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-		}
-		if !ok {
+		if got[i] != want[i] {
 			t.Errorf("%s:\n got %s\nwant %s", context, got[i], want[i])
 		}
 	}
@@ -492,10 +502,7 @@ func settle(t *testing.T, dir string) settled {
 	if wals != 1 {
 		t.Errorf("%d WALs after a load, want 1: %v", wals, fileset(t, dir))
 	}
-	points, values := sweepBatch(2)
-	if n, err := tbl.InsertMany(points, values); err != nil || n != len(points) {
-		t.Fatalf("insert after restart: %d, %v", n, err)
-	}
+	insertSweepBatch(t, tbl, 2)
 	st.Close()
 	st, tbl, err = openTable(t, dir, testOpts())
 	if err != nil {
@@ -506,30 +513,15 @@ func settle(t *testing.T, dir string) settled {
 	return s
 }
 
-// sameSettled holds a crashed run to its uncrashed twins: one whose
-// checkpoint (or import) completed and, for a checkpoint, one that never
-// started it — a crash leaves either every shard's records in the log or
-// a state the next load rolls forward to the completed one.
-//
-// At the first restart a crashed run may serve from memory a shard the
-// twin read back from a snapshot, or the reverse, hence the codec
-// tolerance. By the second restart it must be one of the twins to the bit:
-// each shard's sample is a deterministic function of its snapshot bytes
-// and the records replayed over them, and the two twins are the only two
-// ways those can have been laid down.
-func sameSettled(t *testing.T, got settled, context string, twins ...settled) {
+// sameSettled holds a crashed run to its uncrashed twin at both restarts,
+// to the bit: each shard's state is a function of its snapshot bytes and
+// the records replayed over them, and a snapshot restores exactly what
+// was in memory, so every way a crash can have laid them down serves the
+// same answers.
+func sameSettled(t *testing.T, got settled, context string, want settled) {
 	t.Helper()
-	sameWithinCodec(t, twins[0].first, got.first, context+", first restart")
-	for _, twin := range twins {
-		if slices.Equal(got.second, twin.second) {
-			return
-		}
-	}
-	for i, line := range got.second {
-		if line != twins[0].second[i] {
-			t.Errorf("%s, second restart matches no twin:\n got %s\nwant %s", context, line, twins[0].second[i])
-		}
-	}
+	sameProbes(t, want.first, got.first, context+", first restart")
+	sameProbes(t, want.second, got.second, context+", second restart")
 }
 
 func faultOpts(fsys vfs.FS) Options {
@@ -546,7 +538,8 @@ func totalOps(fsys *vfs.FaultFS) int {
 
 // journaled returns a copy of base with sweepBatch(1) journaled and, if
 // asked, a checkpoint run into fault (nil: to completion), with the
-// number of filesystem operations the checkpoint issued.
+// number of filesystem operations the checkpoint issued. A batch a
+// multi-dimensional table refuses must issue none.
 func journaled(t *testing.T, base string, checkpoint bool, fault *vfs.Fault) (dir string, ops int) {
 	t.Helper()
 	dir = cloneDir(t, base)
@@ -556,18 +549,19 @@ func journaled(t *testing.T, base string, checkpoint bool, fault *vfs.Fault) (di
 		t.Fatal(err)
 	}
 	defer st.Close() // releases descriptors; flushes nothing
-	points, values := sweepBatch(1)
-	if n, err := tbl.InsertMany(points, values); err != nil || n != len(points) {
-		t.Fatalf("journaled insert: %d, %v", n, err)
+	before := totalOps(fsys)
+	insertSweepBatch(t, tbl, 1)
+	if dims := len(tbl.Schema().PredColumns); dims > 1 && totalOps(fsys) != before {
+		t.Fatalf("a refused insert into a %d-D table issued %d filesystem operations", dims, totalOps(fsys)-before)
 	}
 	if !checkpoint {
 		return dir, 0
 	}
-	before := totalOps(fsys)
+	before = totalOps(fsys)
 	if fault != nil {
 		fsys.Inject(fault)
 	}
-	if err := st.CheckpointAll(); (err != nil) != (fault != nil) {
+	if err := st.SaveSharded(tbl); (err != nil) != (fault != nil) {
 		t.Fatalf("checkpoint with fault %+v: %v", fault, err)
 	}
 	return dir, totalOps(fsys) - before
@@ -575,27 +569,22 @@ func journaled(t *testing.T, base string, checkpoint bool, fault *vfs.Fault) (di
 
 // sweepCheckpointCrashes crashes a checkpoint of base's table on each of
 // its filesystem operations and returns the settled answers of the twin
-// whose checkpoint completed.
+// whose checkpoint completed. That twin and the one that never
+// checkpointed — its batch still in the log — must agree to the bit.
 func sweepCheckpointCrashes(t *testing.T, base string) settled {
 	t.Helper()
 	done, ops := journaled(t, base, true, nil)
 	never, _ := journaled(t, base, false, nil)
-	twins := []settled{settle(t, done), settle(t, never)}
+	want := settle(t, done)
+	sameSettled(t, settle(t, never), "journaled twin against the checkpointed one", want)
 	if ops < 8 {
 		t.Fatalf("a checkpoint took %d filesystem operations; the sweep is not seeing them", ops)
 	}
-	// the twins hold the same rows: wherever an answer reads whole
-	// partitions only (no sample) they agree to the bit
-	for i, line := range twins[0].second {
-		if strings.Contains(line, "PartialParts:0") && line != twins[1].second[i] {
-			t.Errorf("twins disagree on an exact answer:\n checkpointed %s\n      journaled %s", line, twins[1].second[i])
-		}
-	}
 	for k := 0; k < ops; k++ {
 		dir, _ := journaled(t, base, true, &vfs.Fault{Op: vfs.OpAny, After: k, Crash: true})
-		sameSettled(t, settle(t, dir), fmt.Sprintf("checkpoint crashed at operation %d/%d", k+1, ops), twins...)
+		sameSettled(t, settle(t, dir), fmt.Sprintf("checkpoint crashed at operation %d/%d", k+1, ops), want)
 	}
-	return twins[0]
+	return want
 }
 
 // sweepLoadCrashes crashes the warm start of the fileset in state — one
@@ -687,7 +676,7 @@ func sweepRemoveCrashes(t *testing.T, base string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameWithinCodec(t, whole, probeAll(t, tbl), context+", table still whole")
+			sameProbes(t, whole, probeAll(t, tbl), context+", table still whole")
 			st.Close()
 			continue
 		}
@@ -709,7 +698,7 @@ func sweepRemoveCrashes(t *testing.T, base string) {
 		if err != nil {
 			t.Fatalf("%s: reload of a table created over the orphans %v: %v", context, fileset(t, dir), err)
 		}
-		sameWithinCodec(t, want, probeAll(t, tbl), context+", table created anew")
+		sameProbes(t, want, probeAll(t, tbl), context+", table created anew")
 		st.Close()
 	}
 	if dropped == 0 || dropped == ops {

@@ -159,7 +159,7 @@ func (s *Store) loadTable(manifestPath string) (LoadedTable, error) {
 		return LoadedTable{}, err
 	}
 	replayed, ahead := 0, false
-	u, _ := engine.Underlying(eng).(engine.Updatable)
+	u, _ := engine.Updater(eng)
 	apply := func(rec Record) error {
 		if u == nil {
 			return fmt.Errorf("store: table %q has journaled updates but engine %s is not updatable", m.Name, eng.Name())

@@ -226,6 +226,37 @@ func TestShardedCrashBetweenSnapshotsAndManifest(t *testing.T) {
 	sweepLoadCrashes(t, torn, want)
 }
 
+// TestShardedKDCrashSweep runs the crash sweeps over a 3-D table of three
+// k-d shards: every batch it is given is refused before it touches a file,
+// a checkpoint crashed on any filesystem operation — and the load that
+// rolls a torn one forward, crashed on any of its own — leaves a fileset
+// that warm-starts to the uncrashed answers, to the bit.
+func TestShardedKDCrashSweep(t *testing.T) {
+	d := dataset.GenNYCTaxi(900, 3, 12)
+	e, err := factory.Build("sharded:pass:3", d, factory.Spec{Partitions: 16, SampleSize: 90, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := sqlfe.SchemaFromColNames(d.ColNames)
+	schema.Table = "trips"
+	tbl, err := catalog.New().Register("trips", e, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := t.TempDir()
+	st, err := Open(base, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	persist(t, st, tbl)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := sweepCheckpointCrashes(t, base)
+	torn, _ := journaled(t, base, true, &vfs.Fault{Op: vfs.OpWrite, Path: ".s1.snap", Crash: true})
+	sweepLoadCrashes(t, torn, want)
+}
+
 // TestInsertManyIsOneGroupCommitAcrossShards pins the write path's cost
 // and atomicity: a batch whose rows route to every shard is one write and
 // one fsync on the table's one WAL, a crash on either leaves all of it or

@@ -155,70 +155,55 @@ var ErrBuild = errors.New("pass: cannot build synopsis")
 func (s *Session) Adaptive() bool { return s.adaptive != nil }
 
 // RegisterAdaptive builds a synopsis over the table (sharded when
-// shards > 1), registers it like Register/RegisterEngine, and — for
-// one-predicate-column tables — retains a copy of the rows so the
-// background re-optimizer can rebuild the synopsis with workload-aligned
-// partition boundaries. Multi-dimensional tables are registered and
-// observed but not rebuildable (the k-d tree has no 1D boundaries to
-// force); they behave exactly like plain registration.
-//
-// With a store attached the table persists like Register; engines that
-// cannot be serialized fall back to ephemeral serving, reported by the
-// persisted return.
-func (s *Session) RegisterAdaptive(name string, t *Table, opt Options, shards int) (persisted bool, err error) {
+// shards > 1), registers it like Register/RegisterEngine — persisted when
+// a store is attached — and, for one-predicate-column tables, retains a
+// copy of the rows so the background re-optimizer can rebuild the
+// synopsis with workload-aligned partition boundaries. Multi-dimensional
+// tables are registered and observed but not rebuildable (the k-d tree
+// has no 1D boundaries to force); they behave exactly like plain
+// registration.
+func (s *Session) RegisterAdaptive(name string, t *Table, opt Options, shards int) error {
 	if s.adaptive == nil {
-		return false, fmt.Errorf("pass: RegisterAdaptive requires EnableAdaptive first")
+		return fmt.Errorf("pass: RegisterAdaptive requires EnableAdaptive first")
 	}
 	if t == nil || t.Len() == 0 {
-		return false, fmt.Errorf("%w: RegisterAdaptive needs a non-empty table", ErrBuild)
+		return fmt.Errorf("%w: RegisterAdaptive needs a non-empty table", ErrBuild)
 	}
-	persisted = s.store != nil
 	if shards > 1 {
-		eng, schema, berr := BuildShardedEngine(t, opt, shards)
-		if berr != nil {
-			return false, fmt.Errorf("%w: %w", ErrBuild, berr)
+		eng, schema, err := BuildShardedEngine(t, opt, shards)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrBuild, err)
 		}
-		err = s.RegisterEngine(name, eng, schema)
-		if isNotSerializable(err) {
-			persisted = false
-			err = s.RegisterEngineEphemeral(name, eng, schema)
+		if err := s.RegisterEngine(name, eng, schema); err != nil {
+			return err
 		}
 	} else {
-		syn, berr := BuildAuto(t, opt)
-		if berr != nil {
-			return false, fmt.Errorf("%w: %w", ErrBuild, berr)
+		syn, err := BuildAuto(t, opt)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrBuild, err)
 		}
-		err = s.Register(name, syn)
-		if isNotSerializable(err) {
-			persisted = false
-			err = s.RegisterEphemeral(name, syn)
+		if err := s.Register(name, syn); err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		return false, err
 	}
 	if t.Dims() != 1 {
-		return persisted, nil
+		return nil
 	}
 	tbl, err := s.cat.Lookup(name)
 	if err != nil {
-		return persisted, err
+		return err
 	}
 	if shards < 1 {
 		shards = 1
 	}
-	src := &tableSource{data: t.inner.Clone(), opt: opt, shards: shards, persisted: persisted}
+	src := &tableSource{data: t.inner.Clone(), opt: opt, shards: shards, persisted: s.store != nil}
 	rt := s.adaptive
 	rt.mu.Lock()
 	rt.sources[strings.ToLower(name)] = src
 	rt.mu.Unlock()
 	tbl.AttachObserver(src)
 	s.auditAttachSource(tbl)
-	return persisted, nil
-}
-
-func isNotSerializable(err error) bool {
-	return errors.Is(err, engine.ErrNotSerializable)
+	return nil
 }
 
 // Reoptimize forces a re-optimization decision for one table now,

@@ -35,7 +35,7 @@ func newAdaptiveSession(t *testing.T) (*Session, *Table) {
 		t.Fatal(err)
 	}
 	tbl := adaptiveTestTable(6000)
-	if _, err := sess.RegisterAdaptive("t", tbl, Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
+	if err := sess.RegisterAdaptive("t", tbl, Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
 		t.Fatal(err)
 	}
 	return sess, tbl
@@ -265,13 +265,9 @@ func TestAdaptiveShardedReoptimizePersists(t *testing.T) {
 	if _, err := sess.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	persisted, err := sess.RegisterAdaptive("t", adaptiveTestTable(6000),
-		Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 3)
-	if err != nil {
+	if err := sess.RegisterAdaptive("t", adaptiveTestTable(6000),
+		Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 3); err != nil {
 		t.Fatal(err)
-	}
-	if !persisted {
-		t.Fatal("sharded PASS table should persist")
 	}
 
 	for i := 0; i < 40; i++ {
@@ -351,7 +347,7 @@ func TestRegisterAdaptiveMultiDim(t *testing.T) {
 	if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RegisterAdaptive("taxi", DemoTaxi(3000, 2, 1),
+	if err := sess.RegisterAdaptive("taxi", DemoTaxi(3000, 2, 1),
 		Options{Partitions: 32, SampleRate: 0.05, Seed: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +373,7 @@ func TestRegisterAdaptiveMultiDim(t *testing.T) {
 // contract of RegisterAdaptive.
 func TestEnableAdaptiveGuards(t *testing.T) {
 	sess := NewSession()
-	if _, err := sess.RegisterAdaptive("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1}, 1); err == nil {
+	if err := sess.RegisterAdaptive("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1}, 1); err == nil {
 		t.Fatal("RegisterAdaptive before EnableAdaptive must fail")
 	}
 	if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
@@ -390,7 +386,7 @@ func TestEnableAdaptiveGuards(t *testing.T) {
 		t.Fatal("Reoptimize of an unknown table must fail")
 	}
 	// dropping clears adaptive state without error
-	if _, err := sess.RegisterAdaptive("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1, Seed: 1}, 1); err != nil {
+	if err := sess.RegisterAdaptive("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1, Seed: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.Exec("SELECT COUNT(*) FROM t WHERE x >= 0"); err != nil {

@@ -26,7 +26,7 @@ func newAuditSession(t *testing.T, fraction float64) *Session {
 	if err := sess.EnableAudit(AuditConfig{SampleFraction: fraction, QueueSize: 8192, Manual: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RegisterAdaptive("t", adaptiveTestTable(6000), Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
+	if err := sess.RegisterAdaptive("t", adaptiveTestTable(6000), Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
 		t.Fatal(err)
 	}
 	return sess
@@ -179,7 +179,7 @@ func TestAuditSLOWiring(t *testing.T) {
 	if err := sess.EnableAudit(AuditConfig{}); err == nil {
 		t.Fatal("double EnableAudit must fail")
 	}
-	if _, err := sess.RegisterAdaptive("t", adaptiveTestTable(6000), Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
+	if err := sess.RegisterAdaptive("t", adaptiveTestTable(6000), Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -226,7 +226,7 @@ func benchSession(tb testing.TB, auditFraction float64) *Session {
 	for i := 0; i < 20000; i++ {
 		tbl.Append([]float64{float64(i)}, float64(i%97))
 	}
-	if _, err := sess.RegisterAdaptive("t", tbl, Options{Partitions: 64, SampleRate: 0.01, Seed: 3}, 1); err != nil {
+	if err := sess.RegisterAdaptive("t", tbl, Options{Partitions: 64, SampleRate: 0.01, Seed: 3}, 1); err != nil {
 		tb.Fatal(err)
 	}
 	return sess

@@ -342,14 +342,14 @@ func (t *Table) schema() sqlfe.Schema {
 	return s
 }
 
-// Save writes a 1D synopsis in a compact binary format (sample values are
-// delta-encoded against their partition averages, Section 3.4). Column
-// names are not persisted; call SetSchema after LoadSynopsis to run SQL.
+// Save writes the synopsis, 1D or multi-dimensional, exactly as it is in
+// memory. Column names are not persisted; call SetSchema after
+// LoadSynopsis to run SQL.
 func (s *Synopsis) Save(w io.Writer) error { return s.inner.Save(w) }
 
 // LoadSynopsis restores a synopsis written by Save. The result answers
-// queries identically (up to delta-encoding precision) and accepts
-// further Insert/Delete calls.
+// every query bit for bit like the saved one, and a 1D synopsis takes
+// further Insert/Delete calls exactly as the saved one would have.
 func LoadSynopsis(r io.Reader) (*Synopsis, error) {
 	inner, err := core.Load(r)
 	if err != nil {

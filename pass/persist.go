@@ -62,37 +62,32 @@ func (s *Session) RegisterEngine(name string, eng engine.Engine, schema sqlfe.Sc
 		return fmt.Errorf("pass: nil engine")
 	}
 	schema.Table = name
-	return s.register(name, eng, schema, s.store != nil)
+	return s.register(name, eng, schema)
 }
 
-// RegisterEngineEphemeral registers an arbitrary engine that is
-// intentionally NOT persisted, even with a store attached — the
-// RegisterEphemeral counterpart of RegisterEngine.
+// RegisterEngineEphemeral is RegisterEngine. It remains for the benchmark
+// module, which calls it on sessions without a store; a session with one
+// persists the table.
 func (s *Session) RegisterEngineEphemeral(name string, eng engine.Engine, schema sqlfe.Schema) error {
-	if eng == nil {
-		return fmt.Errorf("pass: nil engine")
-	}
-	schema.Table = name
-	return s.register(name, eng, schema, false)
+	return s.RegisterEngine(name, eng, schema)
 }
 
-// register adds the engine to the catalog and, on the persist path,
+// register adds the engine to the catalog and, with a store attached,
 // attaches its journal and snapshots it — in that order: any insert that
 // sneaks in between registration and the snapshot is either journaled (and
 // truncated when the snapshot folds it in) or captured by the snapshot
-// itself, so no acknowledged update can miss both. A table that was
-// promised durability but cannot be
-// persisted (engine.ErrNotSerializable, disk errors) is rolled back out
-// of the catalog and the store — callers choose explicitly between
-// failing and RegisterEphemeral, never a silent skip.
-func (s *Session) register(name string, eng engine.Engine, schema sqlfe.Schema, persist bool) error {
+// itself, so no acknowledged update can miss both. A table that cannot be
+// persisted (a comparator engine without Save, disk errors) is rolled
+// back out of the catalog and the store, never served without the
+// durability the session promises.
+func (s *Session) register(name string, eng engine.Engine, schema sqlfe.Schema) error {
 	s.applyScatterMode(eng)
 	tbl, err := s.cat.Register(name, eng, schema)
 	if err != nil {
 		return err
 	}
 	s.attachHooks(tbl)
-	if !persist {
+	if s.store == nil {
 		return nil
 	}
 	rollback := func() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/factory"
 	"repro/internal/store"
 )
 
@@ -195,14 +196,18 @@ func TestSessionDropRemovesPersistedFiles(t *testing.T) {
 }
 
 // TestSessionRegisterNotSerializable: a durable session must refuse — with
-// the typed sentinel, not silently — a table it cannot persist, and accept
-// it via the explicit ephemeral path.
+// the typed sentinel, not silently — a table it cannot persist (a
+// comparator engine without Save), leaving neither a catalog entry nor
+// files behind.
 func TestSessionRegisterNotSerializable(t *testing.T) {
 	dir := t.TempDir()
-	taxi := DemoTaxi(1500, 2, 3) // multi-dimensional → k-d synopsis, no serialization
-	syn, err := BuildMulti(taxi, Options{Partitions: 16, SampleRate: 0.05, Seed: 3})
+	tbl, _ := persistFixture(t)
+	eng, err := factory.Build("verdictdb", tbl.inner, factory.Spec{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := eng.(engine.Serializable); ok {
+		t.Fatalf("engine %s is serializable; the test needs one that is not", eng.Name())
 	}
 	sess := NewSession()
 	st := testStore(t, dir)
@@ -210,25 +215,18 @@ func TestSessionRegisterNotSerializable(t *testing.T) {
 	if _, err := sess.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	err = sess.Register("taxi", syn)
+	err = sess.RegisterEngine("sensors", eng, tbl.schema())
 	if !errors.Is(err, engine.ErrNotSerializable) {
-		t.Fatalf("Register error = %v, want ErrNotSerializable", err)
+		t.Fatalf("RegisterEngine error = %v, want ErrNotSerializable", err)
 	}
 	if len(sess.Tables()) != 0 {
-		t.Fatal("failed Register left the table in the catalog")
+		t.Fatal("failed RegisterEngine left the table in the catalog")
 	}
-	if err := sess.RegisterEphemeral("taxi", syn); err != nil {
-		t.Fatal(err)
-	}
-	if len(sess.Tables()) != 1 {
-		t.Fatal("RegisterEphemeral did not register")
-	}
-	// and the ephemeral table has no files
 	st.Close()
 	st2 := testStore(t, dir)
 	defer st2.Close()
 	if loaded, err := st2.LoadAll(); err != nil || len(loaded) != 0 {
-		t.Fatalf("ephemeral table persisted: %v, %v", loaded, err)
+		t.Fatalf("refused table left a fileset: %v, %v", loaded, err)
 	}
 }
 

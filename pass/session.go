@@ -165,22 +165,8 @@ func NewSession() *Session {
 // Register adds a synopsis under a table name (case-insensitive, unique).
 // The synopsis must carry a schema — built from a Table, or attached via
 // SetSchema after LoadSynopsis. With a store attached (AttachStore) the
-// table is also snapshotted and its updates journaled; a synopsis that
-// cannot be persisted fails with engine.ErrNotSerializable — use
-// RegisterEphemeral to serve it without durability.
+// table is also snapshotted and its updates journaled.
 func (s *Session) Register(name string, syn *Synopsis) error {
-	return s.registerSynopsis(name, syn, s.store != nil)
-}
-
-// RegisterEphemeral registers a synopsis that is intentionally NOT
-// persisted, even when the session has a store attached — for tables the
-// operator accepts rebuilding after a restart (e.g. multi-dimensional
-// synopses, which have no serialization yet).
-func (s *Session) RegisterEphemeral(name string, syn *Synopsis) error {
-	return s.registerSynopsis(name, syn, false)
-}
-
-func (s *Session) registerSynopsis(name string, syn *Synopsis, persist bool) error {
 	if syn == nil {
 		return fmt.Errorf("pass: nil synopsis")
 	}
@@ -189,7 +175,7 @@ func (s *Session) registerSynopsis(name string, syn *Synopsis, persist bool) err
 	}
 	schema := syn.schema
 	schema.Table = name
-	return s.register(name, syn.inner, schema, persist)
+	return s.register(name, syn.inner, schema)
 }
 
 // Drop removes a table from the session and, with a store attached,

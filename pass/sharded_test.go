@@ -1,7 +1,7 @@
 package pass
 
 import (
-	"math"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -143,22 +143,14 @@ func TestSessionShardedCrashRecoveryTwin(t *testing.T) {
 		if werr != nil {
 			continue
 		}
-		if !within(got.Scalar.Estimate, want.Scalar.Estimate, 1e-6) {
-			t.Errorf("%s: revived %v vs twin %v", sql, got.Scalar.Estimate, want.Scalar.Estimate)
+		if g, w := fmt.Sprintf("%+v", got.Scalar), fmt.Sprintf("%+v", want.Scalar); g != w {
+			t.Errorf("%s: revived %s vs twin %s", sql, g, w)
 		}
 	}
 	// and the revived table keeps accepting routed updates durably
 	if err := revived.Insert("sensors", []float64{11}, 9.5); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// within reports |a-b| <= tol relative to the larger magnitude (the
-// snapshot codec delta-encodes sample values at ~1e-6 precision).
-func within(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return diff <= tol*scale
 }
 
 // countingEngine is a stub engine that records how its batches arrive —

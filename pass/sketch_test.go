@@ -106,7 +106,7 @@ func TestSessionSketchShardedTwin(t *testing.T) {
 		if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.RegisterAdaptive("sensors", sketchFixtureTable(),
+		if err := sess.RegisterAdaptive("sensors", sketchFixtureTable(),
 			Options{Partitions: 16, SampleRate: 0.05, Seed: 42}, shards); err != nil {
 			t.Fatal(err)
 		}
