@@ -130,23 +130,9 @@ func (r *Reader) I64() int64 {
 // F64 reads a float64 written by Writer.F64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string {
-	n := r.U64()
-	if r.err != nil {
-		return ""
-	}
-	if n > maxStr {
-		r.err = fmt.Errorf("binenc: string length %d exceeds limit (corrupt data?)", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("binenc: read string body: %w", err)
-		return ""
-	}
-	return string(buf)
-}
+// Str reads a length-prefixed string. Like a blob, it grows as its bytes
+// arrive, so a corrupt length field cannot claim maxStr up front.
+func (r *Reader) Str() string { return string(r.blob(maxStr, "string")) }
 
 // Bytes reads a length-prefixed byte blob.
 func (r *Reader) Bytes() []byte { return r.BytesCap(maxBlob) }
@@ -155,13 +141,17 @@ func (r *Reader) Bytes() []byte { return r.BytesCap(maxBlob) }
 // bounds more tightly than the global blob limit. The blob grows as its
 // bytes arrive, so a corrupt length field costs at most about twice the
 // input actually present, never the claimed size.
-func (r *Reader) BytesCap(limit uint64) []byte {
+func (r *Reader) BytesCap(limit uint64) []byte { return r.blob(min(limit, maxBlob), "blob") }
+
+// blob reads a length prefix of at most limit and the bytes it counts;
+// what names the value in errors.
+func (r *Reader) blob(limit uint64, what string) []byte {
 	n := r.U64()
 	if r.err != nil {
 		return nil
 	}
-	if n > limit || n > maxBlob {
-		r.err = fmt.Errorf("binenc: blob length %d exceeds limit (corrupt data?)", n)
+	if n > limit {
+		r.err = fmt.Errorf("binenc: %s length %d exceeds limit (corrupt data?)", what, n)
 		return nil
 	}
 	buf, err := io.ReadAll(io.LimitReader(r.r, int64(n)))
@@ -169,7 +159,7 @@ func (r *Reader) BytesCap(limit uint64) []byte {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		r.err = fmt.Errorf("binenc: read blob body: %w", err)
+		r.err = fmt.Errorf("binenc: read %s body: %w", what, err)
 		return nil
 	}
 	return buf

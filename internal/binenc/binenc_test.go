@@ -3,6 +3,7 @@ package binenc
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -84,5 +85,29 @@ func TestReaderRejectsAbsurdLengths(t *testing.T) {
 	_ = r.Str()
 	if r.Err() == nil {
 		t.Fatal("absurd string length accepted")
+	}
+}
+
+// TestStrClaimAllocatesLittle: a 16-byte input whose string claims 64 MiB
+// fails, and the read allocates in proportion to the bytes present, not to
+// the claim.
+func TestStrClaimAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U64(maxStr)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	in := append(buf.Bytes(), make([]byte, 16-buf.Len())...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(bytes.NewReader(in))
+	s := r.Str()
+	runtime.ReadMemStats(&after)
+	if r.Err() == nil || s != "" {
+		t.Fatalf("Str of a 64 MiB claim over 16 bytes = %q, %v; want an error", s, r.Err())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Str allocated %d bytes for a 16-byte input", alloc)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -11,16 +10,13 @@ import (
 	"repro/internal/sketch"
 )
 
-// FuzzLoadSynopsis feeds Load arbitrary bytes, seeded with a version-2 1D
-// synopsis and version-3 1D and k-d ones. Whatever the input, Load returns
+// FuzzLoadSynopsis feeds Load arbitrary bytes, seeded with version-3 1D
+// and k-d synopses and a 1D one relabelled version 2, which is refused. Whatever the input, Load returns
 // an error or a synopsis — it never panics — and it allocates in
 // proportion to the input, never to a length or count it read: a corrupt
 // field cannot claim gigabytes. A synopsis it returns answers queries and
 // saves without panicking too.
 func FuzzLoadSynopsis(f *testing.F) {
-	if v2, err := os.ReadFile("testdata/v2_1d.syn"); err == nil {
-		f.Add(v2)
-	}
 	oneD, err := Build(dataset.GenNYCTaxi(2000, 1, 3), Options{Partitions: 8, SampleRate: 0.02, Seed: 3, Fanout: 3})
 	if err != nil {
 		f.Fatal(err)
@@ -29,6 +25,7 @@ func FuzzLoadSynopsis(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(withVersion(f, saveBytes(f, oneD), 2))
 	for _, s := range []*Synopsis{oneD, kd} {
 		b := saveBytes(f, s)
 		f.Add(b)

@@ -86,31 +86,20 @@ func (s *Synopsis) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a synopsis written by Save. A version-3 synopsis comes back
-// exactly as it was saved. Version 2 (1D only, sample values in 1e-6
-// fixed point) still loads, so existing data directories warm-start and
-// their next checkpoint writes version 3; version 1, which predates the
-// sketches, is refused.
+// Load reads a synopsis written by Save: version 3, which comes back
+// exactly as it was saved. Any other version is refused by number.
 func Load(r io.Reader) (*Synopsis, error) {
 	br := binenc.NewReader(r)
 	if br.U64() != serMagic {
 		return nil, fmt.Errorf("core: not a PASS synopsis (bad magic)")
 	}
-	var s *Synopsis
-	var err error
-	switch v := br.U64(); v {
-	case serVersion:
-		s, err = load(br)
-	case 2:
-		// the one version branch; it goes in the change after the one that
-		// introduced version 3, once every data directory has checkpointed
-		s, err = loadV2(br)
-	default:
+	if v := br.U64(); v != serVersion {
 		if br.Err() != nil {
 			return nil, fmt.Errorf("core: corrupt synopsis: %w", br.Err())
 		}
-		return nil, fmt.Errorf("core: unsupported synopsis version %d (version 1 predates sketches: rebuild the table)", v)
+		return nil, fmt.Errorf("core: unsupported synopsis version %d (only version %d is read: rebuild the table)", v, serVersion)
 	}
+	s, err := load(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt synopsis: %w", err)
 	}
@@ -228,71 +217,4 @@ func decodeStore(br *binenc.Reader, leaves int, dims uint64) (*leafStore, error)
 		st.rebuildPrefix(leaf)
 	}
 	return st, nil
-}
-
-// loadV2 decodes the body of a version-2 synopsis: 1D, sample values as
-// 1e-6 fixed-point deltas from their leaf average, and a sketch section
-// that may be absent (a re-save of a version-1 synopsis), which is
-// refused like version 1. The reservoir restarts its stream, as it did
-// when version 2 was current.
-func loadV2(br *binenc.Reader) (*Synopsis, error) {
-	var opts Options
-	opts.Lambda = br.F64()
-	opts.DisableZeroVariance = br.U64()&1 != 0
-	n := br.U64()
-	opts.Seed = br.U64()
-	nCuts := br.U64()
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	if n > math.MaxInt || nCuts < 2 || nCuts > n+1 {
-		return nil, fmt.Errorf("%d cuts for %d rows", nCuts, n)
-	}
-	for i := uint64(0); i < nCuts && br.Err() == nil; i++ {
-		br.U64() // the leaf partitioning's cuts, which no query reads
-	}
-	tr, err := ptree.DecodeV2(br, int(n))
-	if err != nil {
-		return nil, err
-	}
-	s := &Synopsis{opts: opts, tr: tr, oneD: tr, n: int(n), dims: 1}
-	leaves := tr.NumLeaves()
-	st := &leafStore{dims: 1, offsets: make([]int, 1, leaves+1), sortDim: make([]int, leaves)}
-	for leaf := 0; leaf < leaves; leaf++ {
-		k := br.U64()
-		if k > n {
-			return nil, fmt.Errorf("leaf %d claims %d samples", leaf, k)
-		}
-		avg := tr.LeafAgg(leaf).Avg()
-		for j := uint64(0); j < k && br.Err() == nil; j++ {
-			st.coords = append(st.coords, br.F64())
-			st.values = append(st.values, avg+float64(br.I64())*1e-6)
-		}
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		st.offsets = append(st.offsets, len(st.values))
-	}
-	if br.U64() != 1 {
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("version-2 synopsis without sketches predates them: rebuild the table")
-	}
-	if s.sk, err = sketch.DecodeSet(br.BytesCap(maxSketchBlob)); err != nil {
-		if br.Err() != nil {
-			return nil, br.Err()
-		}
-		return nil, err
-	}
-	st.prefSum = make([]float64, len(st.values))
-	st.prefSumSq = make([]float64, len(st.values))
-	// sortLeaf inside finishLeaf tolerates both store order (already
-	// sorted) and the unsorted order of pre-columnar writers
-	for leaf := 0; leaf < leaves; leaf++ {
-		st.finishLeaf(leaf, 0)
-	}
-	s.store = st
-	s.startReservoir()
-	return s, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -89,9 +88,9 @@ func updateStream(t *testing.T, s *Synopsis, seed uint64, n int) {
 }
 
 // TestRestartTwin holds a restart to the synopsis that never restarted:
-// Load(Save(s)) answers every probe bitwise like s, Save(Load(b)) writes
-// the bytes b, and a 1D pair that then absorbs the same update stream
-// stays identical — answers and bytes.
+// Load(Save(s)) answers every probe bitwise like s and reports the same
+// MemoryBytes, Save(Load(b)) writes the bytes b, and a 1D pair that then
+// absorbs the same update stream stays identical — answers and bytes.
 func TestRestartTwin(t *testing.T) {
 	for _, fanout := range []int{2, 4} {
 		t.Run(fmt.Sprintf("1d_fanout%d", fanout), func(t *testing.T) {
@@ -104,6 +103,9 @@ func TestRestartTwin(t *testing.T) {
 			b := saveBytes(t, s)
 			r := loadBytes(t, b)
 			sameAnswers(t, "after restart", answers(s, 33), answers(r, 33))
+			if r.MemoryBytes() != s.MemoryBytes() {
+				t.Fatalf("MemoryBytes %d after restart, %d before", r.MemoryBytes(), s.MemoryBytes())
+			}
 			if again := saveBytes(t, r); !bytes.Equal(again, b) {
 				t.Fatal("Save(Load(b)) differs from b")
 			}
@@ -129,6 +131,9 @@ func TestRestartTwin(t *testing.T) {
 			b := saveBytes(t, s)
 			r := loadBytes(t, b)
 			sameAnswers(t, "after restart", answers(s, 40), answers(r, 40))
+			if r.MemoryBytes() != s.MemoryBytes() {
+				t.Fatalf("MemoryBytes %d after restart, %d before", r.MemoryBytes(), s.MemoryBytes())
+			}
 			if again := saveBytes(t, r); !bytes.Equal(again, b) {
 				t.Fatal("Save(Load(b)) differs from b")
 			}
@@ -176,45 +181,35 @@ func TestSaveLoadSupportsUpdates(t *testing.T) {
 	}
 }
 
-// TestLoadV2 reads a version-2 synopsis written by the previous format
-// (testdata/v2_1d.syn: NYC taxi, 3000 rows, 16 leaves, rate 0.05, seed 5,
-// then 40 inserts). It answers like the same synopsis built now, to the
-// 1e-6 fixed point v2 stored sample values in, and its next Save writes
-// version 3, which restores bitwise.
-func TestLoadV2(t *testing.T) {
-	raw, err := os.ReadFile("testdata/v2_1d.syn")
-	if err != nil {
+// withVersion returns the saved synopsis b with its version field set to
+// v: the magic, v, and b's bytes after its own version (one byte).
+func withVersion(t testing.TB, b []byte, v uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := binenc.NewWriter(&buf)
+	w.U64(serMagic)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	old := loadBytes(t, raw)
-	s, err := Build(dataset.GenNYCTaxi(3000, 1, 5), Options{Partitions: 16, SampleRate: 0.05, Seed: 5})
-	if err != nil {
+	head := buf.Len() + 1 // the magic, and version 3 in one byte
+	w.U64(v)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
-		if err := s.Insert([]float64{float64(i%24) + 0.5}, float64(i)/3); err != nil {
-			t.Fatal(err)
-		}
+	return append(buf.Bytes(), b[head:]...)
+}
+
+// TestLoadRefusesV2: a synopsis that says it is version 2, the 1D format
+// with 1e-6 fixed-point samples that version 3 replaced, is refused by its
+// version number, as version 1 is, whatever follows the header.
+func TestLoadRefusesV2(t *testing.T) {
+	b := saveBytes(t, build1D(t, dataset.GenNYCTaxi(3000, 1, 5), 16, 0.05))
+	if !bytes.Equal(withVersion(t, b, serVersion), b) {
+		t.Fatal("withVersion does not rewrite the version field alone")
 	}
-	rng := stats.NewRNG(41)
-	for trial := 0; trial < 60; trial++ {
-		q := randomTaxiRect(rng, 1)
-		for _, kind := range []dataset.AggKind{dataset.Sum, dataset.Count, dataset.Avg} {
-			w, _ := s.Query(kind, q)
-			g, _ := old.Query(kind, q)
-			if w.NoMatch != g.NoMatch || math.Abs(w.Estimate-g.Estimate) > 1e-6*math.Max(1, math.Abs(w.Estimate)) {
-				t.Fatalf("%v %v from v2: %+v, want %+v", kind, q, g, w)
-			}
-		}
-	}
-	b := saveBytes(t, old)
-	if v := binenc.NewReader(bytes.NewReader(b)); v.U64() != serMagic || v.U64() != serVersion {
-		t.Fatal("a v2 synopsis does not save as the current version")
-	}
-	r := loadBytes(t, b)
-	sameAnswers(t, "v2 re-saved as v3", answers(old, 42), answers(r, 42))
-	if !bytes.Equal(saveBytes(t, r), b) {
-		t.Fatal("Save(Load(b)) differs from b after a v2 import")
+	_, err := Load(bytes.NewReader(withVersion(t, b, 2)))
+	if want := "core: unsupported synopsis version 2 (only version 3 is read: rebuild the table)"; err == nil || err.Error() != want {
+		t.Fatalf("Load of a version-2 synopsis: %v, want %s", err, want)
 	}
 }
 

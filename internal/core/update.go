@@ -7,9 +7,8 @@ import (
 )
 
 // startReservoir makes the leaf store the reservoir of Vitter's Algorithm
-// R. The samples it holds — drawn at build time, or restored from a
-// version-2 synopsis, which kept no reservoir state — are a uniform sample
-// of the n rows, which is exactly the reservoir invariant, so Insert
+// R. The samples it holds, drawn at build time, are a uniform sample of
+// the n rows, which is exactly the reservoir invariant, so Insert
 // continues the stream with acceptance probability K/n for capacity K =
 // their count. Load of the current format restores the capacity and the
 // stream's position instead, so a restart draws what the saved process

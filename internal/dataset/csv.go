@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 
@@ -43,11 +42,13 @@ const parallelCSVBytes = 256 << 10
 // byte order mark is dropped; a header with an empty or a repeated column
 // name is refused, since no statement could name that column.
 //
-// encoding/csv is the tokenizer. An input of parallelCSVBytes or more is
-// cut at record boundaries into parallel.Workers() chunks that are parsed
-// concurrently; if any chunk fails, the input is parsed again as one
-// chunk, so every error names the row, line and column it would on one
-// reader.
+// An input of parallelCSVBytes or more is cut at record boundaries into
+// parallel.Workers() chunks that are parsed concurrently. A chunk is first
+// split on newlines and commas directly (splitRows); one that holds a
+// quote or a carriage return, or fails that split in any way, is parsed
+// by encoding/csv. If any chunk fails there, the input is parsed again as
+// one chunk by encoding/csv, so every error names the row, line and column
+// it would on one reader.
 func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
@@ -75,20 +76,20 @@ func readCSV(data []byte, name string, chunks int) (*Dataset, error) {
 	}
 	body := data[cr.InputOffset():]
 	if cuts := recordCuts(body, chunks); len(cuts) > 2 {
-		readers := make([]*csv.Reader, len(cuts)-1)
-		for i := range readers {
-			readers[i] = csv.NewReader(bytes.NewReader(body[cuts[i]:cuts[i+1]]))
-			readers[i].ReuseRecord = true
-			readers[i].FieldsPerRecord = len(header)
+		chunkReader := func(i int) *csv.Reader {
+			r := csv.NewReader(bytes.NewReader(body[cuts[i]:cuts[i+1]]))
+			r.ReuseRecord = true
+			r.FieldsPerRecord = len(header)
+			return r
 		}
-		if d, err := readChunks(name, header, body, cuts, readers); err == nil {
+		if d, err := readChunks(name, header, body, cuts, chunkReader); err == nil {
 			return d, nil
 		}
 	}
 	// One chunk: the header's reader goes on (it took the header's width
 	// as FieldsPerRecord), so an error carries the file's row, line and
 	// column.
-	return readChunks(name, header, body, []int{0, len(body)}, []*csv.Reader{cr})
+	return readChunks(name, header, body, []int{0, len(body)}, func(int) *csv.Reader { return cr })
 }
 
 // checkHeader refuses a header a statement cannot query by: fewer than
@@ -148,13 +149,14 @@ func recordStart(body []byte, from int, quoted bool) int {
 	return len(body)
 }
 
-// readChunks parses body[cuts[i]:cuts[i+1]] with readers[i], all chunks
-// at once, into columns shared by the chunks, then closes the gaps
-// between them. Chunk i owns as many slots as it has newlines (the last
-// one more), never fewer than its records, so no chunk outgrows its
-// slots and, on input with no blank line or quoted newline, no row moves.
-func readChunks(name string, header []string, body []byte, cuts []int, readers []*csv.Reader) (*Dataset, error) {
-	n := len(readers)
+// readChunks parses body[cuts[i]:cuts[i+1]], all chunks at once, into
+// columns shared by the chunks, then closes the gaps between them. Chunk i
+// is split by splitRows, or else parsed by reader(i). It owns as many
+// slots as it has newlines (the last one more), never fewer than its
+// records, so no chunk outgrows its slots and, on input with no blank line
+// or quoted newline, no row moves.
+func readChunks(name string, header []string, body []byte, cuts []int, reader func(i int) *csv.Reader) (*Dataset, error) {
+	n := len(cuts) - 1
 	slots := make([]int, n)
 	parallel.For(n, func(i int) { slots[i] = bytes.Count(body[cuts[i]:cuts[i+1]], []byte{'\n'}) })
 	slots[n-1]++ // the last record may lack its newline
@@ -177,7 +179,12 @@ func readChunks(name string, header []string, body []byte, cuts []int, readers [
 		for c := range part {
 			part[c] = cols[c][lo : lo : lo+slots[i]]
 		}
-		errs[i] = readRows(readers[i], header, part)
+		if !splitRows(body[cuts[i]:cuts[i+1]], part) {
+			for c := range part {
+				part[c] = part[c][:0]
+			}
+			errs[i] = readRows(reader(i), header, part)
+		}
 		parts[i] = part
 	})
 	rows := 0
@@ -198,6 +205,36 @@ func readChunks(name string, header []string, body []byte, cuts []int, readers [
 	return d, nil
 }
 
+// splitRows appends the records of chunk to cols, one column per field,
+// when every record is len(cols) numbers that parseNumber accepts, and
+// reports whether they were. It splits on '\n' and ',' and skips empty
+// lines, which is what encoding/csv does on a chunk with no '"' and no
+// '\r'; a field with either byte is no number, so such a chunk fails here
+// and encoding/csv parses it. On failure cols holds a prefix of the rows.
+func splitRows(chunk []byte, cols [][]float64) bool {
+	last := len(cols) - 1
+	for i := 0; i < len(chunk); {
+		if chunk[i] == '\n' {
+			i++ // an empty line
+			continue
+		}
+		for c := range cols {
+			j := i
+			for j < len(chunk) && chunk[j] != ',' && chunk[j] != '\n' {
+				j++
+			}
+			v, err := parseNumber(chunk[i:j])
+			// a field ends at ',' exactly when another one follows it
+			if err != nil || (j < len(chunk) && chunk[j] == ',') != (c < last) {
+				return false
+			}
+			cols[c] = append(cols[c], v)
+			i = j + 1
+		}
+	}
+	return true
+}
+
 // readRows appends the records cr yields to cols, one column per field,
 // numbering rows from 1. cr must refuse a record whose width is not the
 // header's.
@@ -212,7 +249,7 @@ func readRows(cr *csv.Reader, header []string, cols [][]float64) error {
 			return fmt.Errorf("dataset: read row %d: %w", row, err)
 		}
 		for c, field := range rec {
-			v, err := parseField(field)
+			v, err := parseNumber(field)
 			if err != nil {
 				if c == agg {
 					return fmt.Errorf("dataset: row %d aggregate column %q: %w", row, header[c], err)
@@ -222,15 +259,4 @@ func readRows(cr *csv.Reader, header []string, cols [][]float64) error {
 			cols[c] = append(cols[c], v)
 		}
 	}
-}
-
-// parseField reads one CSV field as a finite number. A NaN or an
-// infinity is refused: one in a table makes every aggregate over it
-// non-finite, and no answer with it can be sent as JSON.
-func parseField(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		err = fmt.Errorf("non-finite value %q", s)
-	}
-	return v, err
 }

@@ -205,77 +205,6 @@ func (d *Dataset) Matches(i int, r Rect) bool {
 	return true
 }
 
-// SortByPred reorders all columns so that predicate column dim is
-// non-decreasing, preserving the input order of ties; -0 and +0 tie. A NaN
-// key sorts after every other key, NaNs in input order (no loader admits
-// one). The 1D partitioning algorithms require this ordering. It is a
-// stable least-significant-digit radix sort of the keys' order-preserving
-// bit patterns, a byte per pass, that skips a pass in which every key has
-// the same byte; a column already in order is left as it is.
-func (d *Dataset) SortByPred(dim int) {
-	col := d.Pred[dim]
-	n := len(col)
-	sorted := true
-	for i := 1; i < n && sorted; i++ {
-		sorted = sortKey(col[i-1]) <= sortKey(col[i])
-	}
-	if sorted {
-		return
-	}
-	type item struct {
-		key uint64
-		idx int
-	}
-	items := make([]item, n)
-	var counts [8][256]int
-	for i, v := range col {
-		k := sortKey(v)
-		items[i] = item{k, i}
-		for b := range counts {
-			counts[b][byte(k>>(8*b))]++
-		}
-	}
-	next := make([]item, n)
-	for b := range counts {
-		at := &counts[b]
-		shift := 8 * b
-		if at[byte(items[0].key>>shift)] == n {
-			continue
-		}
-		sum := 0
-		for j, c := range at {
-			at[j], sum = sum, sum+c
-		}
-		for _, it := range items {
-			j := byte(it.key >> shift)
-			next[at[j]] = it
-			at[j]++
-		}
-		items, next = next, items
-	}
-	idx := make([]int, n)
-	for i, it := range items {
-		idx[i] = it.idx
-	}
-	d.Permute(idx)
-}
-
-// sortKey maps v to a key whose unsigned order is v's order: -0 shares
-// +0's key, and every NaN has the largest key.
-func sortKey(v float64) uint64 {
-	switch {
-	case v == 0:
-		return 1 << 63
-	case v != v:
-		return math.MaxUint64
-	}
-	b := math.Float64bits(v)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
 // Permute reorders tuples so that new position i holds old tuple idx[i].
 func (d *Dataset) Permute(idx []int) {
 	if len(idx) != d.N() {

@@ -131,35 +131,3 @@ func DecodeAggs(r *binenc.Reader) []Agg {
 	}
 	return aggs
 }
-
-// DecodeV2 reads the leaf section of a version-2 synopsis — a leaf count,
-// then per leaf its value range, sorted-data index range and aggregates —
-// and assembles the binary tree Build made over those leaves. It serves
-// only the v2 branch of core.Load and goes with it.
-func DecodeV2(r *binenc.Reader, maxLeaves int) (*Tree, error) {
-	k := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if k == 0 || k > uint64(maxLeaves) {
-		return nil, fmt.Errorf("ptree: %d leaves", k)
-	}
-	t := newTree()
-	var layer []int
-	prevHi := 0
-	for i := 0; i < int(k); i++ {
-		lo, hi := r.F64(), r.F64()
-		iLo, iHi := int(r.U64()), int(r.U64())
-		a := Agg{N: int(r.U64()), Sum: r.F64(), SumSq: r.F64(), Min: r.F64(), Max: r.F64()}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if a.N <= 0 || iHi <= iLo || (i > 0 && iLo != prevHi) {
-			return nil, fmt.Errorf("ptree: v2 leaf %d is empty or does not abut its predecessor", i)
-		}
-		prevHi = iHi
-		layer = append(layer, t.addNode(lo, hi, iLo, iHi, a, nil))
-	}
-	t.buildUp(layer, 2)
-	return t, nil
-}

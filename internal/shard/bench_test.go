@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/stats"
 )
 
 // BenchmarkShardedQueryBatch measures the scatter-gather batch path with
@@ -106,6 +108,25 @@ func BenchmarkShardedQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := float64(i % 16)
 		if _, err := eng.Query(dataset.Sum, dataset.Rect1(lo, lo+9)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSplit range-splits a table shaped like the served benchmark's
+// 1-D one — 1M rows of pickup hours in four decimals, so heavy with ties
+// and in no order, and trip distances — into 4 shards, as POST /tables
+// does: go test -run '^$' -bench Split ./internal/shard/
+func BenchmarkSplit(b *testing.B) {
+	rng := stats.NewRNG(7)
+	d := dataset.New("taxi", 1)
+	for i := 0; i < 1_000_000; i++ {
+		hour := math.Round(rng.Float64()*24e4) / 1e4
+		d.Append([]float64{hour}, math.Round(rng.LogNormal(0.6, 0.8)*1e4)/1e4)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := shard.Split(d, shard.Range, 0, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

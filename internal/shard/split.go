@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/parallel"
 )
 
 // Policy selects how tuples map to shards.
@@ -111,29 +112,15 @@ func Split(d *dataset.Dataset, policy Policy, dim, n int) ([]*dataset.Dataset, e
 	info := engine.ShardInfo{Policy: policy.String(), Dim: dim}
 	switch policy {
 	case Range:
-		// a view: SortByPred gives it new columns and leaves d's alone,
-		// and each shard below is a copy
-		sorted := d.Slice(0, d.N())
-		sorted.SortByPred(dim)
-		key := sorted.Pred[dim]
-		lo := 0
-		for i := 1; i <= n && lo < sorted.N(); i++ {
-			hi := i * sorted.N() / n
-			if i == n {
-				hi = sorted.N()
-			}
-			// never split a run of equal keys: routing is by value
-			for hi < sorted.N() && hi > 0 && key[hi] == key[hi-1] {
-				hi++
-			}
-			if hi <= lo {
-				continue
-			}
-			shards = append(shards, sorted.Slice(lo, hi).Clone())
-			if hi < sorted.N() {
-				info.Cuts = append(info.Cuts, key[hi])
-			}
-			lo = hi
+		// the row at each i·N/n of the sorted order ends a shard, with the
+		// run of equal keys it is in: routing is by value
+		ranks := make([]int, n-1)
+		for i := range ranks {
+			ranks[i] = (i + 1) * d.N() / n
+		}
+		shards = d.SplitByPred(dim, ranks)
+		for _, sd := range shards[1:] {
+			info.Cuts = append(info.Cuts, sd.Pred[dim][0])
 		}
 	case Hash:
 		parts := make([]*dataset.Dataset, n)
@@ -155,8 +142,6 @@ func Split(d *dataset.Dataset, policy Policy, dim, n int) ([]*dataset.Dataset, e
 	}
 	info.Shards = len(shards)
 	info.Bounds = make([]dataset.Rect, len(shards))
-	for i, sd := range shards {
-		info.Bounds[i] = sd.Bounds()
-	}
+	parallel.For(len(shards), func(i int) { info.Bounds[i] = shards[i].Bounds() })
 	return shards, info, nil
 }

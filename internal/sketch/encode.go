@@ -56,15 +56,11 @@ func (s *Set) Encode() []byte {
 
 	w.U64(s.mg.errBound)
 	w.U64(s.mg.deletes)
-	w.U64(uint64(len(s.mg.counts)))
-	keys := make([]uint64, 0, len(s.mg.counts))
-	for k := range s.mg.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		w.U64(k)
-		w.U64(s.mg.counts[k])
+	entries := s.mg.entries()
+	w.U64(uint64(len(entries)))
+	for _, e := range entries {
+		w.U64(e.key)
+		w.U64(e.count)
 	}
 	if err := w.Flush(); err != nil {
 		// Writing to a bytes.Buffer cannot fail.
@@ -159,7 +155,7 @@ func DecodeSet(data []byte) (*Set, error) {
 			return nil, corrupt("misra-gries key %#x is a non-canonical NaN", k)
 		}
 		prevKey, haveKey = k, true
-		s.mg.counts[k] = c
+		s.mg.insert(mgEntry{k, c})
 	}
 	if err := r.Err(); err != nil {
 		return nil, corrupt("truncated or unreadable: %v", err)

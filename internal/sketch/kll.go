@@ -184,10 +184,12 @@ func (k *KLL) Quantile(q float64) Result {
 	}
 }
 
+// memoryBytes counts the values the levels hold, not the capacity they
+// were allocated with, so a sketch and its decoded copy report the same.
 func (k *KLL) memoryBytes() int64 {
 	var b int64 = 48
 	for _, buf := range k.levels {
-		b += 24 + 8*int64(cap(buf))
+		b += 24 + 8*int64(len(buf))
 	}
 	return b
 }
