@@ -221,17 +221,20 @@ func TestHTTPAdaptiveConcurrentInsertQuery(t *testing.T) {
 }
 
 // TestCreateTableBuildErrorIsClientError: options no synopsis can be
-// built with are a client mistake on both create paths — the plain one,
-// which builds before registering, and the adaptive one, which builds
-// inside RegisterAdaptive. Neither may count as a server error.
+// built with are a client mistake at every shard count, with and without
+// the adaptive layer — one option rule, since every create goes through
+// Session.CreateTable. None may count as a server error.
 func TestCreateTableBuildErrorIsClientError(t *testing.T) {
 	servers := []struct {
 		name string
 		ts   *httptest.Server
 	}{{"plain", testServer(t)}, {"adaptive", adaptiveServer(t)}}
-	bodies := []map[string]any{
-		{"name": "bad", "csv": skewCSV(200), "sample_rate": 2},
-		{"name": "bad", "csv": skewCSV(200), "partitions": -3},
+	var bodies []map[string]any
+	for _, shards := range []int{1, 4} {
+		bodies = append(bodies,
+			map[string]any{"name": "bad", "csv": skewCSV(200), "sample_rate": 2, "shards": shards},
+			map[string]any{"name": "bad", "csv": skewCSV(200), "partitions": -5, "shards": shards},
+		)
 	}
 	for _, srv := range servers {
 		for _, body := range bodies {

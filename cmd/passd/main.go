@@ -295,33 +295,10 @@ func loadDemo(sess *pass.Session, name string, rows, partitions int, rate float6
 		return err
 	}
 	opt := pass.Options{Partitions: partitions, SampleRate: rate, Seed: seed}
-	if sess.Adaptive() {
-		// retain the demo rows so the re-optimizer can rebuild the table
-		if err := sess.RegisterAdaptive("demo", tbl, opt, shards); err != nil {
-			return err
-		}
-		log.Printf("passd: loaded demo table %q (%d rows, adaptive, persisted=%v)", name, tbl.Len(), sess.Persistent())
-		return nil
-	}
-	if shards > 1 {
-		eng, schema, err := pass.BuildShardedEngine(tbl, opt, shards)
-		if err != nil {
-			return err
-		}
-		if err := sess.RegisterEngine("demo", eng, schema); err != nil {
-			return err
-		}
-		log.Printf("passd: loaded demo table %q (%d rows, %d shards)", name, tbl.Len(), shards)
-		return nil
-	}
-	syn, err := pass.BuildAuto(tbl, opt)
-	if err != nil {
+	if err := sess.CreateTable("demo", tbl, opt, shards); err != nil {
 		return err
 	}
-	if err := sess.Register("demo", syn); err != nil {
-		return err
-	}
-	log.Printf("passd: loaded demo table %q (%d rows)", name, tbl.Len())
+	log.Printf("passd: loaded demo table %q (%d rows, %d shard(s), adaptive=%v, persisted=%v)", name, tbl.Len(), max(shards, 1), sess.Adaptive(), sess.Persistent())
 	return nil
 }
 

@@ -374,31 +374,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		SampleSize: req.SampleSize,
 		Seed:       req.Seed,
 	}
-	if s.sess.Adaptive() {
-		// the adaptive path retains the rows so the re-optimizer can
-		// rebuild the table against the observed workload
-		shards := req.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		s.respondCreated(w, req.Name, s.sess.RegisterAdaptive(req.Name, tbl, opt, shards))
-		return
-	}
-	if req.Shards > 1 {
-		eng, schema, err := pass.BuildShardedEngine(tbl, opt, req.Shards)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.respondCreated(w, req.Name, s.sess.RegisterEngine(req.Name, eng, schema))
-		return
-	}
-	syn, err := pass.BuildAuto(tbl, opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.respondCreated(w, req.Name, s.sess.Register(req.Name, syn))
+	s.respondCreated(w, req.Name, s.sess.CreateTable(req.Name, tbl, opt, req.Shards))
 }
 
 // respondCreated maps a registration outcome to the create-table response:
@@ -409,7 +385,7 @@ func (s *server) respondCreated(w http.ResponseWriter, name string, err error) {
 	if err != nil {
 		// persistence failures (disk full, I/O errors) are server-side
 		// faults; a name collision or options no synopsis can be built
-		// with (the adaptive path builds inside registration) are not
+		// with are not
 		status := http.StatusInternalServerError
 		switch {
 		case errors.Is(err, catalog.ErrExists):

@@ -24,11 +24,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/catalog"
-	"repro/internal/dataset"
-	"repro/internal/engine/factory"
-	"repro/internal/sqlfe"
 	"repro/internal/store"
+	"repro/pass"
 )
 
 func main() {
@@ -46,14 +43,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var d *dataset.Dataset
+	var d *pass.Table
 	if *name == "nyctaxi" && *dims > 1 {
-		d = dataset.GenNYCTaxi(*rows, *dims, *seed)
+		d = pass.DemoTaxi(*rows, *dims, *seed)
 	} else {
-		var ok bool
-		d, ok = dataset.ByName(*name, *rows, *seed)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "passgen: unknown dataset %q\n", *name)
+		var err error
+		if d, err = pass.Demo(*name, *rows, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "passgen: %v\n", err)
 			os.Exit(2)
 		}
 	}
@@ -63,7 +59,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "passgen: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "wrote synopsis (%d rows, %d shard(s)) into data directory %s\n", d.N(), max(*shards, 1), *snap)
+		fmt.Fprintf(os.Stderr, "wrote synopsis (%d rows, %d shard(s)) into data directory %s\n", d.Len(), max(*shards, 1), *snap)
 		if *out == "" {
 			return // -snap without -out: don't dump CSV to the terminal
 		}
@@ -91,40 +87,30 @@ func main() {
 			fmt.Fprintf(os.Stderr, "passgen: close %s: %v\n", *out, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d rows x %d predicate columns to %s\n", d.N(), d.Dims(), *out)
+		fmt.Fprintf(os.Stderr, "wrote %d rows x %d predicate columns to %s\n", d.Len(), d.Dims(), *out)
 	}
 }
 
-// writeDataDir builds a PASS engine — unsharded for shards ≤ 1, a
-// range-sharded one otherwise — and checkpoints it into the data directory
-// dir through a store opened there, ready for a passd -data-dir warm start.
-func writeDataDir(d *dataset.Dataset, dir, table, datasetName string, partitions int, rate float64, seed uint64, shards int) error {
-	kind := "pass"
-	if shards > 1 {
-		kind = fmt.Sprintf("sharded:pass:%d", shards)
-	}
-	eng, err := factory.Build(kind, d, factory.Spec{
-		Partitions: partitions, SampleRate: rate, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
+// writeDataDir creates the table in a session over a store opened in dir
+// (pass.Session.CreateTable: unsharded for shards ≤ 1, range-sharded
+// otherwise) and closes the session, which checkpoints it there, ready
+// for a passd -data-dir warm start.
+func writeDataDir(d *pass.Table, dir, table, datasetName string, partitions int, rate float64, seed uint64, shards int) error {
 	if table == "" {
 		table = datasetName
-	}
-	schema := sqlfe.SchemaFromColNames(d.ColNames)
-	schema.Table = table
-	tbl, err := catalog.New().Register(table, eng, schema)
-	if err != nil {
-		return err
 	}
 	st, err := store.Open(dir, store.Options{CheckpointInterval: -1})
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	if _, err := st.AttachSharded(tbl, nil, 0); err != nil {
+	sess := pass.NewSession()
+	if _, err := sess.AttachStore(st); err != nil {
+		st.Close()
 		return err
 	}
-	return st.SaveSharded(tbl)
+	err = sess.CreateTable(table, d, pass.Options{Partitions: partitions, SampleRate: rate, Seed: seed}, shards)
+	if cerr := sess.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

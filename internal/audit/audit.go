@@ -377,7 +377,7 @@ func (a *Auditor) process(s sample) {
 	}
 	// Sound scoring requires the truth to describe the same data the
 	// estimate saw: identical generation, and an even reading (odd means
-	// a shared-lock update was mid-flight on either side).
+	// an update was mid-flight on either side).
 	if gen != s.gen || gen%2 != 0 {
 		a.stale.Inc()
 		return

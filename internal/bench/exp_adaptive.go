@@ -46,7 +46,7 @@ func AdaptiveExp(cfg Config) []Table {
 	if err := sess.EnableAdaptive(pass.AdaptiveConfig{}); err != nil {
 		panic(err)
 	}
-	if err := sess.RegisterAdaptive("taxi", tbl, opt, 1); err != nil {
+	if err := sess.CreateTable("taxi", tbl, opt, 1); err != nil {
 		panic(err)
 	}
 

@@ -55,7 +55,7 @@ func AuditExp(cfg Config) []Table {
 	// leaves with no matching sample tuples report zero-width CIs the
 	// auditor rightly scores as misses, and empirical coverage lands far
 	// below nominal
-	if err := sess.RegisterAdaptive("taxi", tbl,
+	if err := sess.CreateTable("taxi", tbl,
 		pass.Options{Partitions: 128, SampleRate: 0.1, Seed: cfg.Seed}, 1); err != nil {
 		panic(err)
 	}

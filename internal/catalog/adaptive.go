@@ -18,22 +18,15 @@ package catalog
 // in-memory state. No answer depends on the counter; its readers are the
 // accuracy auditor's two sides:
 //
-//   - the stamp: QueryBatchCtx and SketchQuery read the
-//     generation before and after the engine call, under the query's
-//     read lock, and hand the recorder the second reading, forced odd
-//     when the two differ;
+//   - the stamp: QueryBatchCtx and SketchQuery read the generation
+//     under the query's read lock and hand it to the recorder;
 //   - the stale check: the exact re-execution over the retained rows
 //     (pass/audit.go) reads the generation before and after its scan and
 //     reports audit.ErrStale when the reading is odd or moved; the auditor
 //     also skips a sample whose stamp differs from the re-execution's.
 //
-// Every apply except the shared-lock path's holds the state lock
-// exclusively, so no write overlaps a query there and an even stamp names
-// exactly the rows the answer saw. On the shared-lock path (internally
-// synchronised engines without a journal) a write can run beside a
-// query; whether it is still in flight when the stamp is read or has
-// already completed, the stamp comes out odd and the auditor skips that
-// sample.
+// Every apply holds the state lock exclusively, so no write overlaps a
+// query: the stamp is even and names exactly the rows the answer saw.
 
 import (
 	"fmt"
@@ -76,16 +69,6 @@ type UpdateObserver interface {
 // per completed update (and engine swap); an odd reading means an apply
 // is in flight.
 func (t *Table) Gen() uint64 { return t.gen.Load() }
-
-// stamp is the generation an answer whose engine call began at generation
-// before is recorded under: the current reading, forced odd when a
-// shared-lock update ran beside the call.
-func (t *Table) stamp(before uint64) uint64 {
-	if g := t.gen.Load(); g != before {
-		return g | 1
-	}
-	return before
-}
 
 // AttachAdaptive wires a query recorder under the table (nil detaches).
 func (t *Table) AttachAdaptive(rec QueryRecorder) {

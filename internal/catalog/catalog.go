@@ -9,9 +9,9 @@
 // batched — share it, so any number of them run concurrently and a batched
 // workload still fans out across the worker pool inside the engine, while
 // writers hold it exclusively only for the in-memory apply. The write-order
-// lock orders journaled updates, checkpoints and engine swaps against each
-// other; journal appends (write + fsync) and checkpoint file I/O run under
-// it alone, so readers never wait for the disk and other tables are never
+// lock orders updates, checkpoints and engine swaps against each other;
+// journal appends (write + fsync) and checkpoint file I/O run under it
+// alone, so readers never wait for the disk and other tables are never
 // blocked.
 //
 // Two subsystems attach to a table through interfaces defined here, so
@@ -61,14 +61,13 @@ type Journal interface {
 }
 
 // Table is one registered table: an engine, its schema, and the locks that
-// order queries and updates. rows is atomic so the shared-lock update
-// path of internally synchronised engines (engine.ConcurrentUpdatable)
-// can maintain it without the exclusive lock.
+// order queries and updates. rows is atomic so Rows reads it without a
+// lock.
 type Table struct {
 	name string
-	// wmu is the write-order lock: journaled updates, CheckpointShards,
-	// SwapEngine and AttachJournal take it before mu, so the journal and
-	// the engine are stable under either lock.
+	// wmu is the write-order lock: updates, CheckpointShards, SwapEngine
+	// and AttachJournal take it before mu, so the journal and the engine
+	// are stable under either lock.
 	wmu     sync.Mutex
 	mu      sync.RWMutex
 	eng     engine.Engine
@@ -158,10 +157,10 @@ func (t *Table) QueryBatchCtx(ctx context.Context, qs []core.BatchQuery) []core.
 	gen := t.gen.Load()
 	out := engine.QueryBatchCtx(ctx, t.eng, qs)
 	if rec := t.recorder; rec != nil {
-		n, stamp := t.Rows(), t.stamp(gen)
+		n := t.Rows()
 		for i, br := range out {
 			if br.Err == nil {
-				rec.ObserveQuery(t.name, qs[i].Kind, qs[i].Rect, br.Result, n, br.Elapsed, stamp)
+				rec.ObserveQuery(t.name, qs[i].Kind, qs[i].Rect, br.Result, n, br.Elapsed, gen)
 			}
 		}
 	}
@@ -198,7 +197,7 @@ func (t *Table) SketchQuery(q sketch.Query) (sketch.Result, error) {
 	r, err := sk.SketchQuery(q)
 	if err == nil {
 		if rec, isSketch := t.recorder.(SketchRecorder); isSketch {
-			rec.ObserveSketch(t.name, q, r, t.stamp(gen))
+			rec.ObserveSketch(t.name, q, r, gen)
 		}
 	}
 	return r, err
@@ -220,41 +219,25 @@ func (t *Table) AttachJournal(j Journal) {
 // attached journal; apply changes the engine, notifies the observer and
 // returns the row delta.
 //
-// Engines that synchronise updates internally (engine.ConcurrentUpdatable
-// — e.g. a sharded engine with per-shard locks) run unjournaled updates
-// under the shared state lock, so an update to one shard proceeds beside
-// queries on others. Every other update takes the write-order lock,
-// journals (write + fsync) under it alone, and then holds the state lock
-// exclusively just for the apply: the log order is the apply order, and
-// an ack follows both durability and apply, but readers never wait for
-// the disk. The journal check and the shared lock are taken together, and
-// AttachJournal needs both locks, so a journal cannot appear while a
-// shared-lock update is in flight.
+// Every update takes the write-order lock, journals (write + fsync) under
+// it alone, and then holds the state lock exclusively just for the apply:
+// the log order is the apply order, and an ack follows both durability
+// and apply, but readers never wait for the disk.
 func (t *Table) update(op string, journal func(Journal) error, apply func(engine.Updatable) (int, error)) (int, error) {
-	t.mu.RLock()
-	_, concurrent := engine.Underlying(t.eng).(engine.ConcurrentUpdatable)
-	ordered := !concurrent || t.journal != nil
-	if ordered {
-		t.mu.RUnlock()
-		t.wmu.Lock()
-		defer t.wmu.Unlock()
-	} else {
-		defer t.mu.RUnlock()
-	}
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	// asked before the journal: a write the engine refuses is never logged
 	u, ok := engine.Updater(t.eng)
 	if !ok {
 		return 0, fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
 	}
-	if ordered {
-		if t.journal != nil {
-			if err := journal(t.journal); err != nil {
-				return 0, fmt.Errorf("catalog: journal %s %q: %w", op, t.name, err)
-			}
+	if t.journal != nil {
+		if err := journal(t.journal); err != nil {
+			return 0, fmt.Errorf("catalog: journal %s %q: %w", op, t.name, err)
 		}
-		t.mu.Lock()
-		defer t.mu.Unlock()
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// generation discipline: bump before applying and again after, so the
 	// auditor can tell a write overlapped its re-execution (adaptive.go)
 	t.gen.Add(1)
@@ -346,20 +329,11 @@ func (t *Table) unjournal(applyErr error) error {
 	return applyErr
 }
 
-// resyncRows refreshes the cached cardinality after an update. Callers
-// hold the state lock (shared or exclusive). Engines on the shared-lock
-// path apply the atomic delta — re-reading Sized.N() there could store a
-// snapshot taken before a concurrent update's apply, losing its count;
-// the delta is exact for every applied update. Exclusive-lock engines
-// that track their own size are authoritative; others get the guarded
-// delta.
+// resyncRows refreshes the cached cardinality after an update; callers
+// hold the state lock exclusively. Engines that track their own size are
+// authoritative; others get the guarded delta.
 func (t *Table) resyncRows(delta int) {
-	under := engine.Underlying(t.eng)
-	if _, ok := under.(engine.ConcurrentUpdatable); ok {
-		t.rows.Add(int64(delta))
-		return
-	}
-	if sz, ok := under.(engine.Sized); ok {
+	if sz, ok := engine.Underlying(t.eng).(engine.Sized); ok {
 		t.rows.Store(int64(sz.N()))
 		return
 	}
@@ -384,10 +358,9 @@ func (t *Table) Save(w io.Writer) error {
 // CheckpointShards captures a consistent cut of the table and hands it to
 // flush as N ≥ 1 serialised shards plus the routing info for the manifest
 // (engine.SnapshotShards: an unsharded engine is the one-shard case). The
-// cut is taken under the exclusive state lock, which also excludes the
-// shared-lock update path; flush then runs under the write-order lock
-// alone. Readers proceed during flush's file I/O, but journaled updates
-// wait for it, so no update can slip between the serialization and
+// cut is taken under the exclusive state lock; flush then runs under the
+// write-order lock alone. Readers proceed during flush's file I/O, but
+// updates wait for it, so no update can slip between the serialization and
 // whatever flush does with it (write the manifest and snapshots, truncate
 // the WAL). This is the atomicity anchor of the durable-store checkpoint
 // protocol.
@@ -415,8 +388,6 @@ func (t *Table) ShardStats() (info engine.ShardInfo, shardRows []int, scatter en
 	if !isSharded {
 		return engine.ShardInfo{}, nil, engine.ScatterStats{}, false
 	}
-	// ShardRows (not Shard(i).N()) — the accessor is synchronised against
-	// shared-lock updates in flight
 	return sh.ShardInfo(), sh.ShardRows(), sh.ScatterStats(), true
 }
 

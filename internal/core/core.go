@@ -108,16 +108,29 @@ type Options struct {
 	ForceBoundaries []partition.Boundary
 }
 
-func (o *Options) fill(n int) error {
+// SampleBudget validates the construction budget and returns the sample
+// budget K over n rows: SampleSize when set, else SampleRate·n, before
+// the one-sample-per-stratum floor and the cap at n that Build applies.
+// A sharded build splits this whole-table K across its shards.
+func (o Options) SampleBudget(n int) (int, error) {
 	if o.Partitions <= 0 {
-		return fmt.Errorf("core: Options.Partitions must be positive")
+		return 0, fmt.Errorf("core: Options.Partitions must be positive")
 	}
-	if o.SampleSize <= 0 {
-		if o.SampleRate <= 0 || o.SampleRate > 1 {
-			return fmt.Errorf("core: need SampleSize or SampleRate in (0, 1]")
-		}
-		o.SampleSize = int(o.SampleRate * float64(n))
+	if o.SampleSize > 0 {
+		return o.SampleSize, nil
 	}
+	if o.SampleRate <= 0 || o.SampleRate > 1 {
+		return 0, fmt.Errorf("core: need SampleSize or SampleRate in (0, 1]")
+	}
+	return int(o.SampleRate * float64(n)), nil
+}
+
+func (o *Options) fill(n int) error {
+	k, err := o.SampleBudget(n)
+	if err != nil {
+		return err
+	}
+	o.SampleSize = k
 	if o.SampleSize < o.Partitions {
 		o.SampleSize = o.Partitions // at least one sample per stratum
 	}
@@ -193,8 +206,10 @@ type Synopsis struct {
 	BuildTime time.Duration
 }
 
-// Build constructs a 1D PASS synopsis over d. The dataset is not retained;
-// it is cloned and sorted by the predicate column internally.
+// Build constructs a 1D PASS synopsis over d. The dataset is neither
+// retained nor written: the sort works on a view of d whose columns
+// SortByPred replaces rather than writes into, and the samples kept are
+// copies.
 func Build(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 	start := time.Now()
 	if d.N() == 0 {
@@ -206,7 +221,7 @@ func Build(d *dataset.Dataset, opts Options) (*Synopsis, error) {
 	if err := opts.fill(d.N()); err != nil {
 		return nil, err
 	}
-	sorted := d.Clone()
+	sorted := d.Slice(0, d.N())
 	sorted.SortByPred(0)
 	rng := stats.NewRNG(opts.Seed + 0x9e37)
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -397,4 +399,67 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := s.Query(dataset.AggKind(99), dataset.Rect1(0, 1)); err == nil {
 		t.Error("unknown aggregate accepted")
 	}
+}
+
+// TestBuildLeavesInputUntouched: Build sorts a view of its input, not a
+// copy, so it must neither write into the caller's columns nor keep them
+// (on sorted input the view shares them). The input is unchanged after
+// the build, writing over it afterwards moves no answer, and sorted and
+// unsorted input save the same bytes.
+func TestBuildLeavesInputUntouched(t *testing.T) {
+	unsorted := dataset.GenNYCTaxi(4000, 1, 7)
+	unsorted.Permute(stats.NewRNG(7).Perm(unsorted.N()))
+	sorted := unsorted.Clone()
+	sorted.SortByPred(0)
+	if sameRows(unsorted, sorted) {
+		t.Fatal("premise: the generated rows are already sorted")
+	}
+	for _, p := range []Partitioner{PartitionADP, PartitionEqualDepth, PartitionHillClimb, PartitionVOptimal} {
+		opts := Options{Partitions: 16, SampleRate: 0.05, Partitioner: p, Seed: 3}
+		var saved [][]byte
+		for _, d := range []*dataset.Dataset{unsorted, sorted} {
+			before := d.Clone()
+			s, err := Build(d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(d, before) {
+				t.Fatalf("%v: Build changed its input", p)
+			}
+			saved = append(saved, saveBytes(t, s))
+			want := answers(s, 5)
+			for c := range d.Pred {
+				for i := range d.Pred[c] {
+					d.Pred[c][i] = -1
+				}
+			}
+			for i := range d.Agg {
+				d.Agg[i] = 1e9
+			}
+			sameAnswers(t, fmt.Sprintf("%v after the input was overwritten", p), want, answers(s, 5))
+			*d = *before
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Errorf("%v: unsorted input saves %d bytes unlike sorted input's %d", p, len(saved[0]), len(saved[1]))
+		}
+	}
+}
+
+// sameRows reports whether two datasets hold the same rows, bit for bit,
+// in the same order.
+func sameRows(a, b *dataset.Dataset) bool {
+	if a.N() != b.N() || a.Dims() != b.Dims() {
+		return false
+	}
+	for i := 0; i < a.N(); i++ {
+		if math.Float64bits(a.Agg[i]) != math.Float64bits(b.Agg[i]) {
+			return false
+		}
+		for c := range a.Pred {
+			if math.Float64bits(a.Pred[c][i]) != math.Float64bits(b.Pred[c][i]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -199,14 +199,13 @@ func TestCapabilitySplit(t *testing.T) {
 		_, ser := e.(engine.Serializable)
 		_, grp := e.(engine.Grouper)
 		_, shr := e.(engine.Sharded)
-		_, cup := e.(engine.ConcurrentUpdatable)
 		_, skt := engine.Underlying(e).(engine.Sketcher)
 		if isSharded := strings.HasPrefix(kind, "sharded:"); isSharded {
 			// sharded engines carry the Sketcher surface too, erroring at
 			// call time when an inner engine keeps no sketches
-			if !upd || !grp || !shr || !cup || !skt || ser {
-				t.Errorf("%s: capabilities updatable=%v grouper=%v sharded=%v concurrent=%v sketcher=%v serializable=%v, want t/t/t/t/t/f",
-					kind, upd, grp, shr, cup, skt, ser)
+			if !upd || !grp || !shr || !skt || ser {
+				t.Errorf("%s: capabilities updatable=%v grouper=%v sharded=%v sketcher=%v serializable=%v, want t/t/t/t/f",
+					kind, upd, grp, shr, skt, ser)
 			}
 			continue
 		}
@@ -218,8 +217,8 @@ func TestCapabilitySplit(t *testing.T) {
 		if ser != isSampling {
 			t.Errorf("%s: serializable=%v, want %v", kind, ser, isSampling)
 		}
-		if shr || cup {
-			t.Errorf("%s: unsharded engine claims sharded=%v concurrent=%v", kind, shr, cup)
+		if shr {
+			t.Errorf("%s: unsharded engine claims sharded", kind)
 		}
 	}
 	// every serializable engine must have a registered loader, or a

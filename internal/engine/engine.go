@@ -2,13 +2,13 @@
 // system in this repository — the PASS synopsis (internal/core) and the
 // comparators US, ST (internal/baselines), AQP++ (internal/aqpp),
 // VerdictDB (internal/verdictdb) and DeepDB (internal/deepdb) — plus the
-// optional capability interfaces that expose mutation (Updatable,
-// ConcurrentUpdatable), persistence (Serializable), grouping (Grouper),
-// sketches (Sketcher), cardinality (Sized), deadline-aware execution
-// (ContextQuerier — one batched method, since a single query is a batch of
-// one, reached through the QueryBatchCtx adapter) and sharding (Sharded —
-// topology, routing, executor statistics and the strict-scatter switch)
-// where an engine supports them.
+// optional capability interfaces that expose mutation (Updatable),
+// persistence (Serializable), grouping (Grouper), sketches (Sketcher),
+// cardinality (Sized), deadline-aware execution (ContextQuerier — one
+// batched method, since a single query is a batch of one, reached through
+// the QueryBatchCtx adapter) and sharding (Sharded — topology, routing,
+// executor statistics and the strict-scatter switch) where an engine
+// supports them.
 //
 // The package is the middle layer of the repository's architecture:
 //
@@ -100,20 +100,6 @@ type Serializable interface {
 // Loader restores an engine written by a Serializable implementation's
 // Save.
 type Loader func(r io.Reader) (Engine, error)
-
-// ConcurrentUpdatable is the capability of engines whose Insert/Delete are
-// internally synchronised against concurrent queries — a sharded engine
-// with per-shard locks, for example — so the serving layer may run updates
-// under a shared (read) table lock instead of the exclusive one, and an
-// update to one shard no longer blocks queries on the others. The catalog
-// still serialises updates (write-order lock, exclusive apply) when a
-// write-ahead journal is attached: journal ordering requires it.
-type ConcurrentUpdatable interface {
-	Updatable
-	// ConcurrentUpdates is a marker asserting the internal
-	// synchronisation; it performs no work.
-	ConcurrentUpdates()
-}
 
 // Grouper is the optional GROUP BY capability: one aggregate per group
 // key over a shared predicate (PASS Section 4.5).

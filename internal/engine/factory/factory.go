@@ -153,8 +153,8 @@ func Build(kind string, d *dataset.Dataset, sp Spec) (engine.Engine, error) {
 // buildSharded parses "<inner>[:<n>[:<policy>]]" and constructs a sharded
 // engine: the dataset is split on predicate column 0, one inner engine is
 // built per shard concurrently on the worker pool, and the total
-// Partitions/SampleSize budget is divided across the shards in proportion
-// to their cardinality — a sharded table costs what its unsharded twin
+// Partitions/SampleSize budget is divided across the shards by
+// shard.Budget.Share — a sharded table costs what its unsharded twin
 // costs.
 func buildSharded(spec string, d *dataset.Dataset, sp Spec) (engine.Engine, error) {
 	inner := spec
@@ -174,30 +174,19 @@ func buildSharded(spec string, d *dataset.Dataset, sp Spec) (engine.Engine, erro
 			}
 		}
 	}
-	b, ok := builders[inner]
+	build, ok := builders[inner]
 	if !ok {
 		return nil, fmt.Errorf("factory: unknown inner engine %q in %q (have %s)", inner, "sharded:"+spec, strings.Join(Kinds(), ", "))
 	}
 	sp = sp.defaults(d.N())
+	whole := shard.Budget{Partitions: sp.Partitions, SampleSize: sp.SampleSize, Seed: sp.Seed}
 	total := d.N()
 	return shard.Build(d, policy, 0, n, func(i int, sd *dataset.Dataset) (engine.Engine, error) {
+		b := whole.Share(i, sd.N(), total)
 		per := sp
-		per.Partitions = scaleBudget(sp.Partitions, sd.N(), total)
-		per.SampleSize = scaleBudget(sp.SampleSize, sd.N(), total)
-		per.SampleRate = 0 // SampleSize is always resolved by defaults()
-		per.Seed = sp.Seed + uint64(i+1)*0x9e3779b97f4a7c15
-		return b(sd, per)
+		per.Partitions, per.SampleSize, per.Seed = b.Partitions, b.SampleSize, b.Seed
+		return build(sd, per)
 	})
-}
-
-// scaleBudget apportions a whole-table budget to one shard by its share
-// of the rows, never below 1.
-func scaleBudget(budget, shardRows, totalRows int) int {
-	v := int(float64(budget) * float64(shardRows) / float64(totalRows))
-	if v < 1 {
-		v = 1
-	}
-	return v
 }
 
 // Kinds lists the available engine names, sorted.

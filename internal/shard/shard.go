@@ -23,14 +23,18 @@ import (
 // updates route to the single owning shard under that shard's write lock,
 // so they serialise only against queries touching the same shard.
 //
-// Engine implements the ContextQuerier, Updatable, ConcurrentUpdatable,
-// Grouper, Sketcher, Sized and Sharded capabilities (update capabilities surface errors at call
-// time when the inner engines lack them). It deliberately does not
+// Engine implements the ContextQuerier, Updatable, Grouper, Sketcher,
+// Sized and Sharded capabilities (update capabilities surface errors at
+// call time when the inner engines lack them). It deliberately does not
 // implement the single-stream Serializable: a sharded table persists as
 // one snapshot+WAL pair per shard plus a manifest (internal/store).
 type Engine struct {
 	inner []engine.Engine
 	// locks[i] orders shard i's updates against queries scattered to it.
+	// The catalog applies updates under its exclusive table lock, but a
+	// straggler shard abandoned at a query's deadline still reads its
+	// shard after the catalog's read lock is released; this lock keeps
+	// that read apart from the next update.
 	locks []sync.RWMutex
 	// boundsMu guards info.Bounds: inserts routed outside a shard's
 	// current bounding rectangle expand it (otherwise the scatter would
@@ -77,6 +81,28 @@ func Build(d *dataset.Dataset, policy Policy, dim, n int, build BuildFunc) (*Eng
 		}
 	}
 	return New(inners, info)
+}
+
+// Budget is a table's construction budget: the leaf budget k, the sample
+// budget K and the build seed (paper Section 3.1).
+type Budget struct {
+	Partitions, SampleSize int
+	Seed                   uint64
+}
+
+// Share is shard i's part of a whole-table budget: k and K split by the
+// shard's share of the rows, each never below 1, and a seed of the
+// shard's own, so a sharded table costs what its unsharded twin costs.
+// Every sharded build takes its per-shard budget from here.
+func (b Budget) Share(i, shardRows, totalRows int) Budget {
+	share := func(budget int) int {
+		return max(int(float64(budget)*float64(shardRows)/float64(totalRows)), 1)
+	}
+	return Budget{
+		Partitions: share(b.Partitions),
+		SampleSize: share(b.SampleSize),
+		Seed:       b.Seed + uint64(i+1)*0x9e3779b97f4a7c15,
+	}
 }
 
 // New assembles a sharded engine from prebuilt inner engines and routing
@@ -733,9 +759,3 @@ func (e *Engine) growBounds(i int, point []float64) {
 	}
 	e.boundsMu.Unlock()
 }
-
-// ConcurrentUpdates marks the engine as internally synchronised
-// (engine.ConcurrentUpdatable): the per-shard locks order each update
-// against the queries scattered to its shard, so the serving layer may
-// admit updates under a shared table lock.
-func (e *Engine) ConcurrentUpdates() {}

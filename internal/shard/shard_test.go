@@ -290,9 +290,6 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	d := twinData(t)
 	_, eng := buildTwins(t, d, "sharded:pass:4")
 	shrd := eng.(*shard.Engine)
-	if _, ok := eng.(engine.ConcurrentUpdatable); !ok {
-		t.Fatal("sharded engine must declare ConcurrentUpdatable")
-	}
 	info := shrd.ShardInfo()
 	hotKey := info.Bounds[info.Shards-1].Hi[0]
 	coldQ := dataset.Rect1(info.Bounds[0].Lo[0], info.Cuts[0]-1e-9)

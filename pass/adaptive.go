@@ -8,12 +8,13 @@ package pass
 // persisting the new synopsis through the attached store.
 //
 // Rebuilds need the base rows, which a built synopsis does not retain:
-// RegisterAdaptive keeps a private copy of the table data, held in
-// lockstep with the serving engine via the catalog's update observer, so
-// a rebuild always starts from exactly the rows the engine summarises.
-// Tables registered through the plain Register paths (and tables
-// warm-started from snapshots, whose rows exist only inside the synopsis)
-// still get statistics, but skip re-optimization.
+// CreateTable in an adaptive session keeps a private copy of a 1-D
+// table's rows, held in lockstep with the serving engine via the
+// catalog's update observer, so a rebuild always starts from exactly the
+// rows the engine summarises, and goes through the same builder as the
+// first build. Tables registered through the plain Register paths (and
+// tables warm-started from snapshots, whose rows exist only inside the
+// synopsis) still get statistics, but skip re-optimization.
 
 import (
 	"errors"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/partition"
-	"repro/internal/shard"
 )
 
 // AdaptiveConfig tunes the session's workload-adaptive layer. The zero
@@ -56,7 +56,9 @@ type adaptiveRuntime struct {
 type tableSource struct {
 	mu   sync.Mutex
 	data *dataset.Dataset
-	opt  Options
+	// opt and shards are what the table was built with; a rebuild adds
+	// the forced boundaries to opt.
+	opt core.Options
 	// shards is the shard count the table serves with (1 = unsharded).
 	shards int
 	// persisted records whether the table is in the durable store, so a
@@ -123,8 +125,8 @@ search:
 
 // EnableAdaptive turns on the workload-adaptive layer: statistics
 // collection for every current and future table, and
-// (with a positive ReoptInterval) background re-optimization of tables
-// registered through RegisterAdaptive. Enable before registering tables
+// (with a positive ReoptInterval) background re-optimization of 1-D
+// tables created through CreateTable. Enable before registering tables
 // or attaching a store; it cannot be enabled twice.
 func (s *Session) EnableAdaptive(cfg AdaptiveConfig) error {
 	if s.adaptive != nil {
@@ -146,57 +148,24 @@ func (s *Session) EnableAdaptive(cfg AdaptiveConfig) error {
 	return nil
 }
 
-// ErrBuild tags a RegisterAdaptive call that could not build a synopsis
-// from the rows and options it was given — a caller's mistake, not a
-// serving fault — so serving layers can map it to a client error.
+// ErrBuild tags a CreateTable call that could not build a synopsis from
+// the rows and options it was given — a caller's mistake, not a serving
+// fault — so serving layers can map it to a client error.
 var ErrBuild = errors.New("pass: cannot build synopsis")
 
 // Adaptive reports whether the adaptive layer is enabled.
 func (s *Session) Adaptive() bool { return s.adaptive != nil }
 
-// RegisterAdaptive builds a synopsis over the table (sharded when
-// shards > 1), registers it like Register/RegisterEngine — persisted when
-// a store is attached — and, for one-predicate-column tables, retains a
-// copy of the rows so the background re-optimizer can rebuild the
-// synopsis with workload-aligned partition boundaries. Multi-dimensional
-// tables are registered and observed but not rebuildable (the k-d tree
-// has no 1D boundaries to force); they behave exactly like plain
-// registration.
-func (s *Session) RegisterAdaptive(name string, t *Table, opt Options, shards int) error {
-	if s.adaptive == nil {
-		return fmt.Errorf("pass: RegisterAdaptive requires EnableAdaptive first")
-	}
-	if t == nil || t.Len() == 0 {
-		return fmt.Errorf("%w: RegisterAdaptive needs a non-empty table", ErrBuild)
-	}
-	if shards > 1 {
-		eng, schema, err := BuildShardedEngine(t, opt, shards)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrBuild, err)
-		}
-		if err := s.RegisterEngine(name, eng, schema); err != nil {
-			return err
-		}
-	} else {
-		syn, err := BuildAuto(t, opt)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrBuild, err)
-		}
-		if err := s.Register(name, syn); err != nil {
-			return err
-		}
-	}
-	if t.Dims() != 1 {
-		return nil
-	}
+// keepRows retains data — a private copy of a 1-D table's rows — as the
+// table's rebuild source, with the options and shard count it was built
+// with, and keeps it in lockstep with the engine through the catalog's
+// update observer.
+func (s *Session) keepRows(name string, data *dataset.Dataset, opt core.Options, shards int) error {
 	tbl, err := s.cat.Lookup(name)
 	if err != nil {
 		return err
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	src := &tableSource{data: t.inner.Clone(), opt: opt, shards: shards, persisted: s.store != nil}
+	src := &tableSource{data: data, opt: opt, shards: shards, persisted: s.store != nil}
 	rt := s.adaptive
 	rt.mu.Lock()
 	rt.sources[strings.ToLower(name)] = src
@@ -254,7 +223,8 @@ func (s *Session) rebuildTable(table string, bs []partition.Boundary) error {
 		src.mu.Unlock()
 	}
 
-	newEng, err := buildAligned(data, opt, shards, bs)
+	opt.ForceBoundaries = bs
+	newEng, err := buildEngine(data, opt, shards)
 	if err != nil {
 		stopCapture()
 		return err
@@ -303,41 +273,6 @@ func (s *Session) rebuildTable(table string, bs []partition.Boundary) error {
 	return nil
 }
 
-// buildAligned constructs the replacement engine: a 1D PASS synopsis
-// with the forced boundaries, or a range-sharded set of them with the
-// whole-table budget divided by shard cardinality (each shard keeps the
-// boundaries that fall inside its key range).
-func buildAligned(data *dataset.Dataset, opt Options, shards int, bs []partition.Boundary) (engine.Engine, error) {
-	iopt, err := opt.internal()
-	if err != nil {
-		return nil, err
-	}
-	iopt.ForceBoundaries = bs
-	if shards <= 1 {
-		return core.Build(data, iopt)
-	}
-	total := data.N()
-	return shard.Build(data, shard.Range, 0, shards, func(i int, sd *dataset.Dataset) (engine.Engine, error) {
-		per := iopt
-		per.Partitions = scaleShardBudget(iopt.Partitions, sd.N(), total)
-		if iopt.SampleSize > 0 {
-			per.SampleSize = scaleShardBudget(iopt.SampleSize, sd.N(), total)
-		}
-		per.Seed = iopt.Seed + uint64(i+1)*0x9e3779b97f4a7c15
-		return core.Build(sd, per)
-	})
-}
-
-// scaleShardBudget apportions a whole-table budget to one shard by its
-// row share, never below 1 (mirrors the engine factory's policy).
-func scaleShardBudget(budget, shardRows, totalRows int) int {
-	v := int(float64(budget) * float64(shardRows) / float64(totalRows))
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
 // AdaptiveInfo is the per-table adaptive state surfaced by Tables and
 // passd's GET /tables.
 type AdaptiveInfo struct {
@@ -350,7 +285,7 @@ type AdaptiveInfo struct {
 	ExactFrac float64 `json:"exact_frac"`
 	MeanRelCI float64 `json:"mean_rel_ci"`
 	// Rebuildable reports whether the table retains base data for
-	// workload-driven rebuilds (RegisterAdaptive, 1D only).
+	// workload-driven rebuilds (CreateTable, 1D only).
 	Rebuildable bool `json:"rebuildable"`
 	// Rebuilds, LastReopt, LastDrift and LastOutcome summarise
 	// re-optimization history.

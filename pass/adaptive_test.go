@@ -35,7 +35,7 @@ func newAdaptiveSession(t *testing.T) (*Session, *Table) {
 		t.Fatal(err)
 	}
 	tbl := adaptiveTestTable(6000)
-	if err := sess.RegisterAdaptive("t", tbl, Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
+	if err := sess.CreateTable("t", tbl, Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 1); err != nil {
 		t.Fatal(err)
 	}
 	return sess, tbl
@@ -265,7 +265,7 @@ func TestAdaptiveShardedReoptimizePersists(t *testing.T) {
 	if _, err := sess.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.RegisterAdaptive("t", adaptiveTestTable(6000),
+	if err := sess.CreateTable("t", adaptiveTestTable(6000),
 		Options{Partitions: 32, SampleRate: 0.02, Seed: 7}, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +340,14 @@ func TestAdaptiveShardedReoptimizePersists(t *testing.T) {
 	}
 }
 
-// TestRegisterAdaptiveMultiDim: multi-dimensional tables join statistics
-// but are not rebuildable.
-func TestRegisterAdaptiveMultiDim(t *testing.T) {
+// TestCreateTableAdaptiveMultiDim: multi-dimensional tables join
+// statistics but are not rebuildable.
+func TestCreateTableAdaptiveMultiDim(t *testing.T) {
 	sess := NewSession()
 	if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.RegisterAdaptive("taxi", DemoTaxi(3000, 2, 1),
+	if err := sess.CreateTable("taxi", DemoTaxi(3000, 2, 1),
 		Options{Partitions: 32, SampleRate: 0.05, Seed: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +369,10 @@ func TestRegisterAdaptiveMultiDim(t *testing.T) {
 	}
 }
 
-// TestEnableAdaptiveGuards covers double-enable and the require-first
-// contract of RegisterAdaptive.
+// TestEnableAdaptiveGuards covers double-enable, Reoptimize of an unknown
+// table, and dropping an adaptive table.
 func TestEnableAdaptiveGuards(t *testing.T) {
 	sess := NewSession()
-	if err := sess.RegisterAdaptive("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1}, 1); err == nil {
-		t.Fatal("RegisterAdaptive before EnableAdaptive must fail")
-	}
 	if err := sess.EnableAdaptive(AdaptiveConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +383,7 @@ func TestEnableAdaptiveGuards(t *testing.T) {
 		t.Fatal("Reoptimize of an unknown table must fail")
 	}
 	// dropping clears adaptive state without error
-	if err := sess.RegisterAdaptive("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1, Seed: 1}, 1); err != nil {
+	if err := sess.CreateTable("t", adaptiveTestTable(100), Options{Partitions: 4, SampleRate: 0.1, Seed: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.Exec("SELECT COUNT(*) FROM t WHERE x >= 0"); err != nil {

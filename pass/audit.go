@@ -4,7 +4,7 @@ package pass
 // completed scalar query (the same catalog recorder hook the adaptive
 // collector uses), samples a configured fraction, and re-executes the
 // sampled queries exactly against the retained base rows that
-// RegisterAdaptive keeps in lockstep with the serving engine. The audit
+// CreateTable keeps in lockstep with the serving engine. The audit
 // scores CI coverage, relative error, and hard-bound violations per
 // (table, aggregate, degraded) stream onto the obs registry, and an
 // optional SLO monitor turns coverage plus tail latency into error
@@ -76,7 +76,7 @@ type auditRuntime struct {
 
 // EnableAudit turns on continuous accuracy auditing (and, with a target
 // configured, SLO error budgets). Enable it at boot, alongside
-// EnableAdaptive — tables registered through RegisterAdaptive become
+// EnableAdaptive — 1-D tables created through CreateTable become
 // auditable (their retained rows are the exact ground truth); other
 // tables are tapped but never scored. It cannot be enabled twice.
 func (s *Session) EnableAudit(cfg AuditConfig) error {

@@ -305,16 +305,6 @@ func Build(t *Table, opt Options) (*Synopsis, error) {
 	return &Synopsis{inner: s, schema: t.schema()}, nil
 }
 
-// BuildAuto constructs the synopsis matching the table's dimensionality:
-// Build for one predicate column, BuildMulti otherwise. It is the
-// loading path the CLIs and the passd server share.
-func BuildAuto(t *Table, opt Options) (*Synopsis, error) {
-	if t.Dims() == 1 {
-		return Build(t, opt)
-	}
-	return BuildMulti(t, opt)
-}
-
 // BuildMulti constructs a multi-dimensional synopsis (k-d partition tree,
 // Section 4.4 of the paper).
 func BuildMulti(t *Table, opt Options) (*Synopsis, error) {

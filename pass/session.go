@@ -47,8 +47,8 @@ var (
 // snapshotted to disk, updates are write-ahead journaled, and a restart
 // restores the catalog without rebuilding anything (see persist.go).
 // A session can further be made workload-adaptive with EnableAdaptive:
-// queries are then recorded into per-table sliding windows, and tables
-// registered through RegisterAdaptive are re-optimized in the background
+// queries are then recorded into per-table sliding windows, and 1-D
+// tables created through CreateTable are re-optimized in the background
 // when the observed workload drifts from the partitioning (see
 // adaptive.go).
 type Session struct {
