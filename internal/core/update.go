@@ -33,7 +33,7 @@ func (s *Synopsis) Insert(point []float64, value float64) error {
 		return fmt.Errorf("core: insert point has no coordinates")
 	}
 	leaf := s.oneD.LocateLeaf(point[0])
-	s.oneD.ApplyInsert(leaf, value)
+	s.oneD.ApplyInsert(leaf, point[0], value)
 	s.n++
 	s.sk.Add(value)
 	// Algorithm R: below capacity the row always enters; at capacity it

@@ -35,7 +35,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig.ApplyInsert(3, 0.25) // aggregates no rebuild from leaves could reproduce
+		orig.ApplyInsert(3, 1e6, 0.25) // aggregates and a range no rebuild from leaves could reproduce
 		b := encodeTree(t, orig)
 		got, err := decodeTree(b)
 		if err != nil {

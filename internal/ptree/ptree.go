@@ -399,15 +399,20 @@ func (t *Tree) LocateLeaf(v float64) int {
 	return int(t.leafOf[id])
 }
 
-// ApplyInsert records a new tuple with the given aggregate value landing in
-// leaf, updating SUM/COUNT/MIN/MAX/SUMSQ along the leaf-to-root path in
-// O(height) (Section 4.5, dynamic updates).
-func (t *Tree) ApplyInsert(leaf int, value float64) {
+// ApplyInsert records a new tuple with predicate key and aggregate value
+// landing in leaf, updating SUM/COUNT/MIN/MAX/SUMSQ along the
+// leaf-to-root path in O(height) (Section 4.5, dynamic updates). Each
+// node on the path widens its value range to take key: Walk classifies
+// nodes by those ranges, so a key outside them would be missed by a query
+// that reaches only it and counted by one that covers the node without
+// covering the key. Siblings stay disjoint, since LocateLeaf sends a key
+// between two leaves to the right-hand one, whose low end then moves.
+func (t *Tree) ApplyInsert(leaf int, key, value float64) {
 	id := t.leaves[leaf]
-	// widen the leaf's value range is not needed: predicate ranges are
-	// maintained by the caller re-locating; aggregates update here
 	for id >= 0 {
 		t.aggs[id].Add(value)
+		t.bounds[2*id] = min(t.bounds[2*id], key)
+		t.bounds[2*id+1] = max(t.bounds[2*id+1], key)
 		id = t.nodes[id].parent
 	}
 }

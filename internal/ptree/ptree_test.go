@@ -237,7 +237,7 @@ func TestApplyInsertUpdatesPath(t *testing.T) {
 	_, tr := buildTest(t, 400, 8, 11)
 	before := tr.Root()
 	leaf := tr.LocateLeaf(50)
-	tr.ApplyInsert(leaf, 1e6)
+	tr.ApplyInsert(leaf, 50, 1e6)
 	after := tr.Root()
 	if after.N != before.N+1 {
 		t.Errorf("root N = %d, want %d", after.N, before.N+1)
@@ -248,6 +248,20 @@ func TestApplyInsertUpdatesPath(t *testing.T) {
 	la := tr.LeafAgg(leaf)
 	if la.Max != 1e6 {
 		t.Errorf("leaf max = %v", la.Max)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// keys past either end widen the edge leaves and the root
+	for _, key := range []float64{-1e9, 1e9} {
+		edge := tr.LocateLeaf(key)
+		tr.ApplyInsert(edge, key, 1)
+		if lo, hi := tr.LeafValueRange(edge); key < lo || key > hi {
+			t.Errorf("leaf %d spans [%v, %v] after an insert at %v", edge, lo, hi, key)
+		}
+		if f := tr.Frontier(dataset.Rect1(key, key), false); len(f.Cover)+len(f.Partial) == 0 {
+			t.Errorf("no node reaches the key %v inserted", key)
+		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
