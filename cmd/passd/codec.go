@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/jsonenc"
 	"repro/internal/jsonout"
+	"repro/internal/parallel"
 	"repro/pass"
 )
 
@@ -49,26 +52,41 @@ func putBuf(p *[]byte, b []byte) {
 // included. A false return means the response has been written.
 func readBody[T any](s *server, w http.ResponseWriter, r *http.Request, v *T, decode func(*jsonReader, *T)) bool {
 	p := getBuf()
-	if want := min(r.ContentLength, s.maxBody) + 1; want > int64(cap(*p)) {
+	body, ok := readDecode(s, w, r, *p, v, decode)
+	putBuf(p, body)
+	return ok
+}
+
+// readOwnedBody is readBody into a buffer of the request's own, for a
+// decoder that leaves v holding slices of the body (decodeCreateTable
+// decodes the csv string in place).
+func readOwnedBody[T any](s *server, w http.ResponseWriter, r *http.Request, v *T, decode func(*jsonReader, *T)) bool {
+	_, ok := readDecode(s, w, r, nil, v, decode)
+	return ok
+}
+
+// readDecode reads the body into buf, grown to hold it, decodes it into
+// v, and answers the client error when either fails.
+func readDecode[T any](s *server, w http.ResponseWriter, r *http.Request, buf []byte, v *T, decode func(*jsonReader, *T)) ([]byte, bool) {
+	if want := min(r.ContentLength, s.maxBody) + 1; want > int64(cap(buf)) {
 		// room for the declared body and the read that finds its end
-		*p = make([]byte, 0, want)
+		buf = make([]byte, 0, want)
 	}
-	body, err := readAll(http.MaxBytesReader(w, r.Body, s.maxBody), *p)
+	body, err := readAll(http.MaxBytesReader(w, r.Body, s.maxBody), buf)
 	if err == nil {
 		err = decodeJSON(body, v, decode)
 	}
-	putBuf(p, body)
 	if err == nil {
-		return true
+		return body, true
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		return false
+		return body, false
 	}
 	httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-	return false
+	return body, false
 }
 
 // readAll appends everything r yields to b.
@@ -154,7 +172,7 @@ func decodeCreateTable(d *jsonReader, c *createTableRequest) {
 		case keyIs(key, "name"):
 			d.readString(&c.Name)
 		case keyIs(key, "csv"):
-			d.readString(&c.CSV)
+			d.readOwnedString(&c.CSV)
 		case keyIs(key, "partitions"):
 			d.readInt(&c.Partitions)
 		case keyIs(key, "sample_rate"):
@@ -393,6 +411,21 @@ func (d *jsonReader) readString(dst *string) {
 	}
 }
 
+// readOwnedString reads a string field as bytes the caller keeps: the
+// string decoded in place in d.data (stringInPlace), on every CPU when it
+// is at least parallelCSVBytes long.
+func (d *jsonReader) readOwnedString(dst *[]byte) {
+	if d.value("string", `"`) {
+		chunks := 1
+		if len(d.data)-d.pos >= parallelCSVBytes {
+			chunks = parallel.Workers()
+		}
+		if b := d.stringInPlace(chunks); d.err == nil {
+			*dst = b
+		}
+	}
+}
+
 // The number fields fail, as in encoding/json, on a literal out of the
 // field's range and, for integer fields, on one with a fraction or an
 // exponent.
@@ -600,6 +633,227 @@ func (d *jsonReader) unescape(start int) []byte {
 	return nil
 }
 
+// parallelCSVBytes is the string length from which stringInPlace is
+// asked for a chunk per CPU; a shorter string is one chunk, where
+// starting workers would cost more than they save.
+const parallelCSVBytes = 256 << 10
+
+// stringInPlace reads the string at the cursor, like stringBytes, and
+// returns its decoded bytes as a slice of d.data, which it overwrites:
+// d.data must be the caller's own. The string is cut into at most chunks
+// chunks, each ending just after a \n escape, so each starts at an
+// escape boundary; all are decoded at once, each over its own bytes
+// (unescapeInPlace), and then closed up in order.
+//
+// A chunk stops, its bytes from there on as they came, at anything that
+// could fail or decode to more bytes than it takes: a control byte, a bad
+// escape, invalid UTF-8. stringBytes then takes the string from there
+// (settle): the bytes and the error come out as they would have from it
+// alone. A string with no closing quote is left to stringBytes whole.
+func (d *jsonReader) stringInPlace(chunks int) []byte {
+	start := d.pos + 1
+	end := stringEnd(d.data, start)
+	if end < 0 {
+		return d.ownedStringBytes()
+	}
+	s := d.data[start:end]
+	cuts := escapeCuts(s, chunks)
+	n := len(cuts) - 1
+	w, r := make([]int, n), make([]int, n)
+	parallel.For(n, func(i int) { w[i], r[i] = unescapeInPlace(s[cuts[i]:cuts[i+1]]) })
+	for i := range n {
+		if cuts[i]+r[i] < cuts[i+1] {
+			return d.settle(start, cuts, w, r)
+		}
+	}
+	size := w[0]
+	for i := 1; i < n; i++ {
+		size += copy(s[size:], s[cuts[i]:cuts[i]+w[i]])
+	}
+	d.pos = end + 1
+	return s[:size]
+}
+
+// settle finishes a stringInPlace whose chunk i stopped at read offset
+// r[i] having written w[i] bytes, in a new buffer: the written bytes of
+// each chunk, then the rest of any stopped one as unescape decodes it.
+// The rest is bytes as they came and starts at an escape boundary, so
+// unescape, run there with the chunk's end made a closing quote for the
+// time, decodes it as it would within the whole string, and fails on its
+// first bad byte with stringBytes' error.
+func (d *jsonReader) settle(start int, cuts, w, r []int) []byte {
+	var out []byte
+	for i := range w {
+		lo, hi := start+cuts[i], start+cuts[i+1]
+		out = append(out, d.data[lo:lo+w[i]]...)
+		if at := lo + r[i]; at < hi {
+			saved := d.data[hi]
+			d.data[hi] = '"'
+			d.pos = at
+			rest := d.unescape(at)
+			d.data[hi] = saved
+			if d.err != nil {
+				return nil
+			}
+			out = append(out, rest...)
+		}
+	}
+	d.pos = start + cuts[len(cuts)-1] + 1
+	return out
+}
+
+// ownedStringBytes is stringBytes for bytes the caller keeps: the buffer
+// unescape decodes into is handed over, not kept as d.scratch.
+func (d *jsonReader) ownedStringBytes() []byte {
+	d.scratch = nil
+	b := d.stringBytes()
+	d.scratch = nil
+	return b
+}
+
+// stringEnd returns the offset of the quote that closes the string whose
+// first byte is at start, the first '"' after an even run of
+// backslashes, or -1 if there is none.
+func stringEnd(data []byte, start int) int {
+	for from := start; ; {
+		q := bytes.IndexByte(data[from:], '"')
+		if q < 0 {
+			return -1
+		}
+		q += from
+		if backslashesBefore(data[start:], q-start)%2 == 0 {
+			return q
+		}
+		from = q + 1
+	}
+}
+
+// backslashesBefore counts the run of backslashes that ends just before
+// s[i].
+func backslashesBefore(s []byte, i int) int {
+	n := 0
+	for i-n > 0 && s[i-n-1] == '\\' {
+		n++
+	}
+	return n
+}
+
+// escapeCuts cuts the raw string bytes s into at most n chunks and
+// returns their offsets, 0 first and len(s) last. Each inner cut lies
+// just after a \n escape whose backslash starts an escape (an odd run of
+// backslashes ends at it), at or after an even share of s.
+func escapeCuts(s []byte, n int) []int {
+	cuts := []int{0}
+	for i := 1; i < n; i++ {
+		from := max(i*len(s)/n, cuts[len(cuts)-1])
+		for {
+			j := bytes.Index(s[from:], []byte(`\n`))
+			if j < 0 {
+				return append(cuts, len(s))
+			}
+			j += from
+			if backslashesBefore(s, j+1)%2 == 1 {
+				if j+2 < len(s) {
+					cuts = append(cuts, j+2)
+				}
+				break
+			}
+			from = j + 1
+		}
+	}
+	return append(cuts, len(s))
+}
+
+// unescapeInPlace decodes the raw string bytes s, which start at an
+// escape boundary, over themselves as unescape would, and returns how
+// many bytes it wrote and up to which offset it read. It stops, r short
+// of len(s), at the first control byte, quote, bad or cut-off escape or
+// invalid UTF-8, leaving s[r:] as it was. Nothing it decodes grows, so
+// the write offset never passes the read offset.
+func unescapeInPlace(s []byte) (w, r int) {
+	for r < len(s) {
+		if r+8 <= len(s) {
+			// move the plain bytes of the next word: the whole word when
+			// it lands on bytes already read, else only them
+			x := binary.LittleEndian.Uint64(s[r:])
+			p := plainPrefix(x)
+			if w+8 <= r {
+				binary.LittleEndian.PutUint64(s[w:], x)
+			} else if w < r {
+				copy(s[w:], s[r:r+p])
+			}
+			w, r = w+p, r+p
+			if p == 8 {
+				continue
+			}
+		}
+		switch c := s[r]; {
+		case plainByte[c]:
+			s[w] = c
+			w, r = w+1, r+1
+		case c == '\\':
+			if r+1 == len(s) {
+				return w, r
+			}
+			switch e := s[r+1]; e {
+			case '"', '\\', '/':
+				s[w] = e
+			case 'b':
+				s[w] = '\b'
+			case 'f':
+				s[w] = '\f'
+			case 'n':
+				s[w] = '\n'
+			case 'r':
+				s[w] = '\r'
+			case 't':
+				s[w] = '\t'
+			case 'u':
+				u := utf16Of(s[r:])
+				if u < 0 {
+					return w, r
+				}
+				r += 6
+				if utf16.IsSurrogate(u) {
+					if pair := utf16.DecodeRune(u, utf16Of(s[r:])); pair != utf8.RuneError {
+						u = pair
+						r += 6
+					} else {
+						u = utf8.RuneError
+					}
+				}
+				w += utf8.EncodeRune(s[w:], u)
+				continue
+			default:
+				return w, r
+			}
+			w, r = w+1, r+2
+		case c < utf8.RuneSelf: // a control byte or a quote
+			return w, r
+		default:
+			u, n := utf8.DecodeRune(s[r:])
+			if u == utf8.RuneError && n == 1 {
+				return w, r
+			}
+			w += copy(s[w:], s[r:r+n])
+			r += n
+		}
+	}
+	return w, r
+}
+
+// plainPrefix returns how many of the bytes of x, a little-endian word
+// of string bytes, are plainByte before the first that is not: a control
+// byte, '"', '\\' or a byte of a multi-byte UTF-8 sequence. Each test
+// sets the high bit of the bytes it matches; a borrow can set false ones,
+// but only above a true one, so the lowest set bit is exact.
+func plainPrefix(x uint64) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	quote, backslash := x^(ones*'"'), x^(ones*'\\')
+	m := (x-ones*0x20)&^x | (quote-ones)&^quote | (backslash-ones)&^backslash | x
+	return bits.TrailingZeros64(m&highs) >> 3
+}
+
 // plainByte marks the bytes a string carries through as they are:
 // printable ASCII but the quote and the backslash.
 var plainByte = func() (t [256]bool) {
@@ -610,12 +864,15 @@ var plainByte = func() (t [256]bool) {
 }()
 
 // utf16At decodes the \uXXXX escape at offset i, or returns -1.
-func (d *jsonReader) utf16At(i int) rune {
-	if i+6 > len(d.data) || d.data[i] != '\\' || d.data[i+1] != 'u' {
+func (d *jsonReader) utf16At(i int) rune { return utf16Of(d.data[min(i, len(d.data)):]) }
+
+// utf16Of decodes the \uXXXX escape that s starts with, or returns -1.
+func utf16Of(s []byte) rune {
+	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
 		return -1
 	}
 	var r rune
-	for _, c := range d.data[i+2 : i+6] {
+	for _, c := range s[2:6] {
 		switch {
 		case '0' <= c && c <= '9':
 			c -= '0'

@@ -129,7 +129,7 @@ func BenchmarkReadCreateBody(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		var req createTableRequest
-		if !readBody(s, httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/tables", bytes.NewReader(body)), &req, decodeCreateTable) {
+		if !readOwnedBody(s, httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/tables", bytes.NewReader(body)), &req, decodeCreateTable) {
 			b.Fatal("body refused")
 		}
 	}
@@ -188,22 +188,41 @@ func FuzzReadBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkBody(t, s, body, func() queryRequest {
 			return queryRequest{SQL: "pre", Statements: []string{"a", "b"}, Prepared: "p", Params: []any{1.0, "x"}}
-		}, decodeQuery)
-		checkBody(t, s, body, func() prepareRequest { return prepareRequest{Name: "n", SQL: "s"} }, decodePrepare)
+		}, decodeQuery, unmarshal)
+		checkBody(t, s, body, func() prepareRequest { return prepareRequest{Name: "n", SQL: "s"} }, decodePrepare, unmarshal)
 		checkBody(t, s, body, func() createTableRequest {
-			return createTableRequest{Name: "t", CSV: "c", buildOptions: s.buildDefaults}
-		}, decodeCreateTable)
+			return createTableRequest{Name: "t", CSV: []byte("c"), buildOptions: s.buildDefaults}
+		}, decodeCreateTable, unmarshalCreateTable)
 		checkBody(t, s, body, func() insertRowsRequest {
 			return insertRowsRequest{Rows: []insertRow{{Point: []float64{1, 2}, Value: 3}, {Value: 4}}}
-		}, decodeInsertRows)
+		}, decodeInsertRows, unmarshal)
 	})
 }
 
-func checkBody[T any](t *testing.T, s *server, body []byte, prefilled func() T, decode func(*jsonReader, *T)) {
+// unmarshal is json.Unmarshal, the reference of a request struct whose
+// fields encoding/json decodes as passd does.
+func unmarshal[T any](body []byte, v *T) error { return json.Unmarshal(body, v) }
+
+// unmarshalCreateTable is json.Unmarshal into a mirror of
+// createTableRequest whose csv is a string, what the wire carries:
+// encoding/json would take a []byte field for base64.
+func unmarshalCreateTable(body []byte, c *createTableRequest) error {
+	m := struct {
+		Name string `json:"name"`
+		CSV  string `json:"csv"`
+		buildOptions
+	}{c.Name, string(c.CSV), c.buildOptions}
+	err := json.Unmarshal(body, &m)
+	c.Name, c.CSV, c.buildOptions = m.Name, []byte(m.CSV), m.buildOptions
+	return err
+}
+
+func checkBody[T any](t *testing.T, s *server, body []byte, prefilled func() T, decode func(*jsonReader, *T), reference func([]byte, *T) error) {
 	t.Helper()
 	want, got := prefilled(), prefilled()
-	wantErr := json.Unmarshal(body, &want)
-	gotErr := decodeJSON(body, &got, decode)
+	wantErr := reference(body, &want)
+	// a decoder may decode a string in place, so it gets a copy
+	gotErr := decodeJSON(bytes.Clone(body), &got, decode)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%T from %q: json.Unmarshal says %v, the reader %v", want, body, wantErr, gotErr)
 	}
@@ -225,6 +244,60 @@ func checkBody[T any](t *testing.T, s *server, body []byte, prefilled func() T, 
 	}
 	if status != wantStatus {
 		t.Fatalf("%T from %q: read answers %d, want %d (%s)", want, body, status, wantStatus, rec.Body)
+	}
+}
+
+// FuzzDecodeCSVString holds stringInPlace, forced to cut the string into
+// one to four chunks, to stringBytes on the same JSON string: the same
+// decoded bytes, the same error text and the same end offset.
+func FuzzDecodeCSVString(f *testing.F) {
+	rows := `pickup_time,trip_distance\n8.1234,2.5\n23.9999,80\n0,0.01\n`
+	for _, s := range []string{
+		`"` + rows + `"`, `"` + strings.Repeat(rows, 40) + `",`, `""`, `"no escapes at all"`, `"a\nb"`,
+		`"\\n\\\n\\\\n\n"`, `"\\\"\n\"\\"` + "\n}", `"x\n\/\b\f\r\t\u00e9\n\ud83d\ude00\n\ud800\n\udc00\ud800\n\uD800\u0041"`,
+		`"` + rows + `\ud83d` + `\n\ude00"`, "\"" + rows + "\xff\xfe\\n\xe2\x80\xa8\\n\"", "\"" + rows + "tab\tin\\n\"", "\"" + rows + "\x1f\\n\"", "\"" + rows + "\x00\\n\"",
+		`"` + rows + `\x\n"`, `"` + rows + `\u12\n"`, `"` + rows + `\u\n0041"`, `"` + rows + `\'"`,
+		"\"\xff" + strings.Repeat(rows, 8) + "\"", "\"" + rows + "\xc3" + strings.Repeat(rows, 8) + "\"",
+		`"` + rows + `\ud800` + strings.Repeat(rows, 8) + `\x"`,
+		`"` + rows + `unterminated\n`, `"` + rows + `\`, `"` + rows + `\\"`, `"` + rows + `\"`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) == 0 || body[0] != '"' {
+			body = append([]byte{'"'}, body...)
+		}
+		ref := jsonReader{data: bytes.Clone(body)}
+		want := ref.stringBytes()
+		for chunks := 1; chunks <= 4; chunks++ {
+			d := jsonReader{data: bytes.Clone(body)}
+			got := d.stringInPlace(chunks)
+			if (d.err == nil) != (ref.err == nil) || d.err != nil && d.err.Error() != ref.err.Error() {
+				t.Fatalf("%q in %d chunks: error %v, stringBytes %v", body, chunks, d.err, ref.err)
+			}
+			if d.err == nil && (!bytes.Equal(got, want) || d.pos != ref.pos) {
+				t.Fatalf("%q in %d chunks: %q ending at %d, stringBytes %q ending at %d", body, chunks, got, d.pos, want, ref.pos)
+			}
+		}
+	})
+}
+
+// TestEscapeCutsSplitLongStrings checks that a benchmark-shaped csv
+// string really is cut into as many chunks as asked, each after a \n
+// escape, so FuzzDecodeCSVString and the parallel decode are not one
+// chunk in disguise.
+func TestEscapeCutsSplitLongStrings(t *testing.T) {
+	s := []byte(strings.Repeat(`8.1234,2.5\n\\n`, 1000))
+	for n := 1; n <= 4; n++ {
+		cuts := escapeCuts(s, n)
+		if len(cuts) != n+1 {
+			t.Fatalf("%d chunks asked, cuts %v", n, cuts)
+		}
+		for _, c := range cuts[1:n] {
+			if string(s[c-2:c]) != `\n` || backslashesBefore(s, c-1)%2 != 1 {
+				t.Fatalf("cut %d does not follow a \\n escape: %q", c, s[c-8:c])
+			}
+		}
 	}
 }
 

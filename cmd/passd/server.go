@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -341,17 +342,18 @@ func (s *server) handleReoptimize(w http.ResponseWriter, r *http.Request) {
 type createTableRequest struct {
 	Name string `json:"name"`
 	// CSV is the table data: a header row, numeric rows, last column the
-	// aggregate.
-	CSV string `json:"csv"`
+	// aggregate. It is a JSON string on the wire; decodeCreateTable
+	// decodes it in place in the body, which the request owns.
+	CSV []byte `json:"csv"`
 	buildOptions
 }
 
 func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 	req := createTableRequest{buildOptions: s.buildDefaults}
-	if !readBody(s, w, r, &req, decodeCreateTable) {
+	if !readOwnedBody(s, w, r, &req, decodeCreateTable) {
 		return
 	}
-	if strings.TrimSpace(req.Name) == "" || strings.TrimSpace(req.CSV) == "" {
+	if strings.TrimSpace(req.Name) == "" || len(bytes.TrimSpace(req.CSV)) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf(`"name" and "csv" are required`))
 		return
 	}
@@ -363,7 +365,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tbl, err := pass.ReadCSV(strings.NewReader(req.CSV))
+	tbl, err := pass.ReadCSVBytes(req.CSV)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -50,15 +50,21 @@ const parallelCSVBytes = 256 << 10
 // one chunk by encoding/csv, so every error names the row, line and column
 // it would on one reader.
 func ReadCSV(r io.Reader, name string) (*Dataset, error) {
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: read csv: %w", err)
 	}
+	return ReadCSVBytes(data, name)
+}
+
+// ReadCSVBytes is ReadCSV over data, parsed where it lies: data is not
+// copied, not kept, and must not change during the call.
+func ReadCSVBytes(data []byte, name string) (*Dataset, error) {
 	chunks := 1
-	if buf.Len() >= parallelCSVBytes {
+	if len(data) >= parallelCSVBytes {
 		chunks = parallel.Workers()
 	}
-	return readCSV(buf.Bytes(), name, chunks)
+	return readCSV(data, name, chunks)
 }
 
 // readCSV is ReadCSV over data cut into at most chunks chunks.

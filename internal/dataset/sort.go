@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/parallel"
@@ -43,7 +44,7 @@ func (d *Dataset) SortByPred(dim int) {
 //
 // It runs on the worker pool: the keys at the cut ranks are selected
 // (selectKeys), the rows are partitioned by them, stably, and each part
-// is then sorted and gathered on its own. A part's rows are the ones
+// is then sorted (msdSort) and gathered on its own. A part's rows are the ones
 // between two cuts of the whole sorted order, so they come out in that
 // order.
 func (d *Dataset) SplitByPred(dim int, ranks []int) []*Dataset {
@@ -113,7 +114,7 @@ func (d *Dataset) SplitByPred(dim int, ranks []int) []*Dataset {
 	out := make([]*Dataset, parts)
 	parallel.For(parts, func(p int) {
 		if lo, hi := start[p], start[p+1]; lo < hi {
-			out[p] = d.gather(radixSort(items[lo:hi], scratch[lo:hi]))
+			out[p] = d.gather(msdSort(items[lo:hi], scratch[lo:hi]))
 		}
 	})
 	return slices.DeleteFunc(out, func(p *Dataset) bool { return p == nil })
@@ -209,6 +210,80 @@ func (d *Dataset) gather(items []item) *Dataset {
 type item struct {
 	key uint64
 	idx int
+}
+
+// msdBits is the width of msdSort's one digit, and msdInsertion the
+// largest bucket it finishes by insertion sort.
+const (
+	msdBits      = 16
+	msdInsertion = 48
+)
+
+// msdSort sorts items by key, stably, and returns them in items or in
+// scratch, which is as long. One counting pass scatters the items by the
+// msdBits bits just below the prefix every key shares; a bucket of at
+// most msdInsertion items is then finished by insertion sort and a
+// larger one by radixSort. A part of a split spans a small range of
+// keys, so most buckets hold a handful of rows and the one pass replaces
+// radixSort's pass per differing byte.
+func msdSort(items, scratch []item) []item {
+	n := len(items)
+	if n <= msdInsertion {
+		insertionSort(items)
+		return items
+	}
+	var diff uint64
+	for _, it := range items {
+		diff |= it.key ^ items[0].key
+	}
+	if diff == 0 {
+		return items
+	}
+	shift := max(bits.Len64(diff)-msdBits, 0)
+	digit := func(k uint64) int { return int(k>>shift) & (1<<msdBits - 1) }
+	at := make([]int32, 1<<msdBits)
+	for _, it := range items {
+		at[digit(it.key)]++
+	}
+	sum := int32(0)
+	for j, c := range at {
+		at[j], sum = sum, sum+c
+	}
+	for _, it := range items {
+		j := digit(it.key)
+		scratch[at[j]] = it
+		at[j]++
+	}
+	if shift == 0 {
+		return scratch // a bucket's keys agree on every bit
+	}
+	// at[j] is now the end of bucket j
+	for j, lo := 0, 0; lo < n; j++ {
+		hi := int(at[j])
+		switch bucket := scratch[lo:hi]; {
+		case len(bucket) <= 1:
+		case len(bucket) <= msdInsertion:
+			insertionSort(bucket)
+		default:
+			if sorted := radixSort(bucket, items[lo:hi]); &sorted[0] != &bucket[0] {
+				copy(bucket, sorted)
+			}
+		}
+		lo = hi
+	}
+	return scratch
+}
+
+// insertionSort sorts items by key, stably.
+func insertionSort(items []item) {
+	for i := 1; i < len(items); i++ {
+		it := items[i]
+		j := i
+		for ; j > 0 && items[j-1].key > it.key; j-- {
+			items[j] = items[j-1]
+		}
+		items[j] = it
+	}
 }
 
 // radixSort sorts items by key, stably, and returns them in items or in

@@ -34,8 +34,9 @@ func sortedSplit(d *Dataset, dim int, ranks []int) []*Dataset {
 
 // TestSplitByPredMatchesSortedSplit: on keys that defeat the radix
 // select's first digits (one exponent, the last bits only, one value), on
-// signed zeros and NaNs, and at many part counts, SplitByPred gives the
-// parts of the whole sorted order bit for bit.
+// clusters that fill msdSort's buckets, on signed zeros and NaNs, and at
+// many part counts, SplitByPred gives the parts of the whole sorted order
+// bit for bit.
 func TestSplitByPredMatchesSortedSplit(t *testing.T) {
 	rng := stats.NewRNG(5)
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
@@ -44,9 +45,14 @@ func TestSplitByPredMatchesSortedSplit(t *testing.T) {
 		"stamps": func() float64 { return 1.7e9 + float64(rng.Intn(1<<20)) },
 		"ulps":   func() float64 { return math.Float64frombits(math.Float64bits(3) + uint64(rng.Intn(40))) },
 		"same":   func() float64 { return 7 },
-		"zeros":  func() float64 { return []float64{0, negZero, 1, -1}[rng.Intn(4)] },
-		"nans":   func() float64 { return []float64{nan, 2, -nan, math.Inf(1), 5}[rng.Intn(5)] },
-		"mixed":  func() float64 { return rng.NormMS(0, 1e3) * math.Pow(10, float64(rng.Intn(40)-20)) },
+		// two far clusters of close keys: msdSort's buckets outgrow
+		// insertion sort and take radixSort
+		"clusters": func() float64 {
+			return math.Float64frombits(math.Float64bits([]float64{1, 1e6}[rng.Intn(2)]) + uint64(rng.Intn(1<<12)))
+		},
+		"zeros": func() float64 { return []float64{0, negZero, 1, -1}[rng.Intn(4)] },
+		"nans":  func() float64 { return []float64{nan, 2, -nan, math.Inf(1), 5}[rng.Intn(5)] },
+		"mixed": func() float64 { return rng.NormMS(0, 1e3) * math.Pow(10, float64(rng.Intn(40)-20)) },
 	}
 	for name, gen := range gens {
 		for _, n := range []int{1, 7, 5000, 20011} {

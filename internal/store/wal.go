@@ -160,18 +160,24 @@ func OpenWALFS(fsys vfs.FS, path string, syncAppends bool) (*WAL, []Record, erro
 // corruption, not data.
 const maxRecordBytes = 1 << 20
 
-// scanWAL validates the header and every record, returning the records,
-// the generation, and the end offset of the last valid record.
+// scanWAL reads the whole log and parses it (parseWAL). WALs are
+// truncated at every checkpoint, so they stay small by construction.
 func scanWAL(f vfs.File, fileSize int64) ([]Record, uint64, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, 0, err
 	}
-	// read the whole log; WALs are truncated at every checkpoint so they
-	// stay small by construction
 	raw := make([]byte, fileSize)
 	if _, err := io.ReadFull(f, raw); err != nil {
 		return nil, 0, 0, fmt.Errorf("read WAL: %w", err)
 	}
+	return parseWAL(raw)
+}
+
+// parseWAL validates the header and every record of raw, returning the
+// records, the generation, and the end offset of the last valid record.
+// Any input it refuses fails with an error wrapping ErrCorrupt, and it
+// allocates no more than a small multiple of len(raw).
+func parseWAL(raw []byte) ([]Record, uint64, int64, error) {
 	pos := 0
 	magic, n := binary.Uvarint(raw[pos:])
 	if n <= 0 || magic != walMagic {
@@ -183,7 +189,7 @@ func scanWAL(f vfs.File, fileSize int64) ([]Record, uint64, int64, error) {
 		return nil, 0, 0, fmt.Errorf("truncated WAL header: %w", ErrCorrupt)
 	}
 	if version != walVersion {
-		return nil, 0, 0, fmt.Errorf("unsupported WAL version %d", version)
+		return nil, 0, 0, fmt.Errorf("unsupported WAL version %d: %w", version, ErrCorrupt)
 	}
 	pos += n
 	if pos+8 > len(raw) {
@@ -222,20 +228,33 @@ func scanWAL(f vfs.File, fileSize int64) ([]Record, uint64, int64, error) {
 	return recs, gen, int64(pos), nil
 }
 
-// decodeRecord parses one record payload.
+// decodeRecord parses one record payload: the varints appendRecord
+// writes, read straight off the slice. Bytes after the value are
+// ignored.
 func decodeRecord(payload []byte) (Record, error) {
-	pr := binenc.NewReader(bytes.NewReader(payload))
-	op := Op(pr.U64())
-	dims := int(pr.U64())
-	if pr.Err() != nil || (op != OpInsert && op != OpDelete) || dims < 0 || dims > 1<<10 {
+	ok := true
+	next := func() uint64 {
+		v, n := binary.Uvarint(payload)
+		if n <= 0 {
+			ok = false
+			return 0
+		}
+		payload = payload[n:]
+		return v
+	}
+	op := Op(next())
+	dims := next()
+	// every coordinate and the value take a byte at least, so a point
+	// longer than the payload is refused before it is allocated
+	if !ok || (op != OpInsert && op != OpDelete) || dims > 1<<10 || dims >= uint64(len(payload)) {
 		return Record{}, fmt.Errorf("malformed record payload: %w", ErrCorrupt)
 	}
 	rec := Record{Op: op, Point: make([]float64, dims)}
 	for i := range rec.Point {
-		rec.Point[i] = pr.F64()
+		rec.Point[i] = math.Float64frombits(next())
 	}
-	rec.Value = pr.F64()
-	if pr.Err() != nil {
+	rec.Value = math.Float64frombits(next())
+	if !ok {
 		return Record{}, fmt.Errorf("malformed record payload: %w", ErrCorrupt)
 	}
 	return rec, nil

@@ -142,6 +142,16 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	return &Table{inner: d}, nil
 }
 
+// ReadCSVBytes is ReadCSV over data, parsed where it lies: data is not
+// copied, not kept, and must not change during the call.
+func ReadCSVBytes(data []byte) (*Table, error) {
+	d, err := dataset.ReadCSVBytes(data, "table")
+	if err != nil {
+		return nil, err
+	}
+	return &Table{inner: d}, nil
+}
+
 // WriteCSV writes the table with a header row.
 func (t *Table) WriteCSV(w io.Writer) error { return t.inner.WriteCSV(w) }
 
