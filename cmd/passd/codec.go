@@ -647,14 +647,14 @@ const parallelCSVBytes = 256 << 10
 //
 // A chunk stops, its bytes from there on as they came, at anything that
 // could fail or decode to more bytes than it takes: a control byte, a bad
-// escape, invalid UTF-8. stringBytes then takes the string from there
-// (settle): the bytes and the error come out as they would have from it
-// alone. A string with no closing quote is left to stringBytes whole.
+// escape, invalid UTF-8. stringBytes' decoder then takes the chunk from
+// there (settle), so the bytes and the error come out as stringBytes'
+// own. A string with no closing quote fails in stringBytes.
 func (d *jsonReader) stringInPlace(chunks int) []byte {
 	start := d.pos + 1
 	end := stringEnd(d.data, start)
 	if end < 0 {
-		return d.ownedStringBytes()
+		return d.stringBytes()
 	}
 	s := d.data[start:end]
 	cuts := escapeCuts(s, chunks)
@@ -700,15 +700,6 @@ func (d *jsonReader) settle(start int, cuts, w, r []int) []byte {
 	}
 	d.pos = start + cuts[len(cuts)-1] + 1
 	return out
-}
-
-// ownedStringBytes is stringBytes for bytes the caller keeps: the buffer
-// unescape decodes into is handed over, not kept as d.scratch.
-func (d *jsonReader) ownedStringBytes() []byte {
-	d.scratch = nil
-	b := d.stringBytes()
-	d.scratch = nil
-	return b
 }
 
 // stringEnd returns the offset of the quote that closes the string whose

@@ -88,26 +88,14 @@ func (k *KLL) compact(l int) {
 	if n > len(a) {
 		a, b = make([]uint64, n), make([]uint64, n)
 	}
+	keys := sortedKeys(buf, a[:n], b[:n])
 	next := k.levels[l+1]
-	if keys := sortedKeys(buf, a[:n], b[:n]); keys != nil {
-		for i := 1; i < n&^1; i += 2 {
-			next = append(next, keyFloat(keys[i]))
-		}
-		buf = buf[:0]
-		if n%2 == 1 {
-			buf = append(buf, keyFloat(keys[n-1]))
-		}
-	} else {
-		sort.Float64s(buf)
-		for i := 1; i < n&^1; i += 2 {
-			next = append(next, buf[i])
-		}
-		if n%2 == 1 {
-			buf[0] = buf[n-1]
-			buf = buf[:1]
-		} else {
-			buf = buf[:0]
-		}
+	for i := 1; i < n&^1; i += 2 {
+		next = append(next, keyFloat(keys[i]))
+	}
+	buf = buf[:0]
+	if n%2 == 1 {
+		buf = append(buf, keyFloat(keys[n-1]))
 	}
 	k.levels[l], k.levels[l+1] = buf, next
 	k.errBound += 1 << uint(l)
@@ -126,12 +114,18 @@ func keyFloat(u uint64) float64 {
 	return math.Float64frombits(u ^ (uint64(int64(^u)>>63) | 1<<63))
 }
 
-// sortedKeys returns buf's values sorted as floatKey keys, in keys or
-// tmp (both len(buf) long), or nil when buf holds a NaN or a −0.
+// sortedKeys returns buf's values in sort.Float64s order as floatKey
+// keys, in keys or tmp (both len(buf) long). keyFloat(floatKey(v)) is v
+// bit for bit, NaN payloads included.
 func sortedKeys(buf []float64, keys, tmp []uint64) []uint64 {
 	for i, v := range buf {
 		if v != v || math.Float64bits(v) == 1<<63 {
-			return nil
+			// a NaN or a −0: the order of its ties is pdqsort's
+			sort.Float64s(buf)
+			for i, v := range buf {
+				keys[i] = floatKey(v)
+			}
+			return keys
 		}
 		keys[i] = floatKey(v)
 	}
