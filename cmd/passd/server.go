@@ -366,6 +366,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tbl, err := pass.ReadCSVBytes(req.CSV)
+	req.CSV = nil // parsed: the body need not stay live through the builds
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -242,14 +242,14 @@ func decodeRecord(payload []byte) (Record, error) {
 		payload = payload[n:]
 		return v
 	}
-	op := Op(next())
+	op := next()
 	dims := next()
 	// every coordinate and the value take a byte at least, so a point
 	// longer than the payload is refused before it is allocated
-	if !ok || (op != OpInsert && op != OpDelete) || dims > 1<<10 || dims >= uint64(len(payload)) {
+	if !ok || (op != uint64(OpInsert) && op != uint64(OpDelete)) || dims > 1<<10 || dims >= uint64(len(payload)) {
 		return Record{}, fmt.Errorf("malformed record payload: %w", ErrCorrupt)
 	}
-	rec := Record{Op: op, Point: make([]float64, dims)}
+	rec := Record{Op: Op(op), Point: make([]float64, dims)}
 	for i := range rec.Point {
 		rec.Point[i] = math.Float64frombits(next())
 	}

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -184,5 +187,22 @@ func TestWALRejectsWrongMagic(t *testing.T) {
 	_, _, err := OpenWAL(path, false)
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenWAL on garbage: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWALRejectsUnknownOp: a record whose op is neither insert nor
+// delete is corrupt, even when its low byte would read as one (257 is
+// 1 in a byte) and its checksum holds.
+func TestWALRejectsUnknownOp(t *testing.T) {
+	for _, op := range []uint64{0, 3, 257, 258} {
+		payload := binary.AppendUvarint(nil, op)
+		payload = binary.AppendUvarint(payload, 0)
+		payload = binary.AppendUvarint(payload, math.Float64bits(1.5))
+		raw := binary.AppendUvarint(encodeHeader(0), uint64(len(payload)))
+		raw = append(raw, payload...)
+		raw = binary.AppendUvarint(raw, uint64(crc32.ChecksumIEEE(payload)))
+		if recs, _, _, err := parseWAL(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("op %d: records %+v, error %v; want ErrCorrupt", op, recs, err)
+		}
 	}
 }
