@@ -412,8 +412,8 @@ func (d *jsonReader) readString(dst *string) {
 }
 
 // readOwnedString reads a string field as bytes the caller keeps: the
-// string decoded in place in d.data (stringInPlace), on every CPU when it
-// is at least parallelCSVBytes long.
+// string decoded in place in d.data (stringInPlace), on every CPU when
+// the body from the string on is at least parallelCSVBytes long.
 func (d *jsonReader) readOwnedString(dst *[]byte) {
 	if d.value("string", `"`) {
 		chunks := 1
@@ -633,9 +633,10 @@ func (d *jsonReader) unescape(start int) []byte {
 	return nil
 }
 
-// parallelCSVBytes is the string length from which stringInPlace is
-// asked for a chunk per CPU; a shorter string is one chunk, where
-// starting workers would cost more than they save.
+// parallelCSVBytes is the body length, from the string on, from which
+// readOwnedString asks stringInPlace for a chunk per CPU; below it the
+// string is one chunk, where starting workers would cost more than they
+// save.
 const parallelCSVBytes = 256 << 10
 
 // stringInPlace reads the string at the cursor, like stringBytes, and
