@@ -2,6 +2,7 @@ package aqpp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -174,5 +175,24 @@ func TestUnsupportedKind(t *testing.T) {
 	}
 	if e.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes must be positive")
+	}
+}
+
+// TestKDLeavesInputUnchanged: the KD-US builds read the columns of the
+// datasets they are given, the projected one included, without writing
+// them.
+func TestKDLeavesInputUnchanged(t *testing.T) {
+	full := dataset.GenNYCTaxi(5000, 3, 16)
+	indexed := dataset.New(full.Name, 2)
+	indexed.Pred, indexed.Agg = full.Pred[:2], full.Agg
+	before := full.Clone()
+	if _, err := NewKD(full, Options{Partitions: 64, SampleSize: 500, Seed: 17}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewKDWithPoints(full, indexed, Options{Partitions: 32, SampleSize: 500, Seed: 18}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, before) {
+		t.Fatal("a KD-US build changed its input columns")
 	}
 }

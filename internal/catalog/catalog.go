@@ -223,13 +223,19 @@ func (t *Table) AttachJournal(j Journal) {
 // it alone, and then holds the state lock exclusively just for the apply:
 // the log order is the apply order, and an ack follows both durability
 // and apply, but readers never wait for the disk.
-func (t *Table) update(op string, journal func(Journal) error, apply func(engine.Updatable) (int, error)) (int, error) {
+func (t *Table) update(op string, check func(engine.Engine) error, journal func(Journal) error, apply func(engine.Updatable) (int, error)) (int, error) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	// asked before the journal: a write the engine refuses is never logged
 	u, ok := engine.Updater(t.eng)
 	if !ok {
 		return 0, fmt.Errorf("catalog: engine %s of table %q does not support updates", t.eng.Name(), t.name)
+	}
+	if check != nil {
+		// writers hold wmu, so the state it reads cannot change under it
+		if err := check(t.eng); err != nil {
+			return 0, fmt.Errorf("catalog: %s %q: %w", op, t.name, err)
+		}
 	}
 	if t.journal != nil {
 		if err := journal(t.journal); err != nil {
@@ -250,7 +256,7 @@ func (t *Table) update(op string, journal func(Journal) error, apply func(engine
 // Insert adds one tuple (see update). With a journal attached the tuple is
 // logged first; a failed in-memory apply rolls the log entry back.
 func (t *Table) Insert(point []float64, value float64) error {
-	_, err := t.update("insert into", func(j Journal) error { return j.Insert(point, value) },
+	_, err := t.update("insert into", nil, func(j Journal) error { return j.Insert(point, value) },
 		func(u engine.Updatable) (int, error) {
 			if err := u.Insert(point, value); err != nil {
 				return 0, t.unjournal(err)
@@ -263,9 +269,13 @@ func (t *Table) Insert(point []float64, value float64) error {
 	return err
 }
 
-// Delete removes one tuple (see update). Journaling mirrors Insert.
+// Delete removes one tuple (see update). Journaling mirrors Insert. A
+// delete the engine can tell matches no row (engine.CheckDelete) is
+// refused before the journal, with an error wrapping core.ErrNoSuchRow.
 func (t *Table) Delete(point []float64, value float64) error {
-	_, err := t.update("delete from", func(j Journal) error { return j.Delete(point, value) },
+	_, err := t.update("delete from",
+		func(e engine.Engine) error { return engine.CheckDelete(e, point, value) },
+		func(j Journal) error { return j.Delete(point, value) },
 		func(u engine.Updatable) (int, error) {
 			if err := u.Delete(point, value); err != nil {
 				return 0, t.unjournal(err)
@@ -290,7 +300,7 @@ func (t *Table) InsertMany(points [][]float64, values []float64) (int, error) {
 	if len(points) == 0 {
 		return 0, nil
 	}
-	return t.update("batch insert into", func(j Journal) error { return j.InsertMany(points, values) },
+	return t.update("batch insert into", nil, func(j Journal) error { return j.InsertMany(points, values) },
 		func(u engine.Updatable) (int, error) {
 			for i := range points {
 				if err := u.Insert(points[i], values[i]); err != nil {

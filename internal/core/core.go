@@ -376,7 +376,9 @@ func (s *Synopsis) drawSamples1D(sorted *dataset.Dataset, tr *ptree.Tree) {
 }
 
 // drawSamplesKD fills the store from the k-d leaves' tuple lists, which
-// kdtree.Build returns beside the tree and nothing keeps afterwards.
+// kdtree.Build returns beside the tree and nothing keeps afterwards. A
+// leaf's list is one range of the build's row permutation, ascending, and
+// its draw picks ascending places in it, so each column is read forward.
 func (s *Synopsis) drawSamplesKD(d *dataset.Dataset, tr *kdtree.Tree, leafItems [][]int) {
 	b := tr.NumLeaves()
 	dims := d.Dims()
@@ -392,11 +394,17 @@ func (s *Synopsis) drawSamplesKD(d *dataset.Dataset, tr *kdtree.Tree, leafItems 
 		idx := sample.UniformIndices(rng, len(items), alloc[i])
 		base := st.offsets[i]
 		for j, off := range idx {
-			gi := items[off]
-			for c := 0; c < dims; c++ {
-				st.coords[(base+j)*dims+c] = d.Pred[c][gi]
+			idx[j] = items[off]
+		}
+		coords := st.coords[base*dims : (base+len(idx))*dims]
+		for c, col := range d.Pred {
+			for j, gi := range idx {
+				coords[j*dims+c] = col[gi]
 			}
-			st.values[base+j] = d.Agg[gi]
+		}
+		values := st.values[base : base+len(idx)]
+		for j, gi := range idx {
+			values[j] = d.Agg[gi]
 		}
 		st.finishLeaf(i, s.kdSortDim(tr, i))
 	})

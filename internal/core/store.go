@@ -103,13 +103,12 @@ func (st *leafStore) finishLeaf(leaf, dim int) {
 }
 
 // sortLeaf orders leaf's samples by coordinate dim, ties broken by prior
-// position (stable, so the layout is deterministic). The 1D build path
-// draws samples in ascending predicate order, which the fast pre-check
-// detects, skipping the sort entirely.
+// position (stable, so the layout is deterministic), moving whole rows in
+// place. The 1D build path draws samples in ascending predicate order,
+// which the fast pre-check detects, skipping the sort entirely.
 func (st *leafStore) sortLeaf(leaf, dim int) {
 	o, e := st.offsets[leaf], st.offsets[leaf+1]
-	n := e - o
-	if n < 2 {
+	if e-o < 2 {
 		return
 	}
 	d := st.dims
@@ -123,19 +122,28 @@ func (st *leafStore) sortLeaf(leaf, dim int) {
 	if sorted {
 		return
 	}
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
+	sort.Stable(leafRows{st.coords[o*d : e*d], st.values[o:e], d, dim})
+}
+
+// leafRows is one leaf's samples ordered by coordinate dim: Swap trades
+// two rows' points and values.
+type leafRows struct {
+	coords, values []float64
+	dims, dim      int
+}
+
+func (r leafRows) Len() int { return len(r.values) }
+
+func (r leafRows) Less(a, b int) bool {
+	return r.coords[a*r.dims+r.dim] < r.coords[b*r.dims+r.dim]
+}
+
+func (r leafRows) Swap(a, b int) {
+	pa, pb := r.coords[a*r.dims:(a+1)*r.dims], r.coords[b*r.dims:(b+1)*r.dims]
+	for c := range pa {
+		pa[c], pb[c] = pb[c], pa[c]
 	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return st.coords[(o+ord[a])*d+dim] < st.coords[(o+ord[b])*d+dim]
-	})
-	cs := append([]float64(nil), st.coords[o*d:e*d]...)
-	vs := append([]float64(nil), st.values[o:e]...)
-	for i, from := range ord {
-		copy(st.coords[(o+i)*d:(o+i+1)*d], cs[from*d:(from+1)*d])
-		st.values[o+i] = vs[from]
-	}
+	r.values[a], r.values[b] = r.values[b], r.values[a]
 }
 
 // rebuildPrefix recomputes leaf's prefix aggregates from its values.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -122,6 +123,35 @@ func TestInsertValidation(t *testing.T) {
 	s := build1D(t, d, 4, 0.1)
 	if err := s.Insert(nil, 1); err == nil {
 		t.Error("Insert with empty point accepted")
+	}
+	if err := s.Delete(nil, 1); err == nil {
+		t.Error("Delete with empty point accepted")
+	}
+	if err := s.CheckDelete(nil, 1); err == nil {
+		t.Error("CheckDelete passed an empty point")
+	}
+}
+
+// TestCheckDelete: a delete of a present row passes; one whose value is
+// outside its leaf's [Min, Max], whose key is outside its leaf's keys, or
+// whose value is NaN is refused with ErrNoSuchRow, and nothing changes.
+func TestCheckDelete(t *testing.T) {
+	d := dataset.GenUniform(1000, 1, 100, 11)
+	s := build1D(t, d, 8, 0.1)
+	for i := 0; i < d.N(); i += 97 {
+		if err := s.CheckDelete([]float64{d.Pred[0][i]}, d.Agg[i]); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	lo, hi := d.AggBounds()
+	before := saveBytes(t, s)
+	for _, bad := range [][2]float64{{d.Pred[0][3], hi + 1}, {d.Pred[0][3], lo - 1}, {d.Pred[0][3], math.NaN()}, {-1e9, d.Agg[3]}, {1e9, d.Agg[3]}} {
+		if err := s.CheckDelete([]float64{bad[0]}, bad[1]); !errors.Is(err, ErrNoSuchRow) {
+			t.Errorf("delete of key %v value %v: %v, want ErrNoSuchRow", bad[0], bad[1], err)
+		}
+	}
+	if !bytes.Equal(saveBytes(t, s), before) {
+		t.Error("CheckDelete changed the synopsis")
 	}
 }
 

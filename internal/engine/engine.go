@@ -88,6 +88,25 @@ func Updater(e Engine) (Updatable, bool) {
 	return u, true
 }
 
+// CheckDelete refuses a delete of (point, value) that e can tell removes
+// no row it holds (core.Synopsis.CheckDelete); a sharded engine asks the
+// shard the point routes to. The catalog asks it with Updater, before it
+// journals the delete, so a refused delete never reaches the log.
+func CheckDelete(e Engine, point []float64, value float64) error {
+	e = Underlying(e)
+	if sh, ok := e.(Sharded); ok {
+		i, err := sh.Route(point)
+		if err != nil {
+			return err
+		}
+		e = Underlying(sh.Shard(i))
+	}
+	if syn, ok := e.(*core.Synopsis); ok {
+		return syn.CheckDelete(point, value)
+	}
+	return nil
+}
+
 // Serializable is the optional persistence capability: engines whose
 // synopsis persists to a compact binary format. Loading is
 // constructor-shaped (it yields a new engine) and therefore lives with

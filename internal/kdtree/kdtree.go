@@ -18,9 +18,11 @@
 package kdtree
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -48,12 +50,79 @@ type Tree struct {
 	dims     int
 }
 
-// builder is the construction state of a Tree: the dataset and, per node,
-// the indices of its tuples (nil once the node is split).
+// builder is the construction state of a Tree. Node i owns rows span[i][0]
+// … span[i][1]-1 of the build's row permutation, and the builder's copy
+// of the predicate and aggregate columns is permuted with it, so a node's
+// rows are a contiguous range of every column. The root's rows are the
+// caller's columns, which the builder never writes; its split scatters
+// them into buf, and every later split scatters its range stably into tmp
+// and copies it back, one column at a time.
 type builder struct {
 	*Tree
-	data  *dataset.Dataset
-	items [][]int
+	span [][2]int
+	in   rows // the root's rows: the caller's columns, perm nil
+	buf  rows // the rows of every node below the root
+	// sorted[c] holds when the caller's column c ascends: a stable scatter
+	// keeps every node's range of it ascending, so its median is the
+	// middle row
+	sorted []bool
+	// per row of the range being split: its cell (only up to 8
+	// dimensions) and the place it moves to in the range
+	key []uint8
+	pos []int
+	// room for a split below the root, whose range is never longer than
+	// the root's longest child: kth's two buffers, or one column
+	tmp     []float64
+	tmpPerm []int
+}
+
+// rows is one copy of the build's columns, all permuted alike.
+type rows struct {
+	pred [][]float64
+	agg  []float64
+	perm []int // the caller's row index of each row
+}
+
+func newBuilder(d *dataset.Dataset) *builder {
+	n, dims := d.N(), d.Dims()
+	t := &builder{Tree: &Tree{dims: dims}, in: rows{pred: d.Pred, agg: d.Agg}, sorted: make([]bool, dims)}
+	cols := make([]float64, (dims+1)*n)
+	t.buf.pred = make([][]float64, dims)
+	for c := range t.buf.pred {
+		t.buf.pred[c], cols = cols[:n:n], cols[n:]
+	}
+	t.buf.agg = cols
+	t.buf.perm = make([]int, n)
+	for c, col := range d.Pred {
+		t.sorted[c] = ascending(col)
+	}
+	if dims <= 8 {
+		t.key = make([]uint8, n)
+	}
+	t.pos = make([]int, n)
+	return t
+}
+
+// rows returns the copy of the columns that holds the rows of the nodes at
+// depth.
+func (t *builder) rows(depth int32) *rows {
+	if depth == 0 {
+		return &t.in
+	}
+	return &t.buf
+}
+
+// size returns the number of rows of node id.
+func (t *builder) size(id int) int { return t.span[id][1] - t.span[id][0] }
+
+// ascending reports whether col never decreases; NaN makes it false.
+func ascending(col []float64) bool {
+	for i := 1; i < len(col); i++ {
+		if !(col[i-1] <= col[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rect returns a view of node id's bounding rectangle.
@@ -91,9 +160,10 @@ type Options struct {
 }
 
 // Build constructs a k-d partition tree over d with the given policy. It
-// also returns, per dense leaf id, the indices of the leaf's tuples in d —
-// the strata a caller samples from; the tree itself keeps neither them nor
-// d.
+// also returns, per dense leaf id, the indices of the leaf's tuples in d,
+// ascending — the strata a caller samples from, as views of one
+// permutation of d's rows; the tree itself keeps neither them nor d, and
+// Build writes nothing into d.
 func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, [][]int, error) {
 	if d.N() == 0 {
 		return nil, nil, fmt.Errorf("kdtree: empty dataset")
@@ -107,12 +177,8 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, [][]int, erro
 	if opt.DepthBand <= 0 {
 		opt.DepthBand = 2
 	}
-	t := &builder{Tree: &Tree{dims: d.Dims()}, data: d}
-	all := make([]int, d.N())
-	for i := range all {
-		all[i] = i
-	}
-	t.root = t.newNode(all, 0)
+	t := newBuilder(d)
+	t.root = t.newNode(0, d.N(), 0)
 	rng := stats.NewRNG(opt.Seed + 1)
 
 	pq := &candHeap{}
@@ -156,7 +222,7 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, [][]int, erro
 			continue // unsplittable (all points identical); drop from queue
 		}
 		for _, ch := range children {
-			if len(t.items[ch]) > 1 {
+			if t.size(ch) > 1 {
 				push(ch)
 			}
 		}
@@ -165,9 +231,15 @@ func Build(d *dataset.Dataset, policy Policy, opt Options) (*Tree, [][]int, erro
 		}
 	}
 	t.assignLeafIDs()
+	if t.numKids[t.root] == 0 { // no split moved the caller's rows
+		for i := range t.buf.perm {
+			t.buf.perm[i] = i
+		}
+	}
 	leafItems := make([][]int, len(t.leaves))
 	for i, id := range t.leaves {
-		leafItems[i] = t.items[id]
+		lo, hi := t.span[id][0], t.span[id][1]
+		leafItems[i] = t.buf.perm[lo:hi:hi]
 	}
 	return t.Tree, leafItems, nil
 }
@@ -191,132 +263,340 @@ func (h *candHeap) Pop() interface{} {
 	return x
 }
 
-func (t *builder) newNode(items []int, depth int32) int {
-	var a ptree.Agg
+// newNode appends the node of rows lo … hi-1 at depth, with its
+// aggregates and its bounding rectangle, each folded over the rows in
+// order.
+func (t *builder) newNode(lo, hi int, depth int32) int {
 	id := len(t.aggs)
-	for c := 0; c < t.dims; c++ {
-		t.bounds = append(t.bounds, math.Inf(1))
-	}
-	for c := 0; c < t.dims; c++ {
-		t.bounds = append(t.bounds, math.Inf(-1))
-	}
+	rs := t.rows(depth)
+	t.bounds = slices.Grow(t.bounds, 2*t.dims)[:len(t.bounds)+2*t.dims]
 	r := t.rect(id)
-	lo, hi := r.Lo, r.Hi
-	for _, i := range items {
-		a.Add(t.data.Agg[i])
-		for c := 0; c < t.dims; c++ {
-			v := t.data.Pred[c][i]
-			if v < lo[c] {
-				lo[c] = v
-			}
-			if v > hi[c] {
-				hi[c] = v
-			}
-		}
+	for c, col := range rs.pred {
+		r.Lo[c], r.Hi[c] = t.colBounds(c, col[lo:hi])
 	}
-	t.items = append(t.items, items)
+	t.span = append(t.span, [2]int{lo, hi})
 	t.depth = append(t.depth, depth)
-	t.aggs = append(t.aggs, a)
+	t.aggs = append(t.aggs, aggOf(rs.agg[lo:hi]))
 	t.leafOf = append(t.leafOf, -1)
 	t.firstKid = append(t.firstKid, 0)
 	t.numKids = append(t.numKids, 0)
 	return id
 }
 
+// colBounds returns a node's bounds on column c from its rows vs: the
+// first value below all before it and the first above all before it, NaN
+// never. Ascending rows give their first and the first of their last run.
+func (t *builder) colBounds(c int, vs []float64) (lo, hi float64) {
+	if t.sorted[c] {
+		j := len(vs) - 1
+		for j > 0 && vs[j-1] == vs[len(vs)-1] {
+			j--
+		}
+		return vs[0], vs[j]
+	}
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range vs {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// aggOf folds vs into a ptree.Agg in order, as Agg.Add does one value at a
+// time, but in locals: Agg's five fields are kept in memory across calls.
+func aggOf(vs []float64) ptree.Agg {
+	if len(vs) == 0 {
+		return ptree.Agg{}
+	}
+	sum, sumSq, mn, mx := 0.0, 0.0, vs[0], vs[0]
+	for _, v := range vs {
+		sum += v
+		sumSq += v * v
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return ptree.Agg{N: len(vs), Sum: sum, SumSq: sumSq, Min: mn, Max: mx}
+}
+
 // split divides a leaf node into up to 2^d children at the per-dimension
-// medians of its items (the paper's simultaneous split). Empty cells are
-// dropped; if every item lands in a single cell the node stays a leaf and
-// nil is returned.
+// medians of its rows (the paper's simultaneous split). A row's cell has
+// bit c set when its coordinate c is at least median c, and the rows
+// scatter stably by cell, so the children — the non-empty cells in cell
+// order — are back-to-back ranges that keep their rows in permutation
+// order. If every row lands in a single cell the node stays a leaf and nil
+// is returned.
 func (t *builder) split(id int) []int {
-	items := t.items[id]
-	if len(items) < 2 {
+	lo, hi := t.span[id][0], t.span[id][1]
+	m := hi - lo
+	if m < 2 {
 		return nil
 	}
-	med := make([]float64, t.dims)
-	tmp := make([]float64, len(items))
-	for c := 0; c < t.dims; c++ {
-		col := t.data.Pred[c]
-		for i, it := range items {
-			tmp[i] = col[it]
+	depth := t.depth[id]
+	src := t.rows(depth)
+	// free room: all of buf before the root's split, tmp after it
+	var free [2][]float64
+	var tmp []float64
+	var tmpPerm []int
+	if depth == 0 {
+		free[0] = t.buf.agg[:m]
+		if t.dims > 0 {
+			free[1] = t.buf.pred[0][:m]
 		}
-		// only the median is needed, so quickselect replaces the full sort
-		med[c] = selectKth(tmp, len(tmp)/2)
-	}
-	cells := make(map[int][]int)
-	for _, it := range items {
-		key := 0
-		for c := 0; c < t.dims; c++ {
-			if t.data.Pred[c][it] >= med[c] {
-				key |= 1 << c
+	} else {
+		if t.tmp == nil {
+			longest := 0
+			for ch := t.firstKid[t.root]; ch < t.firstKid[t.root]+t.numKids[t.root]; ch++ {
+				longest = max(longest, t.size(int(ch)))
 			}
+			t.tmp, t.tmpPerm = make([]float64, 2*longest), make([]int, longest)
 		}
-		cells[key] = append(cells[key], it)
+		tmp, tmpPerm = t.tmp[:m], t.tmpPerm[:m]
+		free = [2][]float64{tmp, t.tmp[m : 2*m]}
 	}
-	if len(cells) < 2 {
+	sizes := t.cells(src, lo, hi, free)
+	if len(sizes) < 2 {
 		return nil
 	}
-	keys := make([]int, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
+	pos := t.pos[:m]
+	for c, col := range src.pred {
+		move(t.buf.pred[c][lo:hi], col[lo:hi], pos, tmp)
 	}
-	sort.Ints(keys)
-	children := make([]int, 0, len(keys))
-	for _, k := range keys {
-		children = append(children, t.newNode(cells[k], t.depth[id]+1))
+	move(t.buf.agg[lo:hi], src.agg[lo:hi], pos, tmp)
+	if src.perm == nil { // the root's rows are the caller's, in order
+		for i, p := range pos {
+			t.buf.perm[p] = i
+		}
+	} else {
+		move(t.buf.perm[lo:hi], src.perm[lo:hi], pos, tmpPerm)
+	}
+	children := make([]int, len(sizes))
+	for i, n := range sizes {
+		children[i] = t.newNode(lo, lo+n, depth+1)
+		lo += n
 	}
 	t.firstKid[id], t.numKids[id] = int32(children[0]), int32(len(children))
-	t.items[id] = nil
 	return children
 }
 
-// selectKth returns the k-th smallest element (0-based) of a, partially
-// reordering it — deterministic Hoare quickselect with median-of-three
-// pivots, O(n) expected. Equivalent to sorting a and reading a[k].
-func selectKth(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		// median-of-three pivot, moved to a[lo]
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
+// cells gives every row of lo … hi-1 in src its cell and leaves in pos the
+// place it moves to in the range, cells in order and rows within a cell in
+// the order they had. It returns the sizes of the non-empty cells in cell
+// order. free is room for the medians' selection.
+func (t *builder) cells(src *rows, lo, hi int, free [2][]float64) []int {
+	if t.key == nil {
+		return t.cellsWide(src, lo, hi, free)
+	}
+	key := t.key[:hi-lo]
+	clear(key)
+	var count, next [256]int
+	// a sorted column's bit is set from the first row at least its median
+	// (the middle row) on; the last unsorted column's pass also counts
+	last := -1
+	for c, col := range src.pred {
+		if !t.sorted[c] {
+			last = c
+			continue
 		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return a[k]
+		vs := col[lo:hi]
+		from := sort.Search(len(vs)/2, func(i int) bool { return vs[i] >= vs[len(vs)/2] })
+		for i := range key[from:] {
+			key[from+i] |= 1 << c
 		}
 	}
-	return a[k]
+	for c, col := range src.pred {
+		if t.sorted[c] {
+			continue
+		}
+		med := t.median(col[lo:hi], c, free)
+		if c < last {
+			for i, v := range col[lo:hi] {
+				key[i] |= uint8(b2i(v >= med)) << c
+			}
+			continue
+		}
+		for i, v := range col[lo:hi] {
+			k := key[i] | uint8(b2i(v >= med))<<c
+			key[i] = k
+			count[k]++
+		}
+	}
+	if last < 0 {
+		for _, k := range key {
+			count[k]++
+		}
+	}
+	var sizes []int
+	at := 0
+	for k, n := range count[:1<<t.dims] {
+		next[k] = at
+		at += n
+		if n > 0 {
+			sizes = append(sizes, n)
+		}
+	}
+	if len(sizes) < 2 {
+		return nil
+	}
+	pos := t.pos[:hi-lo]
+	for i, k := range key {
+		pos[i] = next[k]
+		next[k]++
+	}
+	return sizes
+}
+
+// cellsWide is cells for more than 8 dimensions, where a table of all 2^d
+// cells would outgrow the range: the cells are sorted, not counted.
+func (t *builder) cellsWide(src *rows, lo, hi int, free [2][]float64) []int {
+	key := make([]int, hi-lo)
+	for c, col := range src.pred {
+		med := t.median(col[lo:hi], c, free)
+		for i, v := range col[lo:hi] {
+			if v >= med {
+				key[i] |= 1 << c
+			}
+		}
+	}
+	order := make([]int, hi-lo)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(key[a], key[b]) })
+	var sizes []int
+	for r, i := range order {
+		t.pos[i] = r
+		if r == 0 || key[i] != key[order[r-1]] {
+			sizes = append(sizes, 0)
+		}
+		sizes[len(sizes)-1]++
+	}
+	if len(sizes) < 2 {
+		return nil
+	}
+	return sizes
+}
+
+// scatter moves src[i] to dst[pos[i]].
+func scatter[T any](dst, src []T, pos []int) {
+	for i, v := range src {
+		dst[pos[i]] = v
+	}
+}
+
+// move scatters src by pos into dst, the same range of another copy, or,
+// with tmp, through tmp into dst when dst is src's own range.
+func move[T any](dst, src []T, pos []int, tmp []T) {
+	if tmp == nil {
+		scatter(dst, src, pos)
+		return
+	}
+	scatter(tmp, src, pos)
+	copy(dst, tmp)
+}
+
+// median returns the median (the len/2-th smallest) of col, a node's
+// range of column c, selecting in free when the column is not sorted.
+func (t *builder) median(col []float64, c int, free [2][]float64) float64 {
+	if t.sorted[c] {
+		return col[len(col)/2]
+	}
+	return kth(col, len(col)/2, free)
+}
+
+// b2i is 1 for true and 0 for false; the compiler sets it from the flags,
+// without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+const (
+	kthSample = 32  // values in the sample a bracket is drawn from
+	kthSlack  = 5   // sample places between the rank's and a bracket end
+	kthPasses = 16  // passes before kth sorts what is left
+	kthSmall  = 128 // a range this short is sorted
+)
+
+// kth returns the k-th smallest (0-based) of vs, leaving vs as it is; each
+// of buf holds len(vs) values. Each pass brackets rank k between two
+// values a ≤ b of a strided sample and, without branching on the data,
+// counts the values below a and gathers those in [a, b] into one buf,
+// which the next pass reads while it writes the other. Rank k is then
+// in the bracket, whose values the next pass narrows, or the bracket moves
+// to the side that holds it. A bracket of one value that holds rank k is
+// the answer; a pass that gathers every value narrows the bracket to one
+// sampled value. A range of kthSmall values, or one left after kthPasses
+// passes (NaN fits no bracket), is sorted instead.
+func kth(vs []float64, k int, buf [2][]float64) float64 {
+	src, half := vs, 0
+	a, p, b := bracket(src, k)
+	for pass := 0; ; pass++ {
+		m := len(src)
+		dst := buf[half]
+		if m <= kthSmall || pass == kthPasses {
+			s := dst[:m]
+			copy(s, src)
+			slices.Sort(s)
+			return s[k]
+		}
+		below, in := 0, 0
+		for _, v := range src {
+			below += b2i(v < a)
+			dst[in] = v
+			in += b2i(v >= a) & b2i(v <= b)
+		}
+		switch {
+		case k < below:
+			a, b = math.Inf(-1), math.Nextafter(a, math.Inf(-1))
+		case k >= below+in:
+			a, b = math.Nextafter(b, math.Inf(1)), math.Inf(1)
+		case a == b:
+			return a
+		case in == m:
+			a, b = p, p
+		default:
+			src, k, half = dst[:in], k-below, 1-half
+			a, p, b = bracket(src, k)
+		}
+	}
+}
+
+// bracket returns values a ≤ p ≤ b of a strided sample of vs: p at the
+// sample place of rank k, a and b kthSlack places below and above it (-Inf
+// and +Inf past the sample's ends).
+func bracket(vs []float64, k int) (a, p, b float64) {
+	var s [kthSample]float64
+	m := len(vs)
+	for i := range s {
+		s[i] = vs[(2*i+1)*m/(2*kthSample)]
+	}
+	slices.Sort(s[:])
+	r := k * kthSample / m
+	a, p, b = math.Inf(-1), s[r], math.Inf(1)
+	if r >= kthSlack {
+		a = s[r-kthSlack]
+	}
+	if r+kthSlack < kthSample {
+		b = s[r+kthSlack]
+	}
+	return a, p, b
 }
 
 // nodeScore approximates the maximum query variance inside node id,
 // following Appendix A's discretizations adapted to d dimensions.
 func (t *builder) nodeScore(id int, kind dataset.AggKind, delta float64) float64 {
-	items := t.items[id]
-	n := len(items)
+	lo, hi := t.span[id][0], t.span[id][1]
+	n := hi - lo
 	if n < 2 {
 		return 0
 	}
@@ -331,21 +611,19 @@ func (t *builder) nodeScore(id int, kind dataset.AggKind, delta float64) float64
 		if n < 2*w {
 			return 0
 		}
-		maxSq := t.maxChunkSumSq(items, w)
+		maxSq := t.maxChunkSumSq(id, w)
 		return float64(n) * maxSq / (float64(n) * float64(w) * float64(w))
 	default: // SUM
 		// half-split bound (Lemma A.3): score of the better half
-		half := n / 2
+		agg := t.rows(t.depth[id]).agg[lo:hi]
 		var s1, q1, s2, q2 float64
-		for i, it := range items {
-			v := t.data.Agg[it]
-			if i < half {
-				s1 += v
-				q1 += v * v
-			} else {
-				s2 += v
-				q2 += v * v
-			}
+		for _, v := range agg[:n/2] {
+			s1 += v
+			q1 += v * v
+		}
+		for _, v := range agg[n/2:] {
+			s2 += v
+			q2 += v * v
 		}
 		v1 := (float64(n)*q1 - s1*s1) / float64(n)
 		v2 := (float64(n)*q2 - s2*s2) / float64(n)
@@ -356,37 +634,32 @@ func (t *builder) nodeScore(id int, kind dataset.AggKind, delta float64) float64
 	}
 }
 
-// maxChunkSumSq splits items into contiguous chunks of w along the
+// maxChunkSumSq splits node id's rows into contiguous chunks of w along the
 // dimension with the widest spread and returns the largest chunk sum of
 // squares — the d-dimensional analogue of the δm-window index (A.4).
-func (t *builder) maxChunkSumSq(items []int, w int) float64 {
-	// pick the dimension with the widest value range among the items
+func (t *builder) maxChunkSumSq(id, w int) float64 {
+	// pick the dimension with the widest value range among the rows
+	r := t.rect(id)
 	bestDim, bestSpread := 0, -1.0
 	for c := 0; c < t.dims; c++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		col := t.data.Pred[c]
-		for _, it := range items {
-			v := col[it]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if s := hi - lo; s > bestSpread {
+		if s := r.Hi[c] - r.Lo[c]; s > bestSpread {
 			bestSpread, bestDim = s, c
 		}
 	}
-	ordered := append([]int(nil), items...)
-	col := t.data.Pred[bestDim]
+	lo, hi := t.span[id][0], t.span[id][1]
+	rs := t.rows(t.depth[id])
+	col, agg := rs.pred[bestDim][lo:hi], rs.agg[lo:hi]
+	ordered := make([]int, hi-lo)
+	for i := range ordered {
+		ordered[i] = i
+	}
 	sort.Slice(ordered, func(a, b int) bool { return col[ordered[a]] < col[ordered[b]] })
 	best, cur := 0.0, 0.0
-	for i, it := range ordered {
-		v := t.data.Agg[it]
+	for i, j := range ordered {
+		v := agg[j]
 		cur += v * v
 		if i >= w {
-			u := t.data.Agg[ordered[i-w]]
+			u := agg[ordered[i-w]]
 			cur -= u * u
 		}
 		if i >= w-1 && cur > best {

@@ -153,7 +153,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if br.Err() != nil {
 			return nil, fmt.Errorf("store: truncated snapshot header: %w", ErrCorrupt)
 		}
-		return nil, fmt.Errorf("store: unsupported snapshot version %d", v)
+		return nil, fmt.Errorf("store: unsupported snapshot version %d: %w", v, ErrCorrupt)
 	}
 	meta, err := readFrame(br, "meta")
 	if err != nil {
@@ -197,7 +197,9 @@ func decodeMeta(meta []byte) (*Snapshot, error) {
 	if mr.Err() != nil {
 		return nil, fmt.Errorf("store: corrupt snapshot meta: %w", ErrCorrupt)
 	}
-	if nPred < 0 || nPred > 1<<16 {
+	// every column name takes at least its length byte, so a count past
+	// the section's bytes is corrupt before anything is sized by it
+	if nPred < 0 || nPred > min(len(meta), 1<<16) {
 		return nil, fmt.Errorf("store: corrupt snapshot meta (%d predicate columns): %w", nPred, ErrCorrupt)
 	}
 	snap.Schema.PredColumns = make([]string, nPred)
@@ -209,12 +211,15 @@ func decodeMeta(meta []byte) (*Snapshot, error) {
 	if mr.Err() != nil {
 		return nil, fmt.Errorf("store: corrupt snapshot meta: %w", ErrCorrupt)
 	}
+	if nDicts < 0 || nDicts > len(meta) {
+		return nil, fmt.Errorf("store: corrupt snapshot meta (%d dictionaries): %w", nDicts, ErrCorrupt)
+	}
 	if nDicts > 0 {
 		snap.Schema.Dicts = make(map[string]*dataset.Dict, nDicts)
 		for i := 0; i < nDicts; i++ {
 			col := mr.Str()
 			nVals := int(mr.U64())
-			if mr.Err() != nil || nVals < 0 || nVals > 1<<24 {
+			if mr.Err() != nil || nVals < 0 || nVals > min(len(meta), 1<<24) {
 				return nil, fmt.Errorf("store: corrupt snapshot dictionary: %w", ErrCorrupt)
 			}
 			vals := make([]string, nVals)

@@ -113,7 +113,7 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) {
 		if br.Err() != nil {
 			return nil, fmt.Errorf("store: truncated manifest header: %w", ErrCorrupt)
 		}
-		return nil, fmt.Errorf("store: unsupported manifest version %d", v)
+		return nil, fmt.Errorf("store: unsupported manifest version %d: %w", v, ErrCorrupt)
 	}
 	meta, err := readFrame(br, "manifest")
 	if err != nil {
@@ -131,7 +131,10 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) {
 	if mr.Err() != nil {
 		return nil, fmt.Errorf("store: corrupt manifest: %w", ErrCorrupt)
 	}
-	if m.Shards <= 0 || m.Shards > 1<<16 || nCuts < 0 || nCuts >= m.Shards {
+	// every shard's generation and bounds, and every cut, take at least a
+	// byte each, so counts past the section's bytes are corrupt before
+	// anything is sized by them
+	if m.Shards <= 0 || m.Shards > min(len(meta), 1<<16) || nCuts < 0 || nCuts >= m.Shards {
 		return nil, fmt.Errorf("store: corrupt manifest (%d shards, %d cuts): %w", m.Shards, nCuts, ErrCorrupt)
 	}
 	if m.Dim < 0 || m.Dim > 1<<12 {
@@ -148,7 +151,7 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) {
 	m.Bounds = make([]dataset.Rect, m.Shards)
 	for i := range m.Bounds {
 		dims := int(mr.U64())
-		if mr.Err() != nil || dims < 0 || dims > 1<<12 {
+		if mr.Err() != nil || dims < 0 || dims > min(len(meta), 1<<12) {
 			return nil, fmt.Errorf("store: corrupt manifest bounds: %w", ErrCorrupt)
 		}
 		lo := make([]float64, dims)

@@ -493,6 +493,13 @@ func (s *Session) InsertMany(table string, points [][]float64, values []float64)
 }
 
 // Delete removes one tuple from a named table (Updatable engines only).
+// The tuple must be a row the table holds: the synopsis keeps no rows,
+// so it subtracts what it is given. A delete it can tell is not a present
+// row — a value outside the [Min, Max] of the leaf its key falls in, or a
+// key outside that leaf's keys — is refused with an error before it is
+// logged, and the table is left as it was. A phantom delete inside both
+// ranges cannot be told apart without the rows: it is applied, and skews
+// every answer over its leaf, exact ones included.
 func (s *Session) Delete(table string, pred []float64, agg float64) error {
 	tbl, err := s.cat.Lookup(table)
 	if err != nil {
