@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/binenc"
 	"repro/internal/dataset"
 )
 
@@ -52,17 +51,6 @@ func fuzzDataset(seed uint64, n, dims int, shapes uint32, sorted bool) *dataset.
 	return d
 }
 
-func encodeBytes(t *testing.T, tr *Tree) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := binenc.NewWriter(&buf)
-	tr.Encode(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // matchReference builds d with Build and with referenceBuild and fails
 // unless the two trees encode to the same bytes, agree on depths and leaf
 // ids, and return the same tuple list for every leaf; it also fails if
@@ -81,7 +69,7 @@ func matchReference(t *testing.T, d *dataset.Dataset, policy Policy, opt Options
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeBytes(t, got), encodeBytes(t, want)) {
+	if !bytes.Equal(encodeTree(t, got), encodeTree(t, want)) {
 		t.Fatalf("encoded tree differs from the reference: %d vs %d nodes", got.NumNodes(), want.NumNodes())
 	}
 	if !slices.Equal(got.depth, want.depth) || !slices.Equal(got.leafOf, want.leafOf) || !slices.Equal(got.leaves, want.leaves) {

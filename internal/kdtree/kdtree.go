@@ -103,9 +103,9 @@ func newBuilder(d *dataset.Dataset) *builder {
 	return t
 }
 
-// rows returns the copy of the columns that holds the rows of the nodes at
+// rowsAt returns the copy of the columns that holds the rows of the nodes at
 // depth.
-func (t *builder) rows(depth int32) *rows {
+func (t *builder) rowsAt(depth int32) *rows {
 	if depth == 0 {
 		return &t.in
 	}
@@ -268,7 +268,7 @@ func (h *candHeap) Pop() interface{} {
 // order.
 func (t *builder) newNode(lo, hi int, depth int32) int {
 	id := len(t.aggs)
-	rs := t.rows(depth)
+	rs := t.rowsAt(depth)
 	t.bounds = slices.Grow(t.bounds, 2*t.dims)[:len(t.bounds)+2*t.dims]
 	r := t.rect(id)
 	for c, col := range rs.pred {
@@ -340,7 +340,7 @@ func (t *builder) split(id int) []int {
 		return nil
 	}
 	depth := t.depth[id]
-	src := t.rows(depth)
+	src := t.rowsAt(depth)
 	// free room: all of buf before the root's split, tmp after it
 	var free [2][]float64
 	var tmp []float64
@@ -615,7 +615,7 @@ func (t *builder) nodeScore(id int, kind dataset.AggKind, delta float64) float64
 		return float64(n) * maxSq / (float64(n) * float64(w) * float64(w))
 	default: // SUM
 		// half-split bound (Lemma A.3): score of the better half
-		agg := t.rows(t.depth[id]).agg[lo:hi]
+		agg := t.rowsAt(t.depth[id]).agg[lo:hi]
 		var s1, q1, s2, q2 float64
 		for _, v := range agg[:n/2] {
 			s1 += v
@@ -647,7 +647,7 @@ func (t *builder) maxChunkSumSq(id, w int) float64 {
 		}
 	}
 	lo, hi := t.span[id][0], t.span[id][1]
-	rs := t.rows(t.depth[id])
+	rs := t.rowsAt(t.depth[id])
 	col, agg := rs.pred[bestDim][lo:hi], rs.agg[lo:hi]
 	ordered := make([]int, hi-lo)
 	for i := range ordered {
