@@ -307,7 +307,9 @@ func (t *builder) colBounds(c int, vs []float64) (lo, hi float64) {
 }
 
 // aggOf folds vs into a ptree.Agg in order, as Agg.Add does one value at a
-// time, but in locals: Agg's five fields are kept in memory across calls.
+// time, but in locals the compiler keeps in registers: a struct of five
+// fields stays in memory across Add calls, so every add would wait on a
+// store.
 func aggOf(vs []float64) ptree.Agg {
 	if len(vs) == 0 {
 		return ptree.Agg{}
